@@ -10,9 +10,10 @@ holds the translates by j, and column c holds the pairs
 from c. The point at infinity is flattened to r, everything else is its
 residue.
 
-Strong starters exist for every odd r >= 7 except r = 9, where
-room_search, a direct backtracking over the array, takes over. Both
-paths certify a transversal before returning.
+Strong starters exist for every odd r >= 7 except r = 9. A randomized
+hill climb finds them, seeded, within a node budget; r = 9 is left to
+room_search, a direct backtracking over the array. Both paths certify a
+transversal before returning.
 """
 
 from __future__ import annotations
@@ -75,83 +76,85 @@ def validate_starter_adder(sa: StarterAdder) -> None:
         raise InvalidStarter("translated pairs do not partition 1..r-1")
 
 
-def _strong_starters(r: int, budget: int, seed: int = 0):
-    """Yield strong starter-adders on Z_r, randomized depth-first.
+def _strong_starters(r: int, budget: int, seed: int = 0, tally: dict | None = None):
+    """Yield strong starter-adders on Z_r, found by hill climbing.
 
-    Runs restart slices: each slice pairs the smallest unused element first
-    with partner order reshuffled, so a thrashing prefix is abandoned
-    rather than ground through. The fixed seed keeps the stream identical
-    across runs. A slice that explores its whole tree without hitting the
-    slice cap ends the stream for good (that is how r = 9 comes up empty);
-    otherwise the stream stops quietly once budget nodes are spent.
+    This is the method of Dinitz and Stinson ("A fast algorithm for finding
+    strong starters", 1981). The state is a partial strong starter. Each
+    step picks a random uncovered x and a random y = x +- d, that is a
+    random difference d and sign, and rejects y = 0 or x + y = 0. The new
+    pair can clash with placed pairs on y, on d or on the sum: with two or
+    more distinct clashing pairs the step is rejected, otherwise the one
+    clashing pair is dropped and the new pair placed. Each step is one
+    node of budget. A slice of 10 r^2 steps that completes no starter is
+    abandoned and the climb restarts empty, as does the climb after each
+    starter it yields. Equal seeds give equal streams. The stream ends
+    once budget steps are spent, and at once for r = 9, since Z_9 has no
+    strong starter. tally, if given, receives the steps spent and the
+    restarts, slices abandoned without a starter.
     """
+    tally = {} if tally is None else tally
+    tally.update(steps=0, restarts=0)
+    if r == 9:
+        return
     half = (r - 1) // 2
-    rng = random.Random(seed)
-    spent = 0
-    while spent < budget:
-        cap = min(max(50_000, budget // 64), budget - spent)
-        unused = set(range(1, r))
-        used_diffs = [False] * (half + 1)
-        used_sums = set()
-        pairs: list[tuple[int, int]] = []
-        nodes = 0
-        truncated = False
-
-        def rec():
-            nonlocal nodes, truncated
-            if not unused:
-                snapshot = tuple(pairs)
-                yield StarterAdder(
-                    r, snapshot, tuple((x + y) % r for x, y in snapshot)
-                )
-                return
-            u = min(unused)
-            candidates = []
-            for d in range(1, half + 1):
-                if used_diffs[d]:
-                    continue
-                for v in ((u + d) % r, (u - d) % r):
-                    if v == 0 or v not in unused or v == u:
-                        continue
-                    s = (u + v) % r
-                    if s == 0 or s in used_sums:
-                        continue
-                    candidates.append((v, d, s))
-            rng.shuffle(candidates)
-            for v, d, s in candidates:
-                nodes += 1
-                if nodes > cap:
-                    truncated = True
-                    return
-                unused.discard(u)
-                unused.discard(v)
-                used_diffs[d] = True
-                used_sums.add(s)
-                pairs.append((u, v) if u < v else (v, u))
-                yield from rec()
-                pairs.pop()
-                used_sums.discard(s)
-                used_diffs[d] = False
-                unused.add(u)
-                unused.add(v)
-                if truncated:
-                    return
-
-        yield from rec()
-        spent += nodes
-        if not truncated:
-            return
+    rand = random.Random(seed).random
+    while tally["steps"] < budget:
+        cap = min(10 * r * r, budget - tally["steps"])
+        partner = [0] * r
+        # a placed pair is named by its smaller element
+        by_diff = [0] * (half + 1)
+        by_sum = [0] * r
+        free = list(range(1, r))
+        where = [i - 1 for i in range(r)]  # position of each element in free
+        for used in range(1, cap + 1):
+            x = free[int(rand() * len(free))]
+            y = (x + 1 + int(rand() * (r - 1))) % r
+            s = (x + y) % r
+            if y == 0 or s == 0:
+                continue
+            d = min((y - x) % r, (x - y) % r)
+            # names of the pairs the new one clashes with; 0 names none
+            clashes = {by_diff[d], by_sum[s], partner[y] and min(y, partner[y])}
+            clashes.discard(0)
+            if len(clashes) > 1:
+                continue
+            if clashes:
+                a = clashes.pop()
+                b = partner[a]
+                partner[a] = partner[b] = 0
+                by_diff[min(b - a, r - b + a)] = by_sum[(a + b) % r] = 0
+                for e in (a, b):
+                    where[e] = len(free)
+                    free.append(e)
+            for e in (x, y):
+                last = free.pop()
+                if last != e:
+                    free[where[e]] = last
+                    where[last] = where[e]
+            partner[x], partner[y] = y, x
+            by_diff[d] = by_sum[s] = min(x, y)
+            if not free:
+                break
+        tally["steps"] += used
+        if free:
+            tally["restarts"] += 1
+            continue
+        pairs = tuple((a, partner[a]) for a in range(1, r) if a < partner[a])
+        yield StarterAdder(r, pairs, tuple((x + y) % r for x, y in pairs))
 
 
-def strong_starter_search(r: int, budget: int = DEFAULT_BUDGET) -> StarterAdder | None:
-    """First strong starter on Z_r in search order, or None.
+def strong_starter_search(
+    r: int, budget: int = DEFAULT_BUDGET, *, seed: int = 0
+) -> StarterAdder | None:
+    """First strong starter of the hill climb on Z_r at seed, or None.
 
-    None covers both a spent budget and exhaustion of the whole space
-    (r = 9 genuinely has none). Results are re-validated before return.
+    None means the budget ran out, except at r = 9, which has no strong
+    starter at all. Results are re-validated before return.
     """
     if r < 7 or r % 2 == 0:
         raise ValueError(f"strong starters need odd r >= 7, got {r}")
-    for sa in _strong_starters(r, budget):
+    for sa in _strong_starters(r, budget, seed):
         validate_starter_adder(sa)
         return sa
     return None
@@ -159,13 +162,11 @@ def strong_starter_search(r: int, budget: int = DEFAULT_BUDGET) -> StarterAdder 
 
 def _starter_array(sa: StarterAdder) -> DesignArray:
     r = sa.r
-    arr = DesignArray.empty(r, r + 1, 1, Complete(r + 1))
-    for j in range(r):
-        arr = arr.place(j, j, Block(((r, j),)))
+    cells = {(j, j): Block(((r, j),)) for j in range(r)}
     for (x, y), a in zip(sa.pairs, sa.adder):
         for j in range(r):
-            arr = arr.place(j, (j + a) % r, Block((((x + j) % r, (y + j) % r),)))
-    return arr
+            cells[(j, (j + a) % r)] = Block((((x + j) % r, (y + j) % r),))
+    return DesignArray(r, r + 1, 1, Complete(r + 1), cells)
 
 
 def room_from_starter(
@@ -398,8 +399,8 @@ def room_search(
     a failed draw costs at most a fixed node slice and the next one
     reshuffles. Equal seeds reproduce equal squares. Raises SearchExhausted
     when the node budget runs out first; sides 15 and up tend to need more
-    than the default budget, though the package itself only ever calls this
-    for sides 9 and below (starters cover the rest).
+    than the default budget, though build_room only calls this for side 9
+    (starters cover the other sides).
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"side must be odd and positive, got {r}")
@@ -432,9 +433,8 @@ def room_search(
     if grid is None:
         raise SearchExhausted(f"side-{r} square search spent its {budget}-node budget")
 
-    arr = DesignArray.empty(r, n, 1, Complete(n))
-    for (i, c), (u, v) in sorted(grid.items()):
-        arr = arr.place(i, c, Block(((u, v),)))
+    cells = {cell: Block((pair,)) for cell, pair in grid.items()}
+    arr = DesignArray(r, n, 1, Complete(n), cells)
     transversal = find_transversal(arr, seed=seed, budget=budget)
     if transversal is None:
         raise SearchExhausted(
@@ -584,10 +584,10 @@ def build_room(
     """Single-edge design of even order n with a certified transversal.
 
     Orders 4 and 6 are the two genuine exclusions. Order 2 is the one-cell
-    array. Otherwise strong starters are tried first (several, in case a
-    starter square yields no transversal) and the direct array search is
-    the fallback, which is what order 10 uses since Z_9 has no strong
-    starter.
+    array. Order 10 comes from the direct array search, since Z_9 has no
+    strong starter. Every other order takes the first of up to four
+    starters from the hill climb at seed whose square has a transversal;
+    SearchExhausted says what the starter phase spent when none does.
     """
     if n < 2 or n % 2:
         raise ValueError(f"single-edge designs need even n >= 2, got {n}")
@@ -606,21 +606,19 @@ def _cached_room(n: int, seed: int, budget: int) -> tuple[DesignArray, Transvers
         return arr, Transversal(((0, 0),))
 
     r = n - 1
-    transversal_failures = 0
-    if r >= 7:
-        for sa in itertools.islice(_strong_starters(r, budget), 4):
-            arr = _starter_array(sa)
-            transversal = find_transversal(arr, seed=seed, budget=budget)
-            if transversal is not None:
-                return arr, transversal
-            transversal_failures += 1
-
-    try:
+    if r == 9:
+        # Z_9 has no strong starter, so the direct search builds this one
         return room_search(r, seed=seed, budget=budget)
-    except SearchExhausted:
-        if transversal_failures:
-            raise SearchExhausted(
-                f"order {n}: {transversal_failures} starter squares had no "
-                f"transversal within budget and the direct search also gave up"
-            ) from None
-        raise
+    tally: dict[str, int] = {}
+    transversal_failures = 0
+    for sa in itertools.islice(_strong_starters(r, budget, seed, tally), 4):
+        arr = _starter_array(sa)
+        transversal = find_transversal(arr, seed=seed, budget=budget)
+        if transversal is not None:
+            return arr, transversal
+        transversal_failures += 1
+    raise SearchExhausted(
+        f"order {n}: the strong starter phase gave up after {tally['steps']} "
+        f"steps and {tally['restarts']} restarts; {transversal_failures} "
+        f"starter squares had no transversal within budget"
+    )

@@ -6,13 +6,17 @@ the search's empty answer is checked against ground truth rather than
 against itself.
 """
 
+import time
+
 import pytest
 
 from omd.bases import build_2k, build_m1k
+from omd.compose import construct
 from omd.core import Block
-from omd.errors import InvalidStarter, NonExistent
+from omd.errors import InvalidStarter, NonExistent, SearchExhausted
 from omd.room import (
     StarterAdder,
+    _cached_room,
     build_room,
     find_transversal,
     room_from_starter,
@@ -91,13 +95,42 @@ def test_search_returns_none_on_nine():
     assert strong_starter_search(9) is None
 
 
-@pytest.mark.parametrize("r", [7, 11, 13, 19])
+@pytest.mark.parametrize("r", [r for r in range(7, 152, 2) if r != 9])
 def test_search_output_satisfies_conditions(r):
-    sa = strong_starter_search(r)
-    assert sa is not None
-    assert _is_strong_starter(sa.pairs, r)
-    assert sorted(p for pair in sa.pairs for p in pair) == list(range(1, r))
-    assert sa.adder == tuple((x + y) % r for x, y in sa.pairs)
+    for seed in range(3):
+        sa = strong_starter_search(r, seed=seed)
+        assert sa is not None, f"seed {seed}"
+        validate_starter_adder(sa)
+        assert _is_strong_starter(sa.pairs, r)
+        assert sorted(p for pair in sa.pairs for p in pair) == list(range(1, r))
+        assert sa.adder == tuple((x + y) % r for x, y in sa.pairs)
+
+
+def test_search_is_seed_reproducible():
+    assert strong_starter_search(61, seed=4) == strong_starter_search(61, seed=4)
+    assert strong_starter_search(61, seed=4) != strong_starter_search(61, seed=5)
+
+
+def test_build_room_passes_seed_to_starters():
+    assert build_room(32, seed=1)[0].cells != build_room(32, seed=2)[0].cells
+
+
+def test_search_returns_none_when_budget_runs_out():
+    assert strong_starter_search(61, budget=10) is None
+
+
+def test_starter_phase_exhaustion_is_reported():
+    with pytest.raises(SearchExhausted, match=r"strong starter phase .* 50 steps"):
+        build_room(62, budget=50)
+
+
+def test_construct_two_hundred_verifies():
+    _cached_room.cache_clear()
+    start = time.monotonic()
+    res = construct(200, 1)
+    assert time.monotonic() - start < 120.0
+    assert res.report.passed
+    assert verify_transversal(res.design, res.transversal).passed
 
 
 def test_search_rejects_bad_modulus():
