@@ -10,10 +10,10 @@ holds the translates by j, and column c holds the pairs
 from c. The point at infinity is flattened to r, everything else is its
 residue.
 
-Strong starters exist for every odd r >= 7 except r = 9. A randomized
-hill climb finds them, seeded, within a node budget; r = 9 is left to
-room_search, a direct backtracking over the array. Both paths certify a
-transversal before returning.
+Strong starters exist for every odd r >= 7 except r = 9; a seeded hill
+climb finds them within a node budget. Side 9 comes from _NINE, a starter
+with another adder. A transversal is certified before returning.
+room_search, a direct backtracking over the array, is a tool for any side.
 """
 
 from __future__ import annotations
@@ -76,21 +76,26 @@ def validate_starter_adder(sa: StarterAdder) -> None:
         raise InvalidStarter("translated pairs do not partition 1..r-1")
 
 
+# no strong starter on Z_9, but twelve starter-adders (by enumeration)
+_NINE = StarterAdder(9, ((1, 2), (3, 7), (4, 6), (5, 8)), (5, 4, 2, 7))
+
+
 def _strong_starters(r: int, budget: int, seed: int = 0, tally: dict | None = None):
     """Yield strong starter-adders on Z_r, found by hill climbing.
 
     This is the method of Dinitz and Stinson ("A fast algorithm for finding
     strong starters", 1981). The state is a partial strong starter. Each
     step picks a random uncovered x and a random y = x +- d, that is a
-    random difference d and sign, and rejects y = 0 or x + y = 0. The new
-    pair can clash with placed pairs on y, on d or on the sum: with two or
-    more distinct clashing pairs the step is rejected, otherwise the one
-    clashing pair is dropped and the new pair placed. Each step is one
-    node of budget. A slice of 10 r^2 steps that completes no starter is
-    abandoned and the climb restarts empty, as does the climb after each
-    starter it yields. Equal seeds give equal streams. The stream ends
-    once budget steps are spent, and at once for r = 9, since Z_9 has no
-    strong starter. tally, if given, receives the steps spent and the
+    random difference d and sign, and rejects y = 0 or x + y = 0; three
+    steps in four draw d from the unused differences only, which takes
+    about a tenth of the steps. A new pair can clash with placed pairs on
+    y, on d or on the sum: with two or more distinct clashing pairs the
+    step is rejected, else the one clashing pair is dropped and the new
+    pair placed. Each step is one node of budget. A slice of 2 r^2 steps
+    that completes no starter is abandoned and the climb restarts empty,
+    as after each starter it yields. Equal seeds give equal streams, which
+    end once budget steps are spent, and at once for r = 9 (Z_9 has no
+    strong starter). tally, if given, receives the steps spent and the
     restarts, slices abandoned without a starter.
     """
     tally = {} if tally is None else tally
@@ -100,16 +105,18 @@ def _strong_starters(r: int, budget: int, seed: int = 0, tally: dict | None = No
     half = (r - 1) // 2
     rand = random.Random(seed).random
     while tally["steps"] < budget:
-        cap = min(10 * r * r, budget - tally["steps"])
+        cap = min(2 * r * r, budget - tally["steps"])
         partner = [0] * r
         # a placed pair is named by its smaller element
-        by_diff = [0] * (half + 1)
-        by_sum = [0] * r
-        free = list(range(1, r))
-        where = [i - 1 for i in range(r)]  # position of each element in free
+        by_diff, by_sum = [0] * (half + 1), [0] * r
+        free, unused = list(range(1, r)), list(range(1, half + 1))
         for used in range(1, cap + 1):
             x = free[int(rand() * len(free))]
-            y = (x + 1 + int(rand() * (r - 1))) % r
+            if rand() < 0.75:
+                d = unused[int(rand() * len(unused))]
+                y = (x + d) % r if rand() < 0.5 else (x - d) % r
+            else:
+                y = (x + 1 + int(rand() * (r - 1))) % r
             s = (x + y) % r
             if y == 0 or s == 0:
                 continue
@@ -123,15 +130,13 @@ def _strong_starters(r: int, budget: int, seed: int = 0, tally: dict | None = No
                 a = clashes.pop()
                 b = partner[a]
                 partner[a] = partner[b] = 0
-                by_diff[min(b - a, r - b + a)] = by_sum[(a + b) % r] = 0
-                for e in (a, b):
-                    where[e] = len(free)
-                    free.append(e)
-            for e in (x, y):
-                last = free.pop()
-                if last != e:
-                    free[where[e]] = last
-                    where[last] = where[e]
+                e = min(b - a, r - b + a)
+                by_diff[e] = by_sum[(a + b) % r] = 0
+                free += (a, b)
+                unused.append(e)
+            free.remove(x)
+            free.remove(y)
+            unused.remove(d)
             partner[x], partner[y] = y, x
             by_diff[d] = by_sum[s] = min(x, y)
             if not free:
@@ -399,8 +404,7 @@ def room_search(
     a failed draw costs at most a fixed node slice and the next one
     reshuffles. Equal seeds reproduce equal squares. Raises SearchExhausted
     when the node budget runs out first; sides 15 and up tend to need more
-    than the default budget, though build_room only calls this for side 9
-    (starters cover the other sides).
+    than the default budget; build_room does not call it.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"side must be odd and positive, got {r}")
@@ -584,10 +588,10 @@ def build_room(
     """Single-edge design of even order n with a certified transversal.
 
     Orders 4 and 6 are the two genuine exclusions. Order 2 is the one-cell
-    array. Order 10 comes from the direct array search, since Z_9 has no
-    strong starter. Every other order takes the first of up to four
-    starters from the hill climb at seed whose square has a transversal;
-    SearchExhausted says what the starter phase spent when none does.
+    array. Order 10 comes from _NINE, since Z_9 has no strong starter.
+    Every other order takes the first of up to four starters from the hill
+    climb at seed whose square has a transversal; SearchExhausted says what
+    the starter phase spent when none does.
     """
     if n < 2 or n % 2:
         raise ValueError(f"single-edge designs need even n >= 2, got {n}")
@@ -606,12 +610,10 @@ def _cached_room(n: int, seed: int, budget: int) -> tuple[DesignArray, Transvers
         return arr, Transversal(((0, 0),))
 
     r = n - 1
-    if r == 9:
-        # Z_9 has no strong starter, so the direct search builds this one
-        return room_search(r, seed=seed, budget=budget)
-    tally: dict[str, int] = {}
+    tally = {"steps": 0, "restarts": 0}
+    starters = [_NINE] if r == 9 else _strong_starters(r, budget, seed, tally)
     transversal_failures = 0
-    for sa in itertools.islice(_strong_starters(r, budget, seed, tally), 4):
+    for sa in itertools.islice(starters, 4):
         arr = _starter_array(sa)
         transversal = find_transversal(arr, seed=seed, budget=budget)
         if transversal is not None:

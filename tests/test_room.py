@@ -15,6 +15,7 @@ from omd.compose import construct
 from omd.core import Block
 from omd.errors import InvalidStarter, NonExistent, SearchExhausted
 from omd.room import (
+    _NINE,
     StarterAdder,
     _cached_room,
     build_room,
@@ -93,6 +94,13 @@ def test_no_strong_starter_on_nine_by_enumeration():
 
 def test_search_returns_none_on_nine():
     assert strong_starter_search(9) is None
+
+
+def test_order_ten_comes_from_a_starter_adder_on_nine():
+    validate_starter_adder(_NINE)
+    assert not _is_strong_starter(_NINE.pairs, 9)
+    arrays = {tuple(sorted(build_room(10, seed=seed)[0].cells.items())) for seed in range(3)}
+    assert arrays == {tuple(sorted(room_from_starter(_NINE)[0].cells.items()))}
 
 
 @pytest.mark.parametrize("r", [r for r in range(7, 152, 2) if r != 9])
