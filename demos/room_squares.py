@@ -1,11 +1,11 @@
-"""Single-edge designs: the starter recipe, the search, the exclusions.
+"""Single-edge designs: the starter recipe, side 9, the exclusions.
 
 A side-7 array whose cells hold single edges of the complete graph on
 8 points, with every row and column meeting every point exactly once,
 can be written down from three pairs of residues mod 7. This walks
 through that recipe, then shows the two orders where no such array
-exists and the one odd case (side 9) where the recipe fails but a
-direct search succeeds.
+exists and the one odd case (side 9) where no strong starter exists but
+a starter with another adder still gives a square.
 """
 
 from omd import (
@@ -13,7 +13,6 @@ from omd import (
     StarterAdder,
     build_room,
     render_grid,
-    room_search,
     strong_starter_search,
     validate_starter_adder,
 )
@@ -37,8 +36,8 @@ for r in (7, 11, 13, 9):
     print(f"  side {r}: {'starter ' + str(found.pairs) if found else 'none exists'}")
 print()
 
-print("Side 9 still carries a square; the direct search finds one:")
-arr9, _ = room_search(9)
+print("Side 9 still carries a square, from a starter-adder that is not strong:")
+arr9, _ = build_room(10)
 print(render_grid(arr9))
 
 print("Orders 4 and 6 are the two genuine exclusions:")

@@ -9,142 +9,41 @@ is a multiple of 2k, except the two small single-edge orders 4 and 6.
 construct(n, k) builds and verifies a design for any admissible pair,
 verify() checks arbitrary arrays independently of how they were made, and
 the omd command line exposes generation, file checking, and range sweeps.
+The names below are the public surface; everything else is imported from
+its submodule (omd.core, omd.errors, omd.room, omd.verify, ...).
 """
 
-from .core import (
-    Block,
-    Complete,
-    CompleteBipartite,
-    CompleteMultipartite,
-    DesignArray,
-    Hole,
-    HostGraph,
-    LexMatching,
-    LexMatchingComplete,
-    Transversal,
-    make_edge,
-)
-from .errors import (
-    DesignError,
-    EmbeddingCollision,
-    FormatError,
-    IncoherentIngredients,
-    InvalidStarter,
-    KTooSmall,
-    MapNotInjective,
-    NonExistent,
-    OccupiedCell,
-    OddOrder,
-    SearchExhausted,
-    VerificationFailed,
-    WrongBlockSize,
-)
-from .factorizations import OneFactorization, ofact_bipartite, ofact_complete
+from .core import DesignArray
+from .errors import NonExistent
 from .bases import build_2k, build_4k, build_6k, build_m1k, six_point_square
 from .room import (
-    DEFAULT_BUDGET,
     StarterAdder,
     build_room,
-    find_transversal,
-    room_from_starter,
-    room_search,
     strong_starter_search,
     validate_starter_adder,
 )
-from .verify import (
-    BruteForceResult,
-    Check,
-    Existence,
-    VerificationReport,
-    brute_force_exists,
-    expected_side,
-    verify,
-    verify_hole,
-    verify_transversal,
-)
-from .compose import (
-    ConstructionResult,
-    IngredientSet,
-    check_ingredients,
-    compose,
-    construct,
-)
-from .formats import (
-    LATEX_MAX_SIDE,
-    design_from_dict,
-    design_to_dict,
-    dumps_design,
-    host_from_dict,
-    host_to_dict,
-    loads_design,
-    render_grid,
-    render_latex,
-)
+from .verify import brute_force_exists, verify
+from .compose import IngredientSet, compose, construct
+from .formats import render_grid
 
 __all__ = [
-    "Block",
-    "BruteForceResult",
-    "Check",
-    "Complete",
-    "CompleteBipartite",
-    "CompleteMultipartite",
-    "ConstructionResult",
-    "DEFAULT_BUDGET",
     "DesignArray",
-    "DesignError",
-    "EmbeddingCollision",
-    "Existence",
-    "FormatError",
-    "Hole",
-    "HostGraph",
-    "IncoherentIngredients",
     "IngredientSet",
-    "InvalidStarter",
-    "KTooSmall",
-    "LATEX_MAX_SIDE",
-    "LexMatching",
-    "LexMatchingComplete",
-    "MapNotInjective",
     "NonExistent",
-    "OccupiedCell",
-    "OddOrder",
-    "OneFactorization",
-    "SearchExhausted",
     "StarterAdder",
-    "Transversal",
-    "VerificationFailed",
-    "VerificationReport",
-    "WrongBlockSize",
     "brute_force_exists",
     "build_2k",
     "build_4k",
     "build_6k",
     "build_m1k",
     "build_room",
-    "check_ingredients",
     "compose",
     "construct",
-    "design_from_dict",
-    "design_to_dict",
-    "dumps_design",
-    "expected_side",
-    "find_transversal",
-    "host_from_dict",
-    "host_to_dict",
-    "loads_design",
-    "make_edge",
-    "ofact_bipartite",
-    "ofact_complete",
     "render_grid",
-    "render_latex",
-    "room_from_starter",
-    "room_search",
     "six_point_square",
     "strong_starter_search",
     "validate_starter_adder",
     "verify",
-    "verify_hole",
-    "verify_transversal",
 ]
 
 __version__ = "0.1.0"

@@ -216,6 +216,18 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omd",
@@ -237,8 +249,8 @@ def _parser() -> argparse.ArgumentParser:
         )
 
     gen = sub.add_parser("generate", help="construct one design")
-    gen.add_argument("--n", type=int, required=True, help="number of points")
-    gen.add_argument("--k", type=int, required=True, help="edges per block")
+    gen.add_argument("--n", type=_at_least(2), required=True, help="number of points")
+    gen.add_argument("--k", type=_at_least(1), required=True, help="edges per block")
     common(gen)
     gen.add_argument(
         "--format",

@@ -1,6 +1,6 @@
 """Room squares: single-edge designs of even order n on a side n-1 array.
 
-The fast path builds the square from a strong starter on Z_r, r = n-1:
+The square is built from a strong starter on Z_r, r = n-1:
 pairs {x_i, y_i} partitioning Z_r \\ {0} whose differences cover every
 nonzero residue and whose sums are distinct and nonzero. With the adder
 a_i = (x_i + y_i) mod r, placing the translate {x_i + j, y_i + j} at cell
@@ -13,14 +13,12 @@ residue.
 Strong starters exist for every odd r >= 7 except r = 9; a seeded hill
 climb finds them within a node budget. Side 9 comes from _NINE, a starter
 with another adder. A transversal is certified before returning.
-room_search, a direct backtracking over the array, is a tool for any side.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,13 +27,6 @@ from .errors import InvalidStarter, NonExistent, SearchExhausted
 from .verify import verify_transversal
 
 DEFAULT_BUDGET = 10_000_000
-
-
-def _ensure_recursion_room(frames: int) -> None:
-    # search depth scales with the array, not the input text
-    needed = frames + 200
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
 
 
 @dataclass(frozen=True)
@@ -190,261 +181,6 @@ def room_from_starter(
 
 class _BudgetExceeded(Exception):
     pass
-
-
-class _SquareFound(Exception):
-    def __init__(self, grid):
-        self.grid = grid
-
-
-def _square_attempt(r: int, rng, budget: int) -> bool:
-    """One randomized depth-first pass; True means the tree was exhausted.
-
-    Raises _SquareFound with the completed grid on success. Always extends
-    the most-filled incomplete row at its uncovered point with the fewest
-    (partner, column) options; scanning every uncovered point of that row
-    also detects stuck points early. Row 0 is pinned to the canonical form
-    {0-1} | {2-3} | ... in the leftmost columns, which any square can be
-    brought to by permuting columns and relabeling points, so existence
-    verdicts are unaffected while the tree shrinks enormously.
-    """
-    n = r + 1
-    grid: dict[tuple[int, int], tuple[int, int]] = {}
-    row_pts = [0] * r
-    col_pts = [0] * r
-    pair_used = set()
-    nodes = 0
-
-    for t in range(n // 2):
-        pair = (2 * t, 2 * t + 1)
-        grid[(0, t)] = pair
-        row_pts[0] |= (1 << pair[0]) | (1 << pair[1])
-        col_pts[t] |= (1 << pair[0]) | (1 << pair[1])
-        pair_used.add(pair)
-
-    def rec() -> None:
-        nonlocal nodes
-        row, best_missing = -1, n + 1
-        for i in range(r):
-            missing = n - (row_pts[i]).bit_count()
-            if 0 < missing < best_missing:
-                row, best_missing = i, missing
-        if row == -1:
-            raise _SquareFound(dict(grid))
-        missing_pts = [p for p in range(n) if not (row_pts[row] >> p) & 1]
-        best = None
-        for u in missing_pts:
-            options = []
-            for v in missing_pts:
-                if v == u:
-                    continue
-                pair = (u, v) if u < v else (v, u)
-                if pair in pair_used:
-                    continue
-                vmask = (1 << u) | (1 << v)
-                cols = [
-                    c
-                    for c in range(r)
-                    if (row, c) not in grid and not col_pts[c] & vmask
-                ]
-                if cols:
-                    options.append((pair, vmask, cols))
-            width = sum(len(cols) for _, _, cols in options)
-            if width == 0:
-                return
-            if best is None or width < best[0]:
-                best = (width, options)
-                if width == 1:
-                    break
-        candidates = [
-            (pair, vmask, c) for pair, vmask, cols in best[1] for c in cols
-        ]
-        rng.shuffle(candidates)
-        for pair, vmask, c in candidates:
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetExceeded
-            grid[(row, c)] = pair
-            row_pts[row] |= vmask
-            col_pts[c] |= vmask
-            pair_used.add(pair)
-            rec()
-            del grid[(row, c)]
-            row_pts[row] &= ~vmask
-            col_pts[c] &= ~vmask
-            pair_used.discard(pair)
-
-    try:
-        rec()
-    except _BudgetExceeded:
-        return False
-    return True
-
-
-def _random_one_factorization(n: int, rng) -> list[list[tuple[int, int]]] | None:
-    """Partition the edges of the complete graph on n points into perfect
-    matchings, choosing partners at random. One pass; None if it dead-ends.
-    """
-    adj = [((1 << n) - 1) & ~(1 << u) for u in range(n)]
-    factors = []
-    for _ in range(n - 1):
-        covered = 0
-        chosen: list[tuple[int, int]] = []
-
-        def rec() -> bool:
-            nonlocal covered
-            if len(chosen) == n // 2:
-                return True
-            u = (~covered & ((1 << n) - 1)).bit_length() - 1
-            # bit_length - 1 is the highest free point; any fixed rule works
-            partners = [
-                v for v in range(n) if (adj[u] >> v) & 1 and not (covered >> v) & 1
-            ]
-            rng.shuffle(partners)
-            for v in partners:
-                chosen.append((u, v))
-                covered |= (1 << u) | (1 << v)
-                if rec():
-                    return True
-                chosen.pop()
-                covered &= ~((1 << u) | (1 << v))
-            return False
-
-        if not rec():
-            return None
-        for u, v in chosen:
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-        factors.append([(u, v) if u < v else (v, u) for u, v in chosen])
-    return factors
-
-
-def _mate_attempt(
-    factors: list[list[tuple[int, int]]], rng, cap: int
-) -> tuple[dict[tuple[int, int], tuple[int, int]] | None, int]:
-    """Assign every edge of a matching partition to a column.
-
-    Row i holds the edges of factor i; columns must stay point-disjoint and
-    each row uses each column at most once. Factor 0 is pinned to the
-    leftmost columns in sorted order, which any solution can be brought to
-    by permuting columns. Branches on the unassigned edge with the fewest
-    feasible columns over the whole array; the scan doubles as a forward
-    check. Returns (grid, nodes) with grid None when the cap ran out or no
-    assignment was reached.
-    """
-    r = len(factors)
-    half = len(factors[0])
-    rows = [sorted(f) for f in factors]
-    rowmask = [[(1 << u) | (1 << v) for u, v in row] for row in rows]
-    col_pts = [0] * r
-    row_cols = [0] * r
-    grid: dict[tuple[int, int], tuple[int, int]] = {}
-    for t, (u, v) in enumerate(rows[0]):
-        grid[(0, t)] = (u, v)
-        col_pts[t] |= (1 << u) | (1 << v)
-    row_cols[0] = (1 << half) - 1
-    assigned = [[False] * half for _ in range(r)]
-    assigned[0] = [True] * half
-    remaining = [(i, e) for i in range(1, r) for e in range(half)]
-    nodes = 0
-
-    def rec(count: int) -> bool:
-        nonlocal nodes
-        if count == 0:
-            return True
-        best = None
-        for i, e in remaining:
-            if assigned[i][e]:
-                continue
-            vmask = rowmask[i][e]
-            cols = [
-                c
-                for c in range(r)
-                if not (row_cols[i] >> c) & 1 and not col_pts[c] & vmask
-            ]
-            if not cols:
-                return False
-            if best is None or len(cols) < len(best[3]):
-                best = (i, e, vmask, cols)
-                if len(cols) == 1:
-                    break
-        i, e, vmask, cols = best
-        rng.shuffle(cols)
-        for c in cols:
-            nodes += 1
-            if nodes > cap:
-                raise _BudgetExceeded
-            col_pts[c] |= vmask
-            row_cols[i] |= 1 << c
-            assigned[i][e] = True
-            if rec(count - 1):
-                grid[(i, c)] = rows[i][e]
-                return True
-            col_pts[c] &= ~vmask
-            row_cols[i] &= ~(1 << c)
-            assigned[i][e] = False
-        return False
-
-    try:
-        found = rec(len(remaining)) if r > 1 else True
-    except _BudgetExceeded:
-        return None, nodes
-    return (grid if found else None), nodes
-
-
-def room_search(
-    r: int, seed: int = 0, budget: int = DEFAULT_BUDGET
-) -> tuple[DesignArray, Transversal]:
-    """Backtracking search for a side-r square, no starter required.
-
-    Small sides (r <= 5) get a full exhaustive pass, which is how r = 3 and
-    r = 5 are refuted with NonExistent. Larger sides run a randomized loop:
-    draw a random partition of the complete graph's edges into perfect
-    matchings (the future rows), then backtrack over column assignments;
-    a failed draw costs at most a fixed node slice and the next one
-    reshuffles. Equal seeds reproduce equal squares. Raises SearchExhausted
-    when the node budget runs out first; sides 15 and up tend to need more
-    than the default budget; build_room does not call it.
-    """
-    if r < 1 or r % 2 == 0:
-        raise ValueError(f"side must be odd and positive, got {r}")
-    n = r + 1
-    rng = random.Random(seed)
-    # depth is one frame per placed edge, about r*n/2 of them
-    _ensure_recursion_room(r * n)
-
-    grid = None
-    if r <= 5:
-        try:
-            if _square_attempt(r, rng, budget):
-                raise NonExistent(
-                    f"no design of order {n} with single-edge blocks: "
-                    f"exhaustive search refuted every side-{r} array"
-                )
-        except _SquareFound as found:
-            grid = found.grid
-    else:
-        spent = 0
-        while spent < budget:
-            factors = _random_one_factorization(n, rng)
-            spent += n
-            if factors is None:
-                continue
-            grid, used = _mate_attempt(factors, rng, min(100_000, budget - spent))
-            spent += used
-            if grid is not None:
-                break
-    if grid is None:
-        raise SearchExhausted(f"side-{r} square search spent its {budget}-node budget")
-
-    cells = {cell: Block((pair,)) for cell, pair in grid.items()}
-    arr = DesignArray(r, n, 1, Complete(n), cells)
-    transversal = find_transversal(arr, seed=seed, budget=budget)
-    if transversal is None:
-        raise SearchExhausted(
-            f"found a side-{r} square but no transversal within budget"
-        )
-    return arr, transversal
 
 
 def find_transversal(
@@ -619,8 +355,13 @@ def _cached_room(n: int, seed: int, budget: int) -> tuple[DesignArray, Transvers
         if transversal is not None:
             return arr, transversal
         transversal_failures += 1
+    if r == 9:
+        raise SearchExhausted(
+            f"order {n}: the fixed _NINE square had no transversal within budget"
+        )
+    squares = "square" if transversal_failures == 1 else "squares"
     raise SearchExhausted(
         f"order {n}: the strong starter phase gave up after {tally['steps']} "
         f"steps and {tally['restarts']} restarts; {transversal_failures} "
-        f"starter squares had no transversal within budget"
+        f"starter {squares} had no transversal within budget"
     )

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, formats, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -122,6 +123,8 @@ def test_verify_malformed_meta_cells_exits_four(tmp_path, capsys):
 
 def test_bad_flags_exit_four(capsys):
     assert main(["generate", "--n", "abc", "--k", "1"]) == 4
+    assert main(["generate", "--n", "0", "--k", "1"]) == 4
+    assert main(["generate", "--n", "8", "--k", "0"]) == 4
     assert main([]) == 4
     capsys.readouterr()
 
@@ -140,6 +143,48 @@ def test_generate_is_byte_identical(n, k, tmp_path, capsys):
         assert main(args + ["--out", str(path)]) == 0
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# SHA-256 of `omd generate` stdout, one case per construction path (room,
+# order 10's fixed square, diagonal, quad-split, hex-split, products over
+# room(8), room(10) and room(12)); any change in output bytes shows here
+GOLDEN_DIGESTS = {
+    (2, 1, 0): "e55a5807525b3041ff5353d589b8584565dcb92c7d2a169a04a18189bdfb7532",
+    (8, 1, 0): "31159029ae7f3d0cfb30675ceb5f50222945ce678e72cb12c72b37d602f71cbe",
+    (10, 1, 0): "786cc0e7a668693b84bb2689aa0e52228c082b486aadecc904e508e41b21a0b2",
+    (12, 1, 0): "1d1a48b79282e223de8d878a2b59771b98cad99da22e14c3805867a1b13eb124",
+    (62, 1, 0): "47cdb3cdc3d36726b4b69792dc503534c81c04a0b1288296cefaa2eb56728f9a",
+    (4, 2, 0): "443e753ac20f295184591bad131912f81f17cf4329928952edc7dbb67f58b7ac",
+    (8, 2, 0): "24070846029384635bcc31a24bca25f4b06a89a9536b87eba11f3e48403eb3de",
+    (12, 2, 0): "1186d2ea4c27a4bf44cff9e191826e8d80182b6cd3afe7274fc5cd5483ac930f",
+    (16, 2, 0): "906f756e7701e5db763a064c516c1e181003680cd80d46ff44b1534cb30b4421",
+    (20, 2, 0): "482ab5cf7acb800f8a8b5df9df4d738e3e8c6c82b864be9b6edd9a38f4b1f6bd",
+    (24, 3, 0): "3e79d62011ad7dd4efa88fe4db6830aa662ed1a78207242038dd60a6d7b19db8",
+    (30, 3, 0): "01fcbbc3c5c3d2334536ea4d7ec188bd6ac1ced3259b2dceb2e9510baf0b4135",
+    (60, 5, 0): "f20a7dde77c0dbecc02d2d4398535e1d61259225380b20ce7c71e46823ba4178",
+    (2, 1, 3): "18de0246400768ed3ae769cfa052d3d8febf0c253b91f6fdbd4b5d811b786faf",
+    (8, 1, 3): "febf289f0eb2d275dd5c1ee6871b59ca830721e82014e2bed90a1f2afc1ef837",
+    (10, 1, 3): "3625415261230bf5b602d14433149062518f73de2895998a90fb37b0ee224d08",
+    (12, 1, 3): "a93bc2dd260a54d8a77ed5ee7298e1d36b47dba1b27468a07f40eef30187d6b9",
+    (62, 1, 3): "c027785e9206b194d2ec1f82fd1eaab373861512b278d3ff6fe6af22af2a2569",
+    (4, 2, 3): "5e767f2eb8f7bb7ac5e01a75629d07aa11820f17de147e8a6a18be936ce14d70",
+    (8, 2, 3): "71d3f1e2a700b0045cdb21a07ebf5bc1e9be4734af145340b7d8d558401890a5",
+    (12, 2, 3): "1eb29e1add7f2860f17d765a9a6a777de49356276d9dd5d039cc34b1909a6147",
+    (16, 2, 3): "4334bf92dc56782cebb4cee26525aab8658e22fe9b2f0c2380cdbaa51a762443",
+    (20, 2, 3): "d100f2dfc0b3794ad7117726a10710e4e9c0e7cdd0c43fcda4a63c2b327b3ef4",
+    (24, 3, 3): "7b95cc9dad9618013119b085ef4adfba668659ce844d212d1ceba0c0e2948763",
+    (30, 3, 3): "68cb6bd1792176a9a4f21b0421a119906729e081c022ef3aa1fe55ce8781e46c",
+    (60, 5, 3): "45394c9285910e1f65be2ff7d674d5af446a77a7471ce1bbfa71ef12a0f3164f",
+}
+
+
+@pytest.mark.parametrize("n,k,seed", sorted(GOLDEN_DIGESTS))
+def test_generate_matches_golden_digest(n, k, seed, capsys):
+    _cached_room.cache_clear()
+    args = ["generate", "--n", str(n), "--k", str(k), "--seed", str(seed)]
+    assert main(args) == 0
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[(n, k, seed)]
 
 
 def test_sweep_single_row(capsys):

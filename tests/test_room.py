@@ -1,4 +1,4 @@
-"""Single-edge designs: starters, direct search, transversals.
+"""Single-edge designs: starters, starter squares, transversals.
 
 The r = 9 tests carry their own oracle: an independent enumeration of all
 105 pairings of Z_9 \\ {0} establishes that no strong starter exists, so
@@ -21,7 +21,6 @@ from omd.room import (
     build_room,
     find_transversal,
     room_from_starter,
-    room_search,
     strong_starter_search,
     validate_starter_adder,
 )
@@ -130,6 +129,12 @@ def test_search_returns_none_when_budget_runs_out():
 def test_starter_phase_exhaustion_is_reported():
     with pytest.raises(SearchExhausted, match=r"strong starter phase .* 50 steps"):
         build_room(62, budget=50)
+    # order 10 runs no starter phase: its one square is the fixed _NINE
+    with pytest.raises(SearchExhausted) as info:
+        build_room(10, budget=0)
+    assert str(info.value) == (
+        "order 10: the fixed _NINE square had no transversal within budget"
+    )
 
 
 def test_construct_two_hundred_verifies():
@@ -175,33 +180,6 @@ def test_starter_square_column_structure(r):
 def test_room_from_starter_revalidates():
     with pytest.raises(InvalidStarter):
         room_from_starter(StarterAdder(7, ((1, 3), (2, 6), (4, 5)), (4, 4, 2)))
-
-
-@pytest.mark.parametrize("r", [3, 5])
-def test_room_search_refutes_tiny_sides(r):
-    with pytest.raises(NonExistent):
-        room_search(r)
-
-
-@pytest.mark.parametrize("r", [1, 7, 9])
-def test_room_search_finds_squares(r):
-    arr, transversal = room_search(r)
-    assert arr.side == r
-    report = verify(arr)
-    assert report.passed, report.failure()
-    assert verify_transversal(arr, transversal).passed
-
-
-def test_room_search_rejects_even_side():
-    with pytest.raises(ValueError):
-        room_search(4)
-
-
-def test_room_search_is_seed_reproducible():
-    a, ta = room_search(9, seed=5)
-    b, tb = room_search(9, seed=5)
-    assert a.cells == b.cells
-    assert ta == tb
 
 
 def test_build_room_two():
