@@ -16,6 +16,7 @@ from omd import (
     strong_starter_search,
     validate_starter_adder,
 )
+from omd.room import room_from_starter
 
 print("A strong starter on Z_7: pairs covering 1..6 whose differences")
 print("hit every nonzero residue and whose sums are distinct and nonzero.")
@@ -25,7 +26,7 @@ print(f"  pairs {sa.pairs}, offsets {sa.adder}\n")
 
 print("Translating each pair through every residue fills a side-7 array")
 print("(point 7 stands for the extra point paired with j on the diagonal):")
-arr, transversal = build_room(8)
+arr, transversal = room_from_starter(sa)
 print(render_grid(arr))
 print(f"transversal (one cell per row and column, covering all 8 points):")
 print(f"  {transversal.cells}\n")

@@ -25,7 +25,9 @@ cells = dict(arr.cells)
 del cells[(2, 2)]
 show("drop the block at (2, 2):", DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
 
-dup = arr.place(0, 1, arr.block_at(0, 0))
+cells = dict(arr.cells)
+cells[(0, 1)] = cells[(0, 0)]
+dup = DesignArray(arr.side, arr.n, arr.k, arr.host, cells)
 show("copy the block at (0, 0) into (0, 1):", dup)
 
 cells = dict(arr.cells)

@@ -21,10 +21,8 @@ def build_m1k(k: int) -> DesignArray:
     cell (i, i); rows and columns then resolve because each factor is a
     perfect matching.
     """
-    arr = DesignArray.empty(k, 2 * k, k, LexMatching(1, k))
-    for i, factor in enumerate(ofact_bipartite(k).factors):
-        arr = arr.place(i, i, factor)
-    return arr
+    cells = {(i, i): factor for i, factor in enumerate(ofact_bipartite(k).factors)}
+    return DesignArray(k, 2 * k, k, LexMatching(1, k), cells)
 
 
 def build_2k(k: int) -> tuple[DesignArray, Transversal, Hole]:
@@ -39,9 +37,8 @@ def build_2k(k: int) -> tuple[DesignArray, Transversal, Hole]:
     """
     n = 2 * k
     side = n - 1
-    arr = DesignArray.empty(side, n, k, Complete(n))
-    for i, factor in enumerate(ofact_complete(n).factors):
-        arr = arr.place(i, i, factor)
+    cells = {(i, i): factor for i, factor in enumerate(ofact_complete(n).factors)}
+    arr = DesignArray(side, n, k, Complete(n), cells)
     transversal = Transversal(tuple((side - 1 - i, i) for i in range(side)))
     hole = Hole(tuple(range(k - 1)), tuple(range(k, side)))
     return arr, transversal, hole
@@ -83,24 +80,24 @@ def build_4k(k: int) -> DesignArray:
         raise KTooSmall("order 4k needs k >= 2; k = 1 is the order-4 exclusion")
     n = 4 * k
     a0, b0, a1, b1 = 0, k, 2 * k, 3 * k
-    arr = DesignArray.empty(n - 1, n, k, Complete(n))
+    cells = {}
 
     bip = ofact_bipartite(k).factors
     for i in range(k):
-        arr = arr.place(i, i, _relabel(bip[i], _split_map(a0, b0, k)))
-        arr = arr.place(i, (i + 1) % k, _relabel(bip[i], _split_map(a1, b1, k)))
+        cells[(i, i)] = _relabel(bip[i], _split_map(a0, b0, k))
+        cells[(i, (i + 1) % k)] = _relabel(bip[i], _split_map(a1, b1, k))
     for i in range(k):
-        arr = arr.place(k + i, k + i, _relabel(bip[i], _split_map(a0, b1, k)))
-        arr = arr.place(k + i, k + (i + 1) % k, _relabel(bip[i], _split_map(a1, b0, k)))
+        cells[(k + i, k + i)] = _relabel(bip[i], _split_map(a0, b1, k))
+        cells[(k + i, k + (i + 1) % k)] = _relabel(bip[i], _split_map(a1, b0, k))
 
     comp = ofact_complete(2 * k).factors
     a_half = _split_map(a0, a1, k)
     b_half = _split_map(b0, b1, k)
     ring = 2 * k - 1
     for i in range(ring):
-        arr = arr.place(2 * k + i, 2 * k + i, _relabel(comp[i], a_half))
-        arr = arr.place(2 * k + i, 2 * k + (i + 1) % ring, _relabel(comp[i], b_half))
-    return arr
+        cells[(2 * k + i, 2 * k + i)] = _relabel(comp[i], a_half)
+        cells[(2 * k + i, 2 * k + (i + 1) % ring)] = _relabel(comp[i], b_half)
+    return DesignArray(n - 1, n, k, Complete(n), cells)
 
 
 # One-edge cells of the order-6 pattern underlying build_6k: point (p, y)
@@ -129,10 +126,11 @@ def six_point_square() -> DesignArray:
     This is the pattern build_6k expands; it is exported so it can be
     checked and shown on its own.
     """
-    arr = DesignArray.empty(4, 6, 1, CompleteMultipartite((2, 2, 2)))
-    for r, c, (p1, y1), (p2, y2) in _SIX_PATTERN:
-        arr = arr.place(r, c, Block(((2 * p1 + y1, 2 * p2 + y2),)))
-    return arr
+    cells = {
+        (r, c): Block(((2 * p1 + y1, 2 * p2 + y2),))
+        for r, c, (p1, y1), (p2, y2) in _SIX_PATTERN
+    }
+    return DesignArray(4, 6, 1, CompleteMultipartite((2, 2, 2)), cells)
 
 
 def build_6k(k: int) -> DesignArray:
@@ -157,7 +155,7 @@ def build_6k(k: int) -> DesignArray:
     if k < 2:
         raise KTooSmall("order 6k needs k >= 2; k = 1 is the order-6 exclusion")
     n = 6 * k
-    arr = DesignArray.empty(n - 1, n, k, Complete(n))
+    cells = {}
 
     bip = ofact_bipartite(k).factors
     for r, c, (p1, y1), (p2, y2) in _SIX_PATTERN:
@@ -165,16 +163,12 @@ def build_6k(k: int) -> DesignArray:
         base2 = 2 * k * p2 + k * y2
         low, high = min(base1, base2), max(base1, base2)
         for t in range(k):
-            arr = arr.place(
-                r * k + t, c * k + t, _relabel(bip[t], _split_map(low, high, k))
-            )
+            cells[(r * k + t, c * k + t)] = _relabel(bip[t], _split_map(low, high, k))
 
     comp = ofact_complete(2 * k).factors
     ring = 2 * k - 1
     for i in range(ring):
         for p in range(3):
             part = {q: 2 * k * p + q for q in range(2 * k)}
-            arr = arr.place(
-                4 * k + i, 4 * k + (i + p) % ring, _relabel(comp[i], part)
-            )
-    return arr
+            cells[(4 * k + i, 4 * k + (i + p) % ring)] = _relabel(comp[i], part)
+    return DesignArray(n - 1, n, k, Complete(n), cells)

@@ -243,7 +243,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument(
             "--budget",
-            type=int,
+            type=_at_least(1),
             default=DEFAULT_BUDGET,
             help=f"search node budget (default {DEFAULT_BUDGET})",
         )
@@ -263,12 +263,11 @@ def _parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check a JSON design file")
     ver.add_argument("path", help="design file to check")
-    common(ver)
     ver.set_defaults(func=cmd_verify)
 
     sweep = sub.add_parser("sweep", help="build and check a whole range")
-    sweep.add_argument("--n-max", type=int, required=True, help="largest order")
-    sweep.add_argument("--k-max", type=int, required=True, help="largest block size")
+    sweep.add_argument("--n-max", type=_at_least(2), required=True, help="largest order")
+    sweep.add_argument("--k-max", type=_at_least(1), required=True, help="largest block size")
     common(sweep)
     sweep.add_argument("--out", help="write the table to this path")
     sweep.set_defaults(func=cmd_sweep)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .core import (
     Block,
+    Cell,
     Complete,
     CompleteBipartite,
     DesignArray,
@@ -28,7 +29,6 @@ from .errors import (
     EmbeddingCollision,
     IncoherentIngredients,
     NonExistent,
-    OccupiedCell,
     VerificationFailed,
 )
 from .room import DEFAULT_BUDGET, build_room, find_transversal
@@ -182,63 +182,46 @@ def _block_point_map(block: Block, l: int, s: int) -> dict[int, int]:
     }
 
 
-def compose(
-    ing: IngredientSet,
-    *,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[DesignArray, Transversal | None]:
-    """Blow up ing.outer by s; returns the design and a best-effort
-    transversal for it (None when the bounded search comes up empty --
-    the design itself is verified either way)."""
-    l, s, k = check_ingredients(ing)
-    outer = ing.outer
-    n = outer.n
-    side = s * outer.side + s - 1
-    out = DesignArray.empty(side, s * n, k, Complete(s * n))
-
-    extra_rows = [s * outer.side + t for t in range(s - 1)]
-    extra_cols = list(extra_rows)
-    hole_rows = set(ing.ingredient_hole.rows)
-    hole_cols = set(ing.ingredient_hole.cols)
-    ti_side = ing.transversal_ingredient.side
-    body_rows = [r for r in range(ti_side) if r not in hole_rows]
-    body_cols = [c for c in range(ti_side) if c not in hole_cols]
+def _expand(ing: IngredientSet) -> DesignArray:
+    """Blow up ing.outer by s into one cell dict, wrapped once; no checks."""
+    outer, small, big = ing.outer, ing.cell_ingredient, ing.transversal_ingredient
+    l, s = outer.k, small.side
+    # appended rows and columns, which take the larger ingredient's hole
+    extras = list(range(s * outer.side, s * outer.side + s - 1))
+    hole = ing.ingredient_hole
+    big_rows = [r for r in range(big.side) if r not in hole.rows] + list(hole.rows)
+    big_cols = [c for c in range(big.side) if c not in hole.cols] + list(hole.cols)
     on_transversal = set(ing.outer_transversal.cells)
 
+    cells: dict[Cell, Block] = {}
     for (i, j), block in outer.occupied():
+        if (i, j) in on_transversal:
+            source, rows, cols = big, big_rows, big_cols
+        else:
+            source, rows, cols = small, range(s), range(s)
+        row_map = dict(zip(rows, [*range(i * s, i * s + s), *extras]))
+        col_map = dict(zip(cols, [*range(j * s, j * s + s), *extras]))
         pmap = _block_point_map(block, l, s)
-        try:
-            if (i, j) in on_transversal:
-                row_map = {rr: i * s + t for t, rr in enumerate(body_rows)}
-                row_map.update(
-                    {rr: extra_rows[t] for t, rr in enumerate(sorted(hole_rows))}
-                )
-                col_map = {cc: j * s + t for t, cc in enumerate(body_cols)}
-                col_map.update(
-                    {cc: extra_cols[t] for t, cc in enumerate(sorted(hole_cols))}
-                )
-                out = out.embed(
-                    ing.transversal_ingredient, row_map, col_map, pmap
-                )
-            else:
-                row_map = {t: i * s + t for t in range(s)}
-                col_map = {t: j * s + t for t in range(s)}
-                out = out.embed(ing.cell_ingredient, row_map, col_map, pmap)
-        except OccupiedCell as exc:
-            raise EmbeddingCollision(
-                f"expansion of outer cell ({i}, {j}) collided: {exc}"
-            ) from exc
+        for (r, c), piece in source.cells.items():
+            target = (row_map[r], col_map[c])
+            if target in cells:
+                raise EmbeddingCollision(f"outer cell ({i}, {j}) collided at {target}")
+            cells[target] = Block(tuple((pmap[u], pmap[v]) for u, v in piece.edges))
+    n = s * outer.n
+    return DesignArray(s * outer.side + s - 1, n, small.k, Complete(n), cells)
 
+
+def compose(ing: IngredientSet) -> DesignArray:
+    """Blow up ing.outer by s after checking every ingredient; the result
+    is verified before it is returned."""
+    check_ingredients(ing)
+    out = _expand(ing)
     report = verify(out)
     if not report.passed:
         raise VerificationFailed(
             f"composed design failed verification: {report.failure()}"
         )
-    transversal = find_transversal(
-        out, seed=seed, budget=min(budget, TRANSVERSAL_SEARCH_CAP)
-    )
-    return out, transversal
+    return out
 
 
 @dataclass(frozen=True)
@@ -264,14 +247,13 @@ def _certify(
     *,
     seed: int,
     budget: int,
-    search: bool = True,
 ) -> ConstructionResult:
     report = verify(design)
     if not report.passed:
         raise VerificationFailed(
             f"{path} construction failed verification: {report.failure()}"
         )
-    if transversal is None and search:
+    if transversal is None:
         transversal = find_transversal(
             design, seed=seed, budget=min(budget, TRANSVERSAL_SEARCH_CAP)
         )
@@ -328,20 +310,18 @@ def construct(
     m = n // k
     outer, outer_transversal = build_room(m, seed=seed, budget=budget)
     t_design, t_transversal, t_hole = build_2k(k)
-    ing = IngredientSet(
-        outer=outer,
-        outer_transversal=outer_transversal,
-        cell_ingredient=build_m1k(k),
-        transversal_ingredient=t_design,
-        ingredient_transversal=t_transversal,
-        ingredient_hole=t_hole,
+    # the package's own builders made these ingredients, so they skip
+    # check_ingredients; _certify verifies the expanded design once
+    design = _expand(
+        IngredientSet(
+            outer=outer,
+            outer_transversal=outer_transversal,
+            cell_ingredient=build_m1k(k),
+            transversal_ingredient=t_design,
+            ingredient_transversal=t_transversal,
+            ingredient_hole=t_hole,
+        )
     )
-    design, transversal = compose(ing, seed=seed, budget=budget)
     return _certify(
-        design,
-        f"product(room({m}), s={k})",
-        transversal,
-        seed=seed,
-        budget=budget,
-        search=False,
+        design, f"product(room({m}), s={k})", None, seed=seed, budget=budget
     )

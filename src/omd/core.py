@@ -10,8 +10,8 @@ Constructors that think in structured coordinates (group elements, side
 labels, part indices) flatten them to 0..n-1 through bijections documented
 where they are used, so this layer only ever sees plain integers.
 
-Instances are value-like: editing operations return new arrays and never
-mutate their inputs.
+Builders fill one cell dict and wrap it once; callers treat the finished
+array as a value and do not mutate it.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
-
-from .errors import MapNotInjective, OccupiedCell, WrongBlockSize
 
 Point = int
 Edge = tuple[int, int]
@@ -201,8 +199,8 @@ class DesignArray:
     """Square array of optional blocks plus design metadata.
 
     cells maps (row, col) to the block stored there; absent keys are empty
-    cells. Arrays are treated as immutable values: place and embed return
-    new arrays that share the existing (immutable) blocks.
+    cells. Nothing here checks the cells against side, n or k; that is the
+    verifier's job.
     """
 
     side: int
@@ -211,74 +209,12 @@ class DesignArray:
     host: HostGraph
     cells: dict[Cell, Block]
 
-    @classmethod
-    def empty(cls, side: int, n: int, k: int, host: HostGraph) -> "DesignArray":
-        if side < 0:
-            raise ValueError(f"side must be non-negative, got {side}")
-        if n < 2:
-            raise ValueError(f"need at least two points, got n={n}")
-        if k < 1:
-            raise ValueError(f"matching size must be positive, got k={k}")
-        return cls(side, n, k, host, {})
-
     def block_at(self, row: int, col: int) -> Block | None:
         return self.cells.get((row, col))
 
     def occupied(self) -> list[tuple[Cell, Block]]:
         """Occupied cells and their blocks in (row, col) order."""
         return sorted(self.cells.items())
-
-    def _check_cell(self, row: int, col: int) -> None:
-        if not (0 <= row < self.side and 0 <= col < self.side):
-            raise ValueError(f"cell ({row}, {col}) outside side-{self.side} array")
-
-    def _check_block(self, block: Block) -> None:
-        if block.k != self.k:
-            raise WrongBlockSize(f"block has {block.k} edges, array expects {self.k}")
-        if block.points[-1] >= self.n:
-            raise ValueError(f"point {block.points[-1]} outside 0..{self.n - 1}")
-
-    def place(self, row: int, col: int, block: Block) -> "DesignArray":
-        """Return a new array with block stored at the empty cell (row, col)."""
-        self._check_cell(row, col)
-        self._check_block(block)
-        if (row, col) in self.cells:
-            raise OccupiedCell(f"cell ({row}, {col}) already holds a block")
-        cells = dict(self.cells)
-        cells[(row, col)] = block
-        return DesignArray(self.side, self.n, self.k, self.host, cells)
-
-    def embed(
-        self,
-        source: "DesignArray",
-        row_map: dict[int, int],
-        col_map: dict[int, int],
-        point_map: dict[int, int],
-    ) -> "DesignArray":
-        """Copy source's occupied cells into this array.
-
-        Rows, columns, and points travel through the three maps, which must
-        be injective and cover everything the source actually uses. Target
-        cells must be empty.
-        """
-        named = (("row_map", row_map), ("col_map", col_map), ("point_map", point_map))
-        for name, mapping in named:
-            if len(set(mapping.values())) != len(mapping):
-                raise MapNotInjective(f"{name} sends two indices to one target")
-        cells = dict(self.cells)
-        for (r, c), block in source.occupied():
-            try:
-                target = (row_map[r], col_map[c])
-                edges = tuple((point_map[u], point_map[v]) for u, v in block.edges)
-            except KeyError as exc:
-                raise ValueError(f"embedding map missing index {exc.args[0]}") from exc
-            self._check_cell(*target)
-            relabeled = Block(edges)
-            self._check_block(relabeled)
-            if target in cells:
-                raise OccupiedCell(f"cell {target} already holds a block")
-            cells[target] = relabeled
-        return DesignArray(self.side, self.n, self.k, self.host, cells)
 
 
 @dataclass(frozen=True)

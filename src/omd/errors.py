@@ -5,18 +5,6 @@ class DesignError(Exception):
     """Base class for construction and validation failures."""
 
 
-class OccupiedCell(DesignError):
-    """A placement targeted a cell that already holds a block."""
-
-
-class WrongBlockSize(DesignError):
-    """A block's edge count does not match the array's matching size."""
-
-
-class MapNotInjective(DesignError):
-    """A row, column, or point relabeling map collapsed two indices."""
-
-
 class OddOrder(DesignError):
     """One-factorizations of complete graphs need an even point count."""
 

@@ -342,7 +342,7 @@ def build_room(
 @lru_cache(maxsize=64)
 def _cached_room(n: int, seed: int, budget: int) -> tuple[DesignArray, Transversal]:
     if n == 2:
-        arr = DesignArray.empty(1, 2, 1, Complete(2)).place(0, 0, Block(((0, 1),)))
+        arr = DesignArray(1, 2, 1, Complete(2), {(0, 0): Block(((0, 1),))})
         return arr, Transversal(((0, 0),))
 
     r = n - 1

@@ -88,9 +88,10 @@ def expected_side(host: core.HostGraph) -> int | None:
 def verify(arr: DesignArray) -> VerificationReport:
     """Check the three design conditions against the host graph.
 
-    Conditions: every cell empty or a k-matching, every row and column a
-    resolution class, every host edge covered exactly once and nothing
-    else. All checks run even after a failure so the report is complete.
+    Conditions: every cell inside the array and empty or a k-matching,
+    every row and column a resolution class, every host edge covered
+    exactly once and nothing else. All checks run even after a failure so
+    the report is complete.
     """
     n, side, k = arr.n, arr.side, arr.k
     checks = []
@@ -112,10 +113,15 @@ def verify(arr: DesignArray) -> VerificationReport:
         shape = Check("host-shape", True)
     checks.append(shape)
 
+    def inside(r: int, c: int) -> bool:
+        return 0 <= r < side and 0 <= c < side
+
     block_detail = None
     for (r, c), block in arr.occupied():
         endpoints = [p for e in block.edges for p in e]
-        if len(block.edges) != k:
+        if not inside(r, c):
+            block_detail = f"cell ({r}, {c}) outside side-{side} array"
+        elif len(block.edges) != k:
             block_detail = f"cell ({r}, {c}) holds {len(block.edges)} edges, expected {k}"
         elif len(set(endpoints)) != 2 * k:
             block_detail = f"cell ({r}, {c}) repeats an endpoint"
@@ -132,6 +138,8 @@ def verify(arr: DesignArray) -> VerificationReport:
     row_blocks = [0] * side
     col_blocks = [0] * side
     for (r, c), block in arr.cells.items():
+        if not inside(r, c):
+            continue
         row_blocks[r] += 1
         col_blocks[c] += 1
         for u, v in block.edges:
@@ -388,7 +396,6 @@ def brute_force_exists(n: int, k: int, budget: int = 10_000_000) -> BruteForceRe
     if not found:
         return BruteForceResult(Existence.NOT_EXISTS, nodes=nodes)
 
-    arr = DesignArray.empty(side, n, k, host)
-    for (r, c), pairs in sorted(grid.items()):
-        arr = arr.place(r, c, Block(pairs))
+    cells = {cell: Block(pairs) for cell, pairs in grid.items()}
+    arr = DesignArray(side, n, k, host, cells)
     return BruteForceResult(Existence.EXISTS, design=arr, nodes=nodes)

@@ -121,11 +121,23 @@ def test_verify_malformed_meta_cells_exits_four(tmp_path, capsys):
     assert main(["verify", str(path)]) == 4
 
 
-def test_bad_flags_exit_four(capsys):
+def test_bad_flags_exit_four(tmp_path, capsys):
     assert main(["generate", "--n", "abc", "--k", "1"]) == 4
     assert main(["generate", "--n", "0", "--k", "1"]) == 4
     assert main(["generate", "--n", "8", "--k", "0"]) == 4
+    assert main(["generate", "--n", "8", "--k", "1", "--budget", "-5"]) == 4
+    assert main(["generate", "--n", "8", "--k", "1", "--budget", "0"]) == 4
+    assert main(["sweep", "--n-max", "8", "--k-max", "1", "--budget", "0"]) == 4
+    assert main(["sweep", "--n-max", "0", "--k-max", "0"]) == 4
+    assert main(["sweep", "--n-max", "1", "--k-max", "1"]) == 4
+    assert main(["sweep", "--n-max", "8", "--k-max", "0"]) == 4
     assert main([]) == 4
+    # verify builds nothing, so it takes no --seed or --budget
+    path = tmp_path / "d.json"
+    assert main(["generate", "--n", "8", "--k", "1", "--out", str(path)]) == 0
+    assert main(["verify", str(path)]) == 0
+    assert main(["verify", str(path), "--seed", "1"]) == 4
+    assert main(["verify", str(path), "--budget", "10"]) == 4
     capsys.readouterr()
 
 

@@ -1,14 +1,16 @@
 """The product construction and the parameter dispatcher."""
 
+import importlib
+
 import pytest
 
 from omd.bases import build_2k, build_m1k
-from omd.compose import IngredientSet, check_ingredients, compose, construct
+from omd.compose import IngredientSet, _expand, check_ingredients, compose, construct
 from omd.core import Complete, DesignArray, Hole, LexMatching, Transversal
-from omd.errors import IncoherentIngredients, NonExistent
+from omd.errors import EmbeddingCollision, IncoherentIngredients, NonExistent
 from omd.formats import dumps_design
 from omd.room import build_room
-from omd.verify import verify, verify_transversal
+from omd.verify import verify
 
 
 def _ingredients(k, outer_n=8):
@@ -76,7 +78,7 @@ def test_block_size_disagreement():
         outer=ing.outer,
         outer_transversal=ing.outer_transversal,
         cell_ingredient=ing.cell_ingredient,
-        transversal_ingredient=DesignArray.empty(3, 4, 1, Complete(4)),
+        transversal_ingredient=DesignArray(3, 4, 1, Complete(4), {}),
         ingredient_transversal=ing.ingredient_transversal,
         ingredient_hole=ing.ingredient_hole,
     )
@@ -89,7 +91,7 @@ def test_ingredient_side_checks():
     bad = IngredientSet(
         outer=ing.outer,
         outer_transversal=ing.outer_transversal,
-        cell_ingredient=DesignArray.empty(3, 4, 2, LexMatching(1, 2)),
+        cell_ingredient=DesignArray(3, 4, 2, LexMatching(1, 2), {}),
         transversal_ingredient=ing.transversal_ingredient,
         ingredient_transversal=ing.ingredient_transversal,
         ingredient_hole=ing.ingredient_hole,
@@ -101,7 +103,7 @@ def test_ingredient_side_checks():
         outer=ing.outer,
         outer_transversal=ing.outer_transversal,
         cell_ingredient=ing.cell_ingredient,
-        transversal_ingredient=DesignArray.empty(5, 4, 2, Complete(4)),
+        transversal_ingredient=DesignArray(5, 4, 2, Complete(4), {}),
         ingredient_transversal=ing.ingredient_transversal,
         ingredient_hole=ing.ingredient_hole,
     )
@@ -170,26 +172,25 @@ def test_identity_expansion(k):
         ingredient_transversal=t_trans,
         ingredient_hole=t_hole,
     )
-    design, _ = compose(ing)
+    design = compose(ing)
     assert design.side == 2 * k - 1
     assert design.n == 2 * k
     assert verify(design).passed
 
 
 def test_compose_sixteen_two():
-    design, transversal = compose(_ingredients(2))
+    design = compose(_ingredients(2))
     assert design.side == 15
     assert design.n == 16
     report = verify(design)
     assert report.passed, report.failure()
     assert report.total_blocks == 16 * 15 // 4
-    if transversal is not None:
-        assert verify_transversal(design, transversal).passed
+    assert design == construct(16, 2).design
 
 
 def test_compose_thirty_three():
     ing = _ingredients(3, outer_n=10)
-    design, _ = compose(ing)
+    design = compose(ing)
     assert design.side == 3 * 9 + 2 == 29
     assert design.n == 30
     assert verify(design).passed
@@ -197,10 +198,28 @@ def test_compose_thirty_three():
 
 def test_size_identity():
     ing = _ingredients(2)
-    design, _ = compose(ing)
+    design = compose(ing)
     s = 2
     assert design.side == s * ing.outer.side + s - 1
     assert design.n == s * ing.outer.n
+
+
+def test_expand_collision_is_reported():
+    """A hole that holds a block sends every transversal copy of that block
+    to the same appended cell; the expansion says so instead of overwriting."""
+    ing = _ingredients(2)
+    bad = IngredientSet(
+        outer=ing.outer,
+        outer_transversal=ing.outer_transversal,
+        cell_ingredient=ing.cell_ingredient,
+        transversal_ingredient=ing.transversal_ingredient,
+        ingredient_transversal=ing.ingredient_transversal,
+        ingredient_hole=Hole((0,), (0,)),
+    )
+    with pytest.raises(EmbeddingCollision, match="collided at \\(14, 14\\)"):
+        _expand(bad)
+    with pytest.raises(IncoherentIngredients, match="hole fails"):
+        compose(bad)
 
 
 def test_construct_rejects_bad_arguments():
@@ -251,3 +270,18 @@ def test_construct_is_reproducible():
     b = construct(16, 2, seed=0)
     assert dumps_design(a.design) == dumps_design(b.design)
     assert a.transversal == b.transversal
+
+
+@pytest.mark.parametrize("n,k", [(16, 2), (8, 1), (4, 2), (8, 2)])
+def test_construct_verifies_each_design_once(n, k, monkeypatch):
+    # omd/__init__.py binds omd.compose to the function, so fetch the module
+    module = importlib.import_module("omd.compose")
+    seen = []
+
+    def counting(arr):
+        seen.append(arr)
+        return verify(arr)
+
+    monkeypatch.setattr(module, "verify", counting)
+    res = construct(n, k)
+    assert seen == [res.design]

@@ -36,8 +36,8 @@ def test_round_trip_identity(arr):
 
 
 def test_dumps_is_deterministic_and_sorted():
-    arr = DesignArray.empty(2, 4, 1, Complete(4))
-    arr = arr.place(1, 1, Block(((2, 3),))).place(0, 0, Block(((0, 1),)))
+    cells = {(1, 1): Block(((2, 3),)), (0, 0): Block(((0, 1),))}
+    arr = DesignArray(2, 4, 1, Complete(4), cells)
     text = dumps_design(arr)
     assert text == dumps_design(arr)
     data = json.loads(text)
@@ -151,11 +151,11 @@ def test_latex_render_frozen():
 
 
 def test_latex_refuses_large_sides():
-    big = DesignArray.empty(16, 18, 1, Complete(18))
+    big = DesignArray(16, 18, 1, Complete(18), {})
     with pytest.raises(ValueError, match="exceeds 15"):
         render_latex(big)
 
 
 def test_latex_accepts_side_fifteen():
-    arr = DesignArray.empty(15, 16, 1, Complete(16))
+    arr = DesignArray(15, 16, 1, Complete(16), {})
     assert "\\begin{array}" in render_latex(arr)

@@ -1,0 +1,64 @@
+"""Properties of construct outputs under relabelling and serialisation.
+
+A design stays a design when its rows, its columns or its points (on a
+complete host) are permuted, and the JSON format carries every cell
+through a round trip. Each construction path contributes one case.
+"""
+
+from functools import lru_cache
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from omd.compose import construct  # noqa: E402
+from omd.core import Block, DesignArray  # noqa: E402
+from omd.formats import dumps_design, loads_design  # noqa: E402
+from omd.verify import verify  # noqa: E402
+
+# one (n, k) per construction path: room, order 10's fixed square,
+# diagonal, quad-split, hex-split, and two products
+CASES = [(8, 1), (10, 1), (4, 2), (8, 2), (12, 2), (16, 2), (24, 3)]
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@lru_cache(maxsize=None)
+def _design(n: int, k: int) -> DesignArray:
+    return construct(n, k).design
+
+
+@st.composite
+def relabelled(draw):
+    """A construct output with rows, columns and points permuted."""
+    n, k = draw(st.sampled_from(CASES))
+    arr = _design(n, k)
+    rows = draw(st.permutations(range(arr.side)))
+    cols = draw(st.permutations(range(arr.side)))
+    points = draw(st.permutations(range(arr.n)))
+    cells = {
+        (rows[r], cols[c]): Block(tuple((points[u], points[v]) for u, v in block.edges))
+        for (r, c), block in arr.cells.items()
+    }
+    return arr, DesignArray(arr.side, arr.n, arr.k, arr.host, cells)
+
+
+@PROPERTY
+@given(relabelled())
+def test_relabelling_keeps_a_design_valid(pair):
+    original, moved = pair
+    report = verify(moved)
+    assert report.passed, report.failure()
+    assert report.total_blocks == verify(original).total_blocks
+
+
+@PROPERTY
+@given(relabelled())
+def test_json_round_trip_keeps_every_cell(pair):
+    original, moved = pair
+    for arr in (original, moved):
+        back = loads_design(dumps_design(arr))
+        assert back.cells == arr.cells
+        assert (back.side, back.n, back.k, back.host) == (arr.side, arr.n, arr.k, arr.host)

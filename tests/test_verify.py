@@ -55,8 +55,9 @@ def test_verify_room_square_counts():
 
 def test_duplicated_block_fails_pair_coverage():
     arr, _, _ = build_2k(2)
-    dup = arr.place(0, 1, arr.block_at(0, 0))
-    report = verify(dup)
+    cells = dict(arr.cells)
+    cells[(0, 1)] = arr.block_at(0, 0)
+    report = verify(DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
     assert not report.passed
     checks = {c.name: c for c in report.checks}
     assert not checks["pair-coverage"].passed
@@ -113,6 +114,15 @@ def test_block_shape_failures():
     report = verify(DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
     checks = {c.name: c for c in report.checks}
     assert "outside" in checks["block-shape"].detail
+
+    # a cell past either edge is named, not an IndexError or a wrapped row
+    for cell in ((5, 0), (0, 5), (-1, 0), (0, -1)):
+        cells = dict(arr.cells)
+        cells[cell] = cells.pop((0, 0))
+        report = verify(DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
+        checks = {c.name: c for c in report.checks}
+        assert not report.passed
+        assert checks["block-shape"].detail == f"cell {cell} outside side-3 array"
 
 
 def test_report_serializes():
