@@ -138,6 +138,18 @@ def _meta_transversal(meta: dict | None) -> Transversal | None:
     return Transversal(tuple(cells))
 
 
+def _print_checks(report, prefix: str) -> None:
+    for check in report.checks:
+        tag = "PASS" if check.passed else "FAIL"
+        detail = f" ({check.detail})" if check.detail else ""
+        print(f"[{tag}] {prefix}{check.name}{detail}")
+
+
+def _counts(values) -> str:
+    """One number when every line holds the same count, else the list."""
+    return str(values[0]) if len(set(values)) == 1 else str(list(values))
+
+
 def cmd_verify(args) -> int:
     try:
         arr, meta = _load_design_file(args.path)
@@ -147,13 +159,7 @@ def cmd_verify(args) -> int:
         return EXIT_PARSE
 
     report = verify(arr)
-    for check in report.checks:
-        tag = "PASS" if check.passed else "FAIL"
-        detail = f" ({check.detail})" if check.detail else ""
-        print(f"[{tag}] {check.name}{detail}")
-    def _counts(values) -> str:
-        return str(values[0]) if len(set(values)) == 1 else str(list(values))
-
+    _print_checks(report, "")
     print(
         f"blocks: {report.total_blocks} total, "
         f"{_counts(report.row_blocks)} per row, "
@@ -162,10 +168,7 @@ def cmd_verify(args) -> int:
     passed = report.passed
     if transversal is not None:
         t_report = verify_transversal(arr, transversal)
-        for check in t_report.checks:
-            tag = "PASS" if check.passed else "FAIL"
-            detail = f" ({check.detail})" if check.detail else ""
-            print(f"[{tag}] transversal {check.name}{detail}")
+        _print_checks(t_report, "transversal ")
         passed = passed and t_report.passed
     print("verdict:", "valid" if passed else "INVALID")
     return EXIT_OK if passed else EXIT_VERIFY

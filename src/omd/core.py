@@ -16,9 +16,9 @@ array as a value and do not mutate it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 Point = int
 Edge = tuple[int, int]
@@ -76,8 +76,8 @@ class Complete:
     def edge_count(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    def edges(self) -> Iterator[Edge]:
-        yield from itertools.combinations(range(self.n), 2)
+    def has_edge(self, u: int, v: int) -> bool:
+        return 0 <= u < v < self.n
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,8 @@ class CompleteBipartite:
     def edge_count(self) -> int:
         return self.a * self.b
 
-    def edges(self) -> Iterator[Edge]:
-        for i in range(self.a):
-            for j in range(self.b):
-                yield (i, self.a + j)
+    def has_edge(self, u: int, v: int) -> bool:
+        return 0 <= u < self.a <= v < self.a + self.b
 
 
 @dataclass(frozen=True)
@@ -104,8 +102,8 @@ class LexMatching:
     """l disjoint edges with every point blown into s independent copies.
 
     Copy z of group x sits at point x*s + z. Groups 2t and 2t+1 are joined
-    completely for each t; no other adjacency. LexMatching(1, s) is the
-    complete bipartite graph on s + s points.
+    completely for each t (u < v are adjacent when u // s is even and v is
+    in the next group). LexMatching(1, s) is K_{s,s}.
     """
 
     l: int
@@ -117,13 +115,9 @@ class LexMatching:
     def edge_count(self) -> int:
         return self.l * self.s * self.s
 
-    def edges(self) -> Iterator[Edge]:
+    def has_edge(self, u: int, v: int) -> bool:
         s = self.s
-        for t in range(self.l):
-            left, right = (2 * t) * s, (2 * t + 1) * s
-            for i in range(s):
-                for j in range(s):
-                    yield (left + i, right + j)
+        return 0 <= u < v < 2 * self.l * s and u // s % 2 == 0 and v // s == u // s + 1
 
 
 @dataclass(frozen=True)
@@ -131,8 +125,8 @@ class LexMatchingComplete:
     """Like LexMatching, but each group of s copies is itself complete.
 
     The graph is l disjoint complete graphs on 2s points, one per original
-    edge; in particular LexMatchingComplete(1, s) has exactly the edge set
-    of Complete(2s).
+    edge, so u < v are adjacent when u // 2s == v // 2s; in particular
+    LexMatchingComplete(1, s) has exactly the edge set of Complete(2s).
     """
 
     l: int
@@ -144,16 +138,8 @@ class LexMatchingComplete:
     def edge_count(self) -> int:
         return self.l * self.s * (2 * self.s - 1)
 
-    def edges(self) -> Iterator[Edge]:
-        s = self.s
-        for t in range(self.l):
-            left, right = (2 * t) * s, (2 * t + 1) * s
-            for i in range(s):
-                for j in range(s):
-                    yield (left + i, right + j)
-            for base in (left, right):
-                for i, j in itertools.combinations(range(s), 2):
-                    yield (base + i, base + j)
+    def has_edge(self, u: int, v: int) -> bool:
+        return 0 <= u < v < self.vertex_count() and u // (2 * self.s) == v // (2 * self.s)
 
 
 @dataclass(frozen=True)
@@ -166,6 +152,9 @@ class CompleteMultipartite:
         object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
         if any(p < 1 for p in self.parts):
             raise ValueError("part sizes must be positive")
+        # part i ends before _ends[i], and u < v are adjacent when v lies
+        # past the end of u's part; not a field, so eq and repr skip it
+        object.__setattr__(self, "_ends", tuple(itertools.accumulate(self.parts)))
 
     def vertex_count(self) -> int:
         return sum(self.parts)
@@ -174,17 +163,13 @@ class CompleteMultipartite:
         total = sum(self.parts)
         return (total * total - sum(p * p for p in self.parts)) // 2
 
-    def edges(self) -> Iterator[Edge]:
-        offsets = [0]
-        for p in self.parts:
-            offsets.append(offsets[-1] + p)
-        for pi in range(len(self.parts)):
-            for pj in range(pi + 1, len(self.parts)):
-                for u in range(offsets[pi], offsets[pi + 1]):
-                    for v in range(offsets[pj], offsets[pj + 1]):
-                        yield (u, v)
+    def has_edge(self, u: int, v: int) -> bool:
+        ends = self._ends
+        return 0 <= u < v < ends[-1] and v >= ends[bisect.bisect_right(ends, u)]
 
 
+# has_edge(u, v) is True exactly when 0 <= u < v < vertex_count() and u, v
+# are adjacent; no host enumerates its edges, the verifier only asks.
 HostGraph = (
     Complete
     | CompleteBipartite

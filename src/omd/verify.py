@@ -1,10 +1,10 @@
 """Construction-agnostic checking of designs, transversals, and holes.
 
-Everything here recomputes from raw cell contents: coverage accounting,
-host edge enumeration, and cell counts share no logic with the
+Everything here recomputes from raw cell contents: counting from the
+cells plus a host adjacency test (has_edge) shares no logic with the
 constructors, so agreement between the two is evidence rather than
-tautology. Reports carry one entry per condition with the first
-counterexample found.
+tautology. Work follows the cells, not what the header claims. Reports
+carry one entry per condition with the first counterexample found.
 
 brute_force_exists settles existence for small parameters by exhaustive
 backtracking and is the independent ground truth the constructors are
@@ -85,13 +85,79 @@ def expected_side(host: core.HostGraph) -> int | None:
     raise TypeError(f"unknown host graph {host!r}")
 
 
+def _first_miscount(points: list[int], n: int) -> tuple[int, int] | None:
+    """(point, count) for the first point of 0..n-1 not covered once, or None."""
+    counts = Counter(points)
+    if len(points) == n and counts.keys() == set(range(n)):
+        return None
+    expect = 0
+    for p in sorted(p for p in counts if 0 <= p < n):
+        if p != expect:
+            return expect, 0
+        if counts[p] != 1:
+            return p, counts[p]
+        expect += 1
+    return (expect, 0) if expect < n else None
+
+
+def _block_fault(r: int, c: int, block: Block, side: int, n: int, k: int) -> str | None:
+    endpoints = [p for e in block.edges for p in e]
+    if not (0 <= r < side and 0 <= c < side):
+        return f"cell ({r}, {c}) outside side-{side} array"
+    if len(block.edges) != k:
+        return f"cell ({r}, {c}) holds {len(block.edges)} edges, expected {k}"
+    if len(set(endpoints)) != 2 * k:
+        return f"cell ({r}, {c}) repeats an endpoint"
+    if endpoints and not 0 <= min(endpoints) <= max(endpoints) < n:
+        return f"cell ({r}, {c}) uses a point outside 0..{n - 1}"
+    if any(u >= v for u, v in block.edges):
+        return f"cell ({r}, {c}) has a non-canonical edge"
+    return None
+
+
+def _resolution_detail(lines: dict, side: int, n: int, label: str) -> str | None:
+    """First line of 0..side-1 that is not a resolution class, stopping there."""
+    for i in range(side):
+        points = [p for block in lines.get(i, ()) for e in block.edges for p in e]
+        miss = _first_miscount(points, n)
+        if miss is not None:
+            return f"{label} {i} covers point {miss[0]} {miss[1]} times"
+    return None
+
+
+def _line_counts(lines: dict, side: int) -> tuple[int, ...]:
+    counts = [0] * side
+    for i, blocks in lines.items():
+        counts[i] = len(blocks)
+    return tuple(counts)
+
+
+def _pair_detail(host: core.HostGraph, placed: Counter) -> str | None:
+    """First placed pair that is foreign or repeated, else the first gap;
+    distinct placed host edges cover the host when they number edge_count()."""
+    faults = [e for e, times in placed.items() if times > 1 or not host.has_edge(*e)]
+    if faults:
+        edge = min(faults)
+        if not host.has_edge(*edge):
+            return f"pair {edge} is not a host edge"
+        return f"pair {edge} covered {placed[edge]} times"
+    if len(placed) == host.edge_count():
+        return None
+    n = host.vertex_count()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in placed and host.has_edge(u, v):
+                return f"host edge {(u, v)} is uncovered"
+    return None
+
+
 def verify(arr: DesignArray) -> VerificationReport:
     """Check the three design conditions against the host graph.
 
     Conditions: every cell inside the array and empty or a k-matching,
     every row and column a resolution class, every host edge covered
     exactly once and nothing else. All checks run even after a failure so
-    the report is complete.
+    the report is complete. One pass over the cells gathers everything.
     """
     n, side, k = arr.n, arr.side, arr.k
     checks = []
@@ -113,80 +179,33 @@ def verify(arr: DesignArray) -> VerificationReport:
         shape = Check("host-shape", True)
     checks.append(shape)
 
-    def inside(r: int, c: int) -> bool:
-        return 0 <= r < side and 0 <= c < side
-
     block_detail = None
+    rows: dict[int, list[Block]] = {}
+    cols: dict[int, list[Block]] = {}
+    edges = []
     for (r, c), block in arr.occupied():
-        endpoints = [p for e in block.edges for p in e]
-        if not inside(r, c):
-            block_detail = f"cell ({r}, {c}) outside side-{side} array"
-        elif len(block.edges) != k:
-            block_detail = f"cell ({r}, {c}) holds {len(block.edges)} edges, expected {k}"
-        elif len(set(endpoints)) != 2 * k:
-            block_detail = f"cell ({r}, {c}) repeats an endpoint"
-        elif any(p < 0 or p >= n for p in endpoints):
-            block_detail = f"cell ({r}, {c}) uses a point outside 0..{n - 1}"
-        elif any(u >= v for u, v in block.edges):
-            block_detail = f"cell ({r}, {c}) has a non-canonical edge"
-        if block_detail:
-            break
+        if block_detail is None:
+            block_detail = _block_fault(r, c, block, side, n, k)
+        if 0 <= r < side and 0 <= c < side:
+            rows.setdefault(r, []).append(block)
+            cols.setdefault(c, []).append(block)
+        edges.extend(block.edges)
     checks.append(Check("block-shape", block_detail is None, block_detail))
 
-    row_cover = [Counter() for _ in range(side)]
-    col_cover = [Counter() for _ in range(side)]
-    row_blocks = [0] * side
-    col_blocks = [0] * side
-    for (r, c), block in arr.cells.items():
-        if not inside(r, c):
-            continue
-        row_blocks[r] += 1
-        col_blocks[c] += 1
-        for u, v in block.edges:
-            row_cover[r][u] += 1
-            row_cover[r][v] += 1
-            col_cover[c][u] += 1
-            col_cover[c][v] += 1
-
-    def resolution_detail(cover, label):
-        for i in range(side):
-            for p in range(n):
-                count = cover[i][p]
-                if count != 1:
-                    return f"{label} {i} covers point {p} {count} times"
-        return None
-
-    row_detail = resolution_detail(row_cover, "row")
+    row_detail = _resolution_detail(rows, side, n, "row")
     checks.append(Check("row-resolution", row_detail is None, row_detail))
-    col_detail = resolution_detail(col_cover, "column")
+    col_detail = _resolution_detail(cols, side, n, "column")
     checks.append(Check("column-resolution", col_detail is None, col_detail))
 
-    host_edges = set(arr.host.edges())
-    placed = Counter()
-    pair_detail = None
-    for (r, c), block in arr.occupied():
-        for edge in block.edges:
-            placed[edge] += 1
-    for edge in sorted(placed):
-        if edge not in host_edges:
-            pair_detail = f"pair {edge} is not a host edge"
-            break
-        if placed[edge] > 1:
-            pair_detail = f"pair {edge} covered {placed[edge]} times"
-            break
-    if pair_detail is None:
-        for edge in sorted(host_edges):
-            if edge not in placed:
-                pair_detail = f"host edge {edge} is uncovered"
-                break
+    pair_detail = _pair_detail(arr.host, Counter(edges))
     checks.append(Check("pair-coverage", pair_detail is None, pair_detail))
 
     return VerificationReport(
         passed=all(c.passed for c in checks),
         checks=tuple(checks),
         total_blocks=len(arr.cells),
-        row_blocks=tuple(row_blocks),
-        col_blocks=tuple(col_blocks),
+        row_blocks=_line_counts(rows, side),
+        col_blocks=_line_counts(cols, side),
     )
 
 
@@ -195,36 +214,26 @@ def verify_transversal(arr: DesignArray, transversal: Transversal) -> Verificati
     checks = []
     cells = transversal.cells
 
-    rows = [r for r, _ in cells]
-    cols = [c for _, c in cells]
+    rows = sorted(r for r, _ in cells)
+    cols = sorted(c for _, c in cells)
     perm_detail = None
-    if sorted(rows) != list(range(arr.side)):
-        perm_detail = f"rows {sorted(rows)} are not a permutation of 0..{arr.side - 1}"
-    elif sorted(cols) != list(range(arr.side)):
-        perm_detail = f"columns {sorted(cols)} are not a permutation of 0..{arr.side - 1}"
+    if len(rows) != arr.side or rows != list(range(arr.side)):
+        perm_detail = f"rows {rows} are not a permutation of 0..{arr.side - 1}"
+    elif cols != list(range(arr.side)):
+        perm_detail = f"columns {cols} are not a permutation of 0..{arr.side - 1}"
     checks.append(Check("one-per-row-and-column", perm_detail is None, perm_detail))
 
-    cover = Counter()
-    chosen_blocks = 0
-    for r, c in cells:
-        block = arr.block_at(r, c)
-        if block is None:
-            continue
-        chosen_blocks += 1
-        for u, v in block.edges:
-            cover[u] += 1
-            cover[v] += 1
+    chosen = [b for b in (arr.block_at(r, c) for r, c in cells) if b is not None]
+    miss = _first_miscount([p for b in chosen for e in b.edges for p in e], arr.n)
     cover_detail = None
-    for p in range(arr.n):
-        if cover[p] != 1:
-            cover_detail = f"point {p} appears {cover[p]} times in the chosen cells"
-            break
+    if miss is not None:
+        cover_detail = f"point {miss[0]} appears {miss[1]} times in the chosen cells"
     checks.append(Check("exact-point-coverage", cover_detail is None, cover_detail))
 
     return VerificationReport(
         passed=all(c.passed for c in checks),
         checks=tuple(checks),
-        total_blocks=chosen_blocks,
+        total_blocks=len(chosen),
     )
 
 

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,34 @@ def test_bad_flags_exit_four(tmp_path, capsys):
     assert main(["verify", str(path), "--seed", "1"]) == 4
     assert main(["verify", str(path), "--budget", "10"]) == 4
     capsys.readouterr()
+
+
+# headers that claim far more than the file holds, and the first check
+# that refutes each; verify's work must follow the cells, not the claim
+HEADER_ONLY = {
+    "n-20000": ((20000, 19999), "row-resolution"),
+    "side-2000000": ((8, 2_000_000), "host-shape"),
+}
+
+
+@pytest.mark.parametrize("case", HEADER_ONLY)
+def test_verify_header_only_file_is_refuted_promptly(case, tmp_path):
+    (n, side), first_failure = HEADER_ONLY[case]
+    header = {"n": n, "k": 1, "side": side, "host": {"type": "complete", "n": n}}
+    path = tmp_path / "stub.json"
+    path.write_text(json.dumps(dict(header, cells=[])))
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "omd.cli", "verify", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == 1, done.stderr
+    failed = [line for line in done.stdout.splitlines() if line.startswith("[FAIL]")]
+    assert failed[0].startswith(f"[FAIL] {first_failure} ")
+    assert done.stdout.endswith("verdict: INVALID\n")
 
 
 def test_help_exits_zero(capsys):

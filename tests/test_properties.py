@@ -1,7 +1,8 @@
 """Properties of construct outputs under relabelling and serialisation.
 
 A design stays a design when its rows, its columns or its points (on a
-complete host) are permuted, and the JSON format carries every cell
+complete host) are permuted, stops being one when two cells with
+different point sets swap blocks, and the JSON format carries every cell
 through a round trip. Each construction path contributes one case.
 """
 
@@ -52,6 +53,35 @@ def test_relabelling_keeps_a_design_valid(pair):
     report = verify(moved)
     assert report.passed, report.failure()
     assert report.total_blocks == verify(original).total_blocks
+
+
+@st.composite
+def support_swapped(draw):
+    """A construct output with the blocks of two cells of different points swapped.
+
+    Every block of (4, 2) covers all four points, so it has no such swap.
+    """
+    n, k = draw(
+        st.sampled_from(CASES).filter(
+            lambda case: len({b.points for b in _design(*case).cells.values()}) > 1
+        )
+    )
+    arr = _design(n, k)
+    occupied = sorted(arr.cells)
+    a = draw(st.sampled_from(occupied))
+    others = [c for c in occupied if arr.cells[c].points != arr.cells[a].points]
+    b = draw(st.sampled_from(others))
+    cells = dict(arr.cells)
+    cells[a], cells[b] = cells[b], cells[a]
+    return a, b, DesignArray(arr.side, arr.n, arr.k, arr.host, cells)
+
+
+@PROPERTY
+@given(support_swapped())
+def test_swap_changing_support_is_rejected(swap):
+    a, b, arr = swap
+    report = verify(arr)
+    assert not report.passed, f"swapping cells {a} and {b} kept a valid design"
 
 
 @PROPERTY

@@ -2,7 +2,8 @@
 
 import pytest
 
-from omd.bases import build_2k, build_m1k
+from omd.bases import build_2k, build_m1k, six_point_square
+from omd.compose import construct
 from omd.core import (
     Block,
     Complete,
@@ -132,6 +133,89 @@ def test_report_serializes():
     assert data["total_blocks"] == 2
     assert {c["name"] for c in data["checks"]} >= {"row-resolution", "pair-coverage"}
     assert report.failure() is None
+
+
+def _edit(arr, drop=(), put=(), host=None):
+    cells = dict(arr.cells)
+    for cell in drop:
+        del cells[cell]
+    cells.update(put)
+    return DesignArray(arr.side, arr.n, arr.k, host or arr.host, cells)
+
+
+def _two_k(k):
+    return build_2k(k)[0]
+
+
+# (design, first failure, detail of host-shape, block-shape, row-resolution,
+# column-resolution, pair-coverage). The lex-matching-complete case leaves
+# (2, 5) and (0, 1) uncovered, the multipartite case (1, 2) and (0, 4); a
+# walk over groups or parts meets the first of each pair first, but the
+# report names the lexicographically smaller.
+PINNED = {
+    "deletion": (
+        lambda: _edit(_two_k(3), drop=[(0, 0)]),
+        "row-resolution: row 0 covers point 0 0 times",
+        (None, None, "row 0 covers point 0 0 times",
+         "column 0 covers point 0 0 times", "host edge (0, 5) is uncovered"),
+    ),
+    "duplicate-block": (
+        lambda: _edit(_two_k(2), put={(0, 1): _two_k(2).cells[(0, 0)]}),
+        "row-resolution: row 0 covers point 0 2 times",
+        (None, None, "row 0 covers point 0 2 times",
+         "column 1 covers point 0 2 times", "pair (0, 3) covered 2 times"),
+    ),
+    "foreign-pair": (
+        lambda: _edit(build_m1k(2), put={(0, 0): Block(((0, 1), (2, 3)))}),
+        "pair-coverage: pair (0, 1) is not a host edge",
+        (None, None, None, None, "pair (0, 1) is not a host edge"),
+    ),
+    "out-of-range-cell": (
+        lambda: _edit(_two_k(2), drop=[(0, 0)], put={(5, 0): _two_k(2).cells[(0, 0)]}),
+        "block-shape: cell (5, 0) outside side-3 array",
+        (None, "cell (5, 0) outside side-3 array", "row 0 covers point 0 0 times",
+         "column 0 covers point 0 0 times", None),
+    ),
+    "out-of-range-point": (
+        lambda: _edit(_two_k(2), put={(0, 0): Block(((0, 9), (1, 2)))}),
+        "block-shape: cell (0, 0) uses a point outside 0..3",
+        (None, "cell (0, 0) uses a point outside 0..3", "row 0 covers point 3 0 times",
+         "column 0 covers point 3 0 times", "pair (0, 9) is not a host edge"),
+    ),
+    "uncovered-lex-matching-complete": (
+        # LexMatchingComplete(1, 4) has the edges of Complete(8)
+        lambda: _edit(
+            build_room(8)[0], drop=[(4, 3), (5, 3)], host=LexMatchingComplete(1, 4)
+        ),
+        "row-resolution: row 4 covers point 2 0 times",
+        (None, None, "row 4 covers point 2 0 times",
+         "column 3 covers point 0 0 times", "host edge (0, 1) is uncovered"),
+    ),
+    "uncovered-multipartite": (
+        lambda: _edit(six_point_square(), drop=[(2, 3), (3, 3)]),
+        "row-resolution: row 2 covers point 1 0 times",
+        (None, None, "row 2 covers point 1 0 times",
+         "column 3 covers point 0 0 times", "host edge (0, 4) is uncovered"),
+    ),
+    "product-deletion": (
+        lambda: _edit(construct(16, 2).design, drop=[(7, 7)]),
+        "row-resolution: row 7 covers point 6 0 times",
+        (None, None, "row 7 covers point 6 0 times",
+         "column 7 covers point 6 0 times", "host edge (6, 15) is uncovered"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_failure_reports_are_pinned(case):
+    make, failure, details = PINNED[case]
+    report = verify(make())
+    assert not report.passed
+    assert report.failure() == failure
+    names = ["host-shape", "block-shape", "row-resolution", "column-resolution"]
+    assert [c.name for c in report.checks] == names + ["pair-coverage"]
+    assert tuple(c.detail for c in report.checks) == details
+    assert [c.passed for c in report.checks] == [d is None for d in details]
 
 
 def test_transversal_back_diagonal_passes():
