@@ -8,7 +8,16 @@ bijections are what make serialized output reproducible.
 
 from __future__ import annotations
 
-from .core import Block, Complete, CompleteMultipartite, DesignArray, Hole, LexMatching, Transversal
+from .core import (
+    Block,
+    Complete,
+    CompleteMultipartite,
+    DesignArray,
+    Hole,
+    LexMatching,
+    Transversal,
+    canonical_block,
+)
 from .errors import KTooSmall
 from .factorizations import ofact_bipartite, ofact_complete
 
@@ -21,7 +30,7 @@ def build_m1k(k: int) -> DesignArray:
     cell (i, i); rows and columns then resolve because each factor is a
     perfect matching.
     """
-    cells = {(i, i): factor for i, factor in enumerate(ofact_bipartite(k).factors)}
+    cells = {(i, i): factor for i, factor in enumerate(ofact_bipartite(k))}
     return DesignArray(k, 2 * k, k, LexMatching(1, k), cells)
 
 
@@ -37,7 +46,7 @@ def build_2k(k: int) -> tuple[DesignArray, Transversal, Hole]:
     """
     n = 2 * k
     side = n - 1
-    cells = {(i, i): factor for i, factor in enumerate(ofact_complete(n).factors)}
+    cells = {(i, i): factor for i, factor in enumerate(ofact_complete(n))}
     arr = DesignArray(side, n, k, Complete(n), cells)
     transversal = Transversal(tuple((side - 1 - i, i) for i in range(side)))
     hole = Hole(tuple(range(k - 1)), tuple(range(k, side)))
@@ -45,7 +54,7 @@ def build_2k(k: int) -> tuple[DesignArray, Transversal, Hole]:
 
 
 def _relabel(block: Block, mapping: dict[int, int]) -> Block:
-    return Block(tuple((mapping[u], mapping[v]) for u, v in block.edges))
+    return canonical_block((mapping[u], mapping[v]) for u, v in block)
 
 
 def _split_map(first_base: int, second_base: int, k: int) -> dict[int, int]:
@@ -82,7 +91,7 @@ def build_4k(k: int) -> DesignArray:
     a0, b0, a1, b1 = 0, k, 2 * k, 3 * k
     cells = {}
 
-    bip = ofact_bipartite(k).factors
+    bip = ofact_bipartite(k)
     for i in range(k):
         cells[(i, i)] = _relabel(bip[i], _split_map(a0, b0, k))
         cells[(i, (i + 1) % k)] = _relabel(bip[i], _split_map(a1, b1, k))
@@ -90,7 +99,7 @@ def build_4k(k: int) -> DesignArray:
         cells[(k + i, k + i)] = _relabel(bip[i], _split_map(a0, b1, k))
         cells[(k + i, k + (i + 1) % k)] = _relabel(bip[i], _split_map(a1, b0, k))
 
-    comp = ofact_complete(2 * k).factors
+    comp = ofact_complete(2 * k)
     a_half = _split_map(a0, a1, k)
     b_half = _split_map(b0, b1, k)
     ring = 2 * k - 1
@@ -127,7 +136,7 @@ def six_point_square() -> DesignArray:
     checked and shown on its own.
     """
     cells = {
-        (r, c): Block(((2 * p1 + y1, 2 * p2 + y2),))
+        (r, c): canonical_block([(2 * p1 + y1, 2 * p2 + y2)])
         for r, c, (p1, y1), (p2, y2) in _SIX_PATTERN
     }
     return DesignArray(4, 6, 1, CompleteMultipartite((2, 2, 2)), cells)
@@ -157,7 +166,7 @@ def build_6k(k: int) -> DesignArray:
     n = 6 * k
     cells = {}
 
-    bip = ofact_bipartite(k).factors
+    bip = ofact_bipartite(k)
     for r, c, (p1, y1), (p2, y2) in _SIX_PATTERN:
         base1 = 2 * k * p1 + k * y1
         base2 = 2 * k * p2 + k * y2
@@ -165,7 +174,7 @@ def build_6k(k: int) -> DesignArray:
         for t in range(k):
             cells[(r * k + t, c * k + t)] = _relabel(bip[t], _split_map(low, high, k))
 
-    comp = ofact_complete(2 * k).factors
+    comp = ofact_complete(2 * k)
     ring = 2 * k - 1
     for i in range(ring):
         for p in range(3):

@@ -24,6 +24,7 @@ from .core import (
     LexMatching,
     LexMatchingComplete,
     Transversal,
+    canonical_block,
 )
 from .errors import (
     EmbeddingCollision,
@@ -174,7 +175,7 @@ def _block_point_map(block: Block, l: int, s: int) -> dict[int, int]:
     t-th edge of the block (in canonical order), group 2t + 1 to the upper.
     """
     phi: dict[int, int] = {}
-    for t, (u, v) in enumerate(block.edges):
+    for t, (u, v) in enumerate(block):
         phi[2 * t] = u
         phi[2 * t + 1] = v
     return {
@@ -206,7 +207,7 @@ def _expand(ing: IngredientSet) -> DesignArray:
             target = (row_map[r], col_map[c])
             if target in cells:
                 raise EmbeddingCollision(f"outer cell ({i}, {j}) collided at {target}")
-            cells[target] = Block(tuple((pmap[u], pmap[v]) for u, v in piece.edges))
+            cells[target] = canonical_block((pmap[u], pmap[v]) for u, v in piece)
     n = s * outer.n
     return DesignArray(s * outer.side + s - 1, n, small.k, Complete(n), cells)
 

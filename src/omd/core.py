@@ -6,6 +6,10 @@ design every row and every column is a resolution class (it covers each
 point of the host graph exactly once) and every host edge lies in exactly
 one block across the whole array.
 
+A block is a plain tuple of edges in canonical form (each edge as
+(min, max), the tuple sorted), made by canonical_block. Nothing here checks
+that a block is a matching; the verifier is the one place that does.
+
 Constructors that think in structured coordinates (group elements, side
 labels, part indices) flatten them to 0..n-1 through bijections documented
 where they are used, so this layer only ever sees plain integers.
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 Point = int
@@ -25,43 +30,17 @@ Edge = tuple[int, int]
 Cell = tuple[int, int]
 
 
-def make_edge(u: int, v: int) -> Edge:
-    """Return the pair {u, v} in canonical (min, max) order."""
-    if u == v:
-        raise ValueError(f"loop at point {u} is not an edge")
-    if u < 0 or v < 0:
-        raise ValueError(f"points must be non-negative, got ({u}, {v})")
-    return (u, v) if u < v else (v, u)
+# kept canonical, so equal matchings compare and hash equal
+Block = tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class Block:
-    """A matching: k edges with 2k distinct endpoints.
+def canonical_block(pairs: Iterable[tuple[int, int]]) -> Block:
+    """The block of these pairs in canonical form; checks nothing.
 
-    Edges are kept canonically ordered (each as (min, max), the tuple
-    sorted), so equal matchings compare and hash equal no matter how they
-    were assembled.
+    Whether the pairs form a k-matching over 0..n-1 is the verifier's
+    question, not this helper's.
     """
-
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self) -> None:
-        canon = tuple(sorted(make_edge(u, v) for u, v in self.edges))
-        seen: set[int] = set()
-        for u, v in canon:
-            if u in seen or v in seen:
-                raise ValueError("edges share an endpoint; not a matching")
-            seen.add(u)
-            seen.add(v)
-        object.__setattr__(self, "edges", canon)
-
-    @property
-    def k(self) -> int:
-        return len(self.edges)
-
-    @property
-    def points(self) -> tuple[int, ...]:
-        return tuple(sorted(p for e in self.edges for p in e))
+    return tuple(sorted([(u, v) if u < v else (v, u) for u, v in pairs]))
 
 
 @dataclass(frozen=True)
@@ -76,8 +55,8 @@ class Complete:
     def edge_count(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < v < self.n
+    def above(self, u: int) -> range:
+        return range(u + 1, self.n)
 
 
 @dataclass(frozen=True)
@@ -93,8 +72,8 @@ class CompleteBipartite:
     def edge_count(self) -> int:
         return self.a * self.b
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.a <= v < self.a + self.b
+    def above(self, u: int) -> range:
+        return range(self.a, self.a + self.b) if u < self.a else range(0)
 
 
 @dataclass(frozen=True)
@@ -115,9 +94,9 @@ class LexMatching:
     def edge_count(self) -> int:
         return self.l * self.s * self.s
 
-    def has_edge(self, u: int, v: int) -> bool:
-        s = self.s
-        return 0 <= u < v < 2 * self.l * s and u // s % 2 == 0 and v // s == u // s + 1
+    def above(self, u: int) -> range:
+        x = u // self.s
+        return range(0) if x % 2 else range((x + 1) * self.s, (x + 2) * self.s)
 
 
 @dataclass(frozen=True)
@@ -138,8 +117,8 @@ class LexMatchingComplete:
     def edge_count(self) -> int:
         return self.l * self.s * (2 * self.s - 1)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < v < self.vertex_count() and u // (2 * self.s) == v // (2 * self.s)
+    def above(self, u: int) -> range:
+        return range(u + 1, (u // (2 * self.s) + 1) * 2 * self.s)
 
 
 @dataclass(frozen=True)
@@ -163,13 +142,14 @@ class CompleteMultipartite:
         total = sum(self.parts)
         return (total * total - sum(p * p for p in self.parts)) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
+    def above(self, u: int) -> range:
         ends = self._ends
-        return 0 <= u < v < ends[-1] and v >= ends[bisect.bisect_right(ends, u)]
+        return range(ends[bisect.bisect_right(ends, u)], ends[-1])
 
 
-# has_edge(u, v) is True exactly when 0 <= u < v < vertex_count() and u, v
-# are adjacent; no host enumerates its edges, the verifier only asks.
+# For a point u in 0..vertex_count()-1, above(u) is the range of u's
+# neighbours greater than u: in every host they are contiguous. No host
+# enumerates its edges; the verifier asks about the points it meets.
 HostGraph = (
     Complete
     | CompleteBipartite

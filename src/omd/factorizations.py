@@ -2,26 +2,17 @@
 
 These are the raw material for every constructor in the package, so the
 exact conventions matter: serialized designs are reproducible only because
-the factor formulas below are fixed.
+the factor formulas below are fixed. Each returns its factors, in factor
+order, as a tuple of canonical blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Block
+from .core import Block, canonical_block
 from .errors import OddOrder
 
 
-@dataclass(frozen=True)
-class OneFactorization:
-    """A partition of a graph's edges into perfect matchings (factors)."""
-
-    m: int
-    factors: tuple[Block, ...]
-
-
-def ofact_complete(m: int) -> OneFactorization:
+def ofact_complete(m: int) -> tuple[Block, ...]:
     """Circle-method one-factorization of the complete graph on m points.
 
     Factor i (0-based, i in 0..m-2) pairs the hub m-1 with i and adds
@@ -37,11 +28,11 @@ def ofact_complete(m: int) -> OneFactorization:
         pairs = [(ring, i)]
         for j in range(1, m // 2):
             pairs.append(((i + j) % ring, (i - j) % ring))
-        factors.append(Block(tuple(pairs)))
-    return OneFactorization(m, tuple(factors))
+        factors.append(canonical_block(pairs))
+    return tuple(factors)
 
 
-def ofact_bipartite(k: int) -> OneFactorization:
+def ofact_bipartite(k: int) -> tuple[Block, ...]:
     """Cyclic one-factorization of the complete bipartite graph K_{k,k}.
 
     Sides are labeled 0..k-1 and k..2k-1; factor l (0-based) joins i to
@@ -49,8 +40,7 @@ def ofact_bipartite(k: int) -> OneFactorization:
     """
     if k < 1:
         raise ValueError(f"side size must be positive, got {k}")
-    factors = []
-    for offset in range(k):
-        pairs = tuple((i, k + (i + offset) % k) for i in range(k))
-        factors.append(Block(pairs))
-    return OneFactorization(2 * k, tuple(factors))
+    return tuple(
+        canonical_block((i, k + (i + offset) % k) for i in range(k))
+        for offset in range(k)
+    )

@@ -9,8 +9,10 @@ Cells are sorted by (row, col) and every edge is written as [min, max],
 so serializing the same design always yields identical bytes. An optional
 top-level "meta" object carries provenance and certificates; parsing
 ignores it. Parsing is strict about structure (exit path for malformed
-files) but leaves semantic validity to the verifier, so a structurally
-fine file describing a broken design parses and then fails verification.
+files): types, cell range, duplicate cells, edge shape. It reads each cell
+into its canonical block and leaves semantic validity to the verifier, so
+a structurally fine file describing a broken design, a cell that is not
+a matching included, parses and then fails verification.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 from typing import Any
 
 from . import core
-from .core import Block, DesignArray
+from .core import Block, DesignArray, canonical_block
 from .errors import FormatError
 
 GRID_EMPTY = "."
@@ -82,7 +84,7 @@ def design_to_dict(arr: DesignArray, meta: dict | None = None) -> dict:
     cells = []
     for (r, c), block in arr.occupied():
         cells.append(
-            {"row": r, "col": c, "edges": [[u, v] for u, v in block.edges]}
+            {"row": r, "col": c, "edges": [[u, v] for u, v in block]}
         )
     data = {
         "n": arr.n,
@@ -135,10 +137,7 @@ def design_from_dict(data: Any) -> DesignArray:
             edges.append(
                 (_require_int(raw[0], "edge point"), _require_int(raw[1], "edge point"))
             )
-        try:
-            cells[(r, c)] = Block(tuple(edges))
-        except ValueError as exc:
-            raise FormatError(f"cell ({r}, {c}): {exc}") from exc
+        cells[(r, c)] = canonical_block(edges)
 
     return DesignArray(side, n, k, host, cells)
 
@@ -158,7 +157,7 @@ def loads_design(text: str) -> DesignArray:
 def _cell_text(block: Block | None) -> str:
     if block is None:
         return GRID_EMPTY
-    return ",".join(f"{u}-{v}" for u, v in block.edges)
+    return ",".join(f"{u}-{v}" for u, v in block)
 
 
 def render_grid(arr: DesignArray) -> str:
@@ -187,7 +186,7 @@ def render_latex(arr: DesignArray) -> str:
             if block is None:
                 cells.append("")
             else:
-                cells.append(",\\,".join(f"{u}\\!-\\!{v}" for u, v in block.edges))
+                cells.append(",\\,".join(f"{u}\\!-\\!{v}" for u, v in block))
         lines.append(" & ".join(cells) + " \\\\")
         lines.append("\\hline")
     lines.append("\\end{array}")

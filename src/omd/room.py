@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Block, Complete, DesignArray, Transversal
+from .core import Complete, DesignArray, Transversal, canonical_block
 from .errors import InvalidStarter, NonExistent, SearchExhausted
 from .verify import verify_transversal
 
@@ -158,10 +158,10 @@ def strong_starter_search(
 
 def _starter_array(sa: StarterAdder) -> DesignArray:
     r = sa.r
-    cells = {(j, j): Block(((r, j),)) for j in range(r)}
+    cells = {(j, j): canonical_block([(r, j)]) for j in range(r)}
     for (x, y), a in zip(sa.pairs, sa.adder):
         for j in range(r):
-            cells[(j, (j + a) % r)] = Block((((x + j) % r, (y + j) % r),))
+            cells[(j, (j + a) % r)] = canonical_block([((x + j) % r, (y + j) % r)])
     return DesignArray(r, r + 1, 1, Complete(r + 1), cells)
 
 
@@ -205,9 +205,10 @@ def find_transversal(
     by_point: list[list[int]] = [[] for _ in range(n)]
     for idx, ((r, c), block) in enumerate(occupied):
         mask = 0
-        for p in block.points:
-            mask |= 1 << p
-            by_point[p].append(idx)
+        for edge in block:
+            for p in edge:
+                mask |= 1 << p
+                by_point[p].append(idx)
         cell_mask.append(mask)
 
     full = (1 << n) - 1
@@ -342,7 +343,7 @@ def build_room(
 @lru_cache(maxsize=64)
 def _cached_room(n: int, seed: int, budget: int) -> tuple[DesignArray, Transversal]:
     if n == 2:
-        arr = DesignArray(1, 2, 1, Complete(2), {(0, 0): Block(((0, 1),))})
+        arr = DesignArray(1, 2, 1, Complete(2), {(0, 0): canonical_block([(0, 1)])})
         return arr, Transversal(((0, 0),))
 
     r = n - 1

@@ -1,10 +1,12 @@
 """Construction-agnostic checking of designs, transversals, and holes.
 
 Everything here recomputes from raw cell contents: counting from the
-cells plus a host adjacency test (has_edge) shares no logic with the
+cells plus each host's neighbour ranges (above) shares no logic with the
 constructors, so agreement between the two is evidence rather than
-tautology. Work follows the cells, not what the header claims. Reports
-carry one entry per condition with the first counterexample found.
+tautology. A block is a plain edge tuple and nothing else checks it, so
+verify is the one place a cell is found to be a k-matching over 0..n-1.
+Work follows the cells, not what the header claims. Reports carry one
+entry per condition with the first counterexample found.
 
 brute_force_exists settles existence for small parameters by exhaustive
 backtracking and is the independent ground truth the constructors are
@@ -18,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import core
-from .core import Block, DesignArray, Hole, Transversal
+from .core import Block, DesignArray, Hole, Transversal, canonical_block
 
 
 @dataclass(frozen=True)
@@ -101,16 +103,16 @@ def _first_miscount(points: list[int], n: int) -> tuple[int, int] | None:
 
 
 def _block_fault(r: int, c: int, block: Block, side: int, n: int, k: int) -> str | None:
-    endpoints = [p for e in block.edges for p in e]
+    endpoints = [p for e in block for p in e]
     if not (0 <= r < side and 0 <= c < side):
         return f"cell ({r}, {c}) outside side-{side} array"
-    if len(block.edges) != k:
-        return f"cell ({r}, {c}) holds {len(block.edges)} edges, expected {k}"
+    if len(block) != k:
+        return f"cell ({r}, {c}) holds {len(block)} edges, expected {k}"
     if len(set(endpoints)) != 2 * k:
         return f"cell ({r}, {c}) repeats an endpoint"
     if endpoints and not 0 <= min(endpoints) <= max(endpoints) < n:
         return f"cell ({r}, {c}) uses a point outside 0..{n - 1}"
-    if any(u >= v for u, v in block.edges):
+    if any(u >= v for u, v in block):
         return f"cell ({r}, {c}) has a non-canonical edge"
     return None
 
@@ -118,7 +120,7 @@ def _block_fault(r: int, c: int, block: Block, side: int, n: int, k: int) -> str
 def _resolution_detail(lines: dict, side: int, n: int, label: str) -> str | None:
     """First line of 0..side-1 that is not a resolution class, stopping there."""
     for i in range(side):
-        points = [p for block in lines.get(i, ()) for e in block.edges for p in e]
+        points = [p for block in lines.get(i, ()) for e in block for p in e]
         miss = _first_miscount(points, n)
         if miss is not None:
             return f"{label} {i} covers point {miss[0]} {miss[1]} times"
@@ -134,19 +136,23 @@ def _line_counts(lines: dict, side: int) -> tuple[int, ...]:
 
 def _pair_detail(host: core.HostGraph, placed: Counter) -> str | None:
     """First placed pair that is foreign or repeated, else the first gap;
-    distinct placed host edges cover the host when they number edge_count()."""
-    faults = [e for e, times in placed.items() if times > 1 or not host.has_edge(*e)]
-    if faults:
-        edge = min(faults)
-        if not host.has_edge(*edge):
+    distinct placed host edges cover the host when they number edge_count().
+    The gap walk visits only host edges, so it stops at the first point
+    whose neighbours above are not all placed."""
+    n = host.vertex_count()
+    above = {u: host.above(u) for u in {u for u, _ in placed if 0 <= u < n}}
+    foreign = {(u, v) for u, v in placed if not (u < v < n and v in above.get(u, ()))}
+    repeated = [e for e, times in placed.items() if times > 1]
+    if foreign or repeated:
+        edge = min([*foreign, *repeated])
+        if edge in foreign:
             return f"pair {edge} is not a host edge"
         return f"pair {edge} covered {placed[edge]} times"
     if len(placed) == host.edge_count():
         return None
-    n = host.vertex_count()
     for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in placed and host.has_edge(u, v):
+        for v in host.above(u):
+            if (u, v) not in placed:
                 return f"host edge {(u, v)} is uncovered"
     return None
 
@@ -189,7 +195,7 @@ def verify(arr: DesignArray) -> VerificationReport:
         if 0 <= r < side and 0 <= c < side:
             rows.setdefault(r, []).append(block)
             cols.setdefault(c, []).append(block)
-        edges.extend(block.edges)
+        edges.extend(block)
     checks.append(Check("block-shape", block_detail is None, block_detail))
 
     row_detail = _resolution_detail(rows, side, n, "row")
@@ -224,7 +230,7 @@ def verify_transversal(arr: DesignArray, transversal: Transversal) -> Verificati
     checks.append(Check("one-per-row-and-column", perm_detail is None, perm_detail))
 
     chosen = [b for b in (arr.block_at(r, c) for r, c in cells) if b is not None]
-    miss = _first_miscount([p for b in chosen for e in b.edges for p in e], arr.n)
+    miss = _first_miscount([p for b in chosen for e in b for p in e], arr.n)
     cover_detail = None
     if miss is not None:
         cover_detail = f"point {miss[0]} appears {miss[1]} times in the chosen cells"
@@ -405,6 +411,6 @@ def brute_force_exists(n: int, k: int, budget: int = 10_000_000) -> BruteForceRe
     if not found:
         return BruteForceResult(Existence.NOT_EXISTS, nodes=nodes)
 
-    cells = {cell: Block(pairs) for cell, pairs in grid.items()}
+    cells = {cell: canonical_block(pairs) for cell, pairs in grid.items()}
     arr = DesignArray(side, n, k, host, cells)
     return BruteForceResult(Existence.EXISTS, design=arr, nodes=nodes)

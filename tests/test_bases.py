@@ -3,7 +3,7 @@
 import pytest
 
 from omd.bases import build_2k, build_4k, build_6k, build_m1k, six_point_square
-from omd.core import Block
+from omd.core import canonical_block
 from omd.errors import KTooSmall
 from omd.verify import verify, verify_hole, verify_transversal
 
@@ -11,13 +11,13 @@ from omd.verify import verify, verify_hole, verify_transversal
 def test_m1k_single_edge():
     arr = build_m1k(1)
     assert arr.side == 1
-    assert arr.block_at(0, 0) == Block(((0, 1),))
+    assert arr.block_at(0, 0) == canonical_block([(0, 1)])
 
 
 def test_m1k_two_follows_factor_convention():
     arr = build_m1k(2)
-    assert arr.block_at(0, 0) == Block(((0, 2), (1, 3)))
-    assert arr.block_at(1, 1) == Block(((0, 3), (1, 2)))
+    assert arr.block_at(0, 0) == canonical_block(((0, 2), (1, 3)))
+    assert arr.block_at(1, 1) == canonical_block(((0, 3), (1, 2)))
     assert len(arr.cells) == 2
 
 
@@ -32,7 +32,7 @@ def test_m1k_verifies(k):
 
 def test_2k_single_edge():
     arr, transversal, hole = build_2k(1)
-    assert arr.block_at(0, 0) == Block(((0, 1),))
+    assert arr.block_at(0, 0) == canonical_block([(0, 1)])
     assert transversal.cells == ((0, 0),)
     assert hole.size == 0
 
@@ -98,7 +98,8 @@ def test_4k_rows_cover_all_points_directly():
             p
             for c in range(arr.side)
             if (b := arr.block_at(r, c))
-            for p in b.points
+            for edge in b
+            for p in edge
         )
         assert pts == list(range(8))
     for c in range(arr.side):
@@ -106,7 +107,8 @@ def test_4k_rows_cover_all_points_directly():
             p
             for r in range(arr.side)
             if (b := arr.block_at(r, c))
-            for p in b.points
+            for edge in b
+            for p in edge
         )
         assert pts == list(range(8))
 
@@ -121,10 +123,10 @@ def test_six_point_square_is_valid():
 
 def test_six_point_square_first_row():
     arr = six_point_square()
-    assert arr.block_at(0, 0) == Block(((0, 2),))
-    assert arr.block_at(0, 1) == Block(((1, 4),))
+    assert arr.block_at(0, 0) == canonical_block([(0, 2)])
+    assert arr.block_at(0, 1) == canonical_block([(1, 4)])
     assert arr.block_at(0, 2) is None
-    assert arr.block_at(0, 3) == Block(((3, 5),))
+    assert arr.block_at(0, 3) == canonical_block([(3, 5)])
 
 
 def test_6k_rejects_k_one():

@@ -103,6 +103,20 @@ def test_verify_bad_meta_transversal_exits_one(tmp_path, capsys):
     assert "[FAIL] transversal exact-point-coverage" in out
 
 
+def test_verify_non_matching_cell_exits_one(tmp_path, capsys):
+    # a loop parses; verify refutes the cell, so the exit is 1, not 4
+    path = tmp_path / "d.json"
+    main(["generate", "--n", "4", "--k", "2", "--out", str(path)])
+    data = json.loads(path.read_text())
+    data["cells"][0]["edges"] = [[1, 1], [0, 2]]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    out, _ = capsys.readouterr()
+    assert "[FAIL] block-shape (cell (0, 0) repeats an endpoint)" in out
+    assert out.endswith("verdict: INVALID\n")
+
+
 def test_verify_malformed_json_exits_four(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{{{")
@@ -148,15 +162,23 @@ def test_bad_flags_exit_four(tmp_path, capsys):
 # headers that claim far more than the file holds, and the first check
 # that refutes each; verify's work must follow the cells, not the claim
 HEADER_ONLY = {
-    "n-20000": ((20000, 19999), "row-resolution"),
-    "side-2000000": ((8, 2_000_000), "host-shape"),
+    "n-20000": ((20000, 19999, {"type": "complete", "n": 20000}), "row-resolution"),
+    "side-2000000": ((8, 2_000_000, {"type": "complete", "n": 8}), "host-shape"),
+    "lex-matching-s-1e8": (
+        (2 * 10**8, 1, {"type": "lex_matching", "l": 1, "s": 10**8}),
+        "host-shape",
+    ),
+    "multipartite-1e8-1": (
+        (10**8 + 1, 1, {"type": "complete_multipartite", "parts": [10**8, 1]}),
+        "host-shape",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", HEADER_ONLY)
 def test_verify_header_only_file_is_refuted_promptly(case, tmp_path):
-    (n, side), first_failure = HEADER_ONLY[case]
-    header = {"n": n, "k": 1, "side": side, "host": {"type": "complete", "n": n}}
+    (n, side, host), first_failure = HEADER_ONLY[case]
+    header = {"n": n, "k": 1, "side": side, "host": host}
     path = tmp_path / "stub.json"
     path.write_text(json.dumps(dict(header, cells=[])))
     src = Path(__file__).resolve().parent.parent / "src"
@@ -170,6 +192,7 @@ def test_verify_header_only_file_is_refuted_promptly(case, tmp_path):
     assert done.returncode == 1, done.stderr
     failed = [line for line in done.stdout.splitlines() if line.startswith("[FAIL]")]
     assert failed[0].startswith(f"[FAIL] {first_failure} ")
+    assert failed[-1].startswith("[FAIL] pair-coverage (host edge (0, ")
     assert done.stdout.endswith("verdict: INVALID\n")
 
 

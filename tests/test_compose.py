@@ -6,7 +6,7 @@ import pytest
 
 from omd.bases import build_2k, build_m1k
 from omd.compose import IngredientSet, _expand, check_ingredients, compose, construct
-from omd.core import Complete, DesignArray, Hole, LexMatching, Transversal
+from omd.core import Complete, DesignArray, Hole, LexMatching, Transversal, canonical_block
 from omd.errors import EmbeddingCollision, IncoherentIngredients, NonExistent
 from omd.formats import dumps_design
 from omd.room import build_room
@@ -270,6 +270,17 @@ def test_construct_is_reproducible():
     b = construct(16, 2, seed=0)
     assert dumps_design(a.design) == dumps_design(b.design)
     assert a.transversal == b.transversal
+
+
+def test_construct_cells_are_canonical():
+    # no type enforces the canonical form; every builder must produce it,
+    # since the JSON bytes follow each cell's edge order
+    for k in range(1, 7):
+        for n in range(2 * k, 61, 2 * k):
+            if (n, k) in ((4, 1), (6, 1)):
+                continue
+            cells = construct(n, k, seed=0).design.cells
+            assert all(block == canonical_block(block) for block in cells.values()), (n, k)
 
 
 @pytest.mark.parametrize("n,k", [(16, 2), (8, 1), (4, 2), (8, 2)])

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from omd.core import (
-    Block,
     Complete,
     CompleteBipartite,
     CompleteMultipartite,
@@ -14,53 +13,56 @@ from omd.core import (
     LexMatching,
     LexMatchingComplete,
     Transversal,
-    make_edge,
+    canonical_block,
 )
 from omd.verify import verify
 
 
-def test_make_edge_canonical():
-    assert make_edge(3, 1) == (1, 3)
-    assert make_edge(1, 3) == (1, 3)
+def test_canonical_block_orders_each_pair():
+    assert canonical_block([(3, 1)]) == ((1, 3),)
+    assert canonical_block([(1, 3)]) == ((1, 3),)
 
 
-def test_make_edge_rejects_loops_and_negatives():
-    with pytest.raises(ValueError):
-        make_edge(2, 2)
-    with pytest.raises(ValueError):
-        make_edge(-1, 2)
+def test_block_shape_rejects_loops_and_negatives():
+    # no block type checks its pairs; verify names the fault, and a loop,
+    # a point outside 0..n-1 or a reversed pair is never a host edge
+    cases = [
+        (canonical_block([(2, 2)]), "repeats an endpoint"),
+        (canonical_block([(-1, 2)]), "uses a point outside 0..3"),
+        (canonical_block([(0, 4)]), "uses a point outside 0..3"),
+        (((3, 1),), "has a non-canonical edge"),
+    ]
+    for block, detail in cases:
+        report = verify(DesignArray(3, 4, 1, Complete(4), {(0, 0): block}))
+        assert report.failure() == f"block-shape: cell (0, 0) {detail}"
+        assert report.checks[-1].detail == f"pair {block[0]} is not a host edge"
 
 
 def test_block_canonicalizes_assembly_order():
-    a = Block(((5, 4), (0, 1)))
-    b = Block(((1, 0), (4, 5)))
+    a = canonical_block(((5, 4), (0, 1)))
+    b = canonical_block(((1, 0), (4, 5)))
     assert a == b
     assert hash(a) == hash(b)
-    assert a.edges == ((0, 1), (4, 5))
+    assert a == ((0, 1), (4, 5))
 
 
 def test_block_rejects_shared_endpoint():
-    with pytest.raises(ValueError):
-        Block(((0, 1), (1, 2)))
-
-
-def test_block_k_and_points():
-    b = Block(((2, 7), (0, 5)))
-    assert b.k == 2
-    assert b.points == (0, 2, 5, 7)
+    # the block builds; verify is what refuses it
+    arr = DesignArray(3, 4, 2, Complete(4), {(0, 0): canonical_block(((0, 1), (1, 2)))})
+    assert verify(arr).failure() == "block-shape: cell (0, 0) repeats an endpoint"
 
 
 def test_place_range_checks():
     # a block placed past the array's edge or on a point outside 0..n-1
     # is named by verify rather than raising from the array itself
-    report = verify(DesignArray(1, 2, 1, Complete(2), {(1, 0): Block(((0, 1),))}))
+    report = verify(DesignArray(1, 2, 1, Complete(2), {(1, 0): canonical_block([(0, 1)])}))
     assert report.failure() == "block-shape: cell (1, 0) outside side-1 array"
-    report = verify(DesignArray(1, 2, 1, Complete(2), {(0, 0): Block(((0, 2),))}))
+    report = verify(DesignArray(1, 2, 1, Complete(2), {(0, 0): canonical_block([(0, 2)])}))
     assert report.failure() == "block-shape: cell (0, 0) uses a point outside 0..1"
 
 
 def test_occupied_is_sorted():
-    cells = {(1, 1): Block(((2, 3),)), (0, 0): Block(((0, 1),))}
+    cells = {(1, 1): canonical_block([(2, 3)]), (0, 0): canonical_block([(0, 1)])}
     arr = DesignArray(2, 4, 1, Complete(4), cells)
     assert [cell for cell, _ in arr.occupied()] == [(0, 0), (1, 1)]
 
@@ -78,20 +80,36 @@ HOSTS_UP_TO_12 = (
 
 
 def _edge_set(host):
-    """Every canonical pair u < v of the host's points that has_edge accepts."""
-    points = range(host.vertex_count())
-    return {(u, v) for u, v in itertools.combinations(points, 2) if host.has_edge(u, v)}
+    """Every pair (u, v) with v in host.above(u)."""
+    return {(u, v) for u in range(host.vertex_count()) for v in host.above(u)}
+
+
+def _adjacent(host, u, v):
+    """Whether points u < v are adjacent, read off the host's definition."""
+    if isinstance(host, Complete):
+        return True
+    if isinstance(host, CompleteBipartite):
+        return u < host.a <= v
+    if isinstance(host, LexMatching):
+        return u // host.s % 2 == 0 and v // host.s == u // host.s + 1
+    if isinstance(host, LexMatchingComplete):
+        return u // (2 * host.s) == v // (2 * host.s)
+    part = [i for i, size in enumerate(host.parts) for _ in range(size)]
+    return part[u] != part[v]
 
 
 @pytest.mark.parametrize("host", HOSTS_UP_TO_12, ids=repr)
 def test_host_edge_count_matches_enumeration(host):
     n = host.vertex_count()
     assert len(_edge_set(host)) == host.edge_count()
-    # loops, reversed pairs and points outside 0..n-1 are never edges
-    for u in range(-2, n + 2):
-        for v in range(-2, n + 2):
-            if host.has_edge(u, v):
-                assert 0 <= u < v < n
+    # above(u) is one range of points past u and inside 0..n-1, and it
+    # holds exactly u's neighbours there
+    for u in range(n):
+        above = host.above(u)
+        assert above.step == 1
+        assert all(u < v < n for v in above)
+    pairs = itertools.combinations(range(n), 2)
+    assert _edge_set(host) == {(u, v) for u, v in pairs if _adjacent(host, u, v)}
 
 
 @pytest.mark.parametrize("s", range(1, 11))

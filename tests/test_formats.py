@@ -5,7 +5,7 @@ import json
 import pytest
 
 from omd.bases import build_2k, build_4k, build_m1k, six_point_square
-from omd.core import Block, Complete, DesignArray
+from omd.core import Complete, DesignArray, canonical_block
 from omd.errors import FormatError
 from omd.formats import (
     design_from_dict,
@@ -18,6 +18,7 @@ from omd.formats import (
     render_latex,
 )
 from omd.room import build_room
+from omd.verify import verify
 
 
 def _samples():
@@ -36,7 +37,7 @@ def test_round_trip_identity(arr):
 
 
 def test_dumps_is_deterministic_and_sorted():
-    cells = {(1, 1): Block(((2, 3),)), (0, 0): Block(((0, 1),))}
+    cells = {(1, 1): canonical_block([(2, 3)]), (0, 0): canonical_block([(0, 1)])}
     arr = DesignArray(2, 4, 1, Complete(4), cells)
     text = dumps_design(arr)
     assert text == dumps_design(arr)
@@ -113,14 +114,35 @@ def test_parse_rejects_cell_problems():
         design_from_dict(bad)
 
     bad = json.loads(json.dumps(base))
-    bad["cells"][0]["edges"] = [[1, 1], [0, 2]]
-    with pytest.raises(FormatError, match="loop"):
-        design_from_dict(bad)
-
-    bad = json.loads(json.dumps(base))
     bad["cells"] = "nope"
     with pytest.raises(FormatError, match="list"):
         design_from_dict(bad)
+
+
+def test_cell_that_is_no_matching_parses_and_fails_verify():
+    # a loop, a shared endpoint or a negative point is well-formed JSON;
+    # whether a cell is a matching is for verify to say
+    base = design_to_dict(build_m1k(2))
+    cases = [
+        ([[1, 1], [0, 2]], "repeats an endpoint"),
+        ([[0, 2], [2, 1]], "repeats an endpoint"),
+        ([[-1, 2], [1, 3]], "uses a point outside 0..3"),
+    ]
+    for edges, detail in cases:
+        bad = json.loads(json.dumps(base))
+        bad["cells"][0]["edges"] = edges
+        report = verify(design_from_dict(bad))
+        assert report.failure() == f"block-shape: cell (0, 0) {detail}"
+
+
+def test_reversed_pairs_parse_to_canonical_edges():
+    data = design_to_dict(build_m1k(2))
+    assert data["cells"][0]["edges"] == [[0, 2], [1, 3]]
+    data["cells"][0]["edges"] = [[3, 1], [2, 0]]
+    arr = design_from_dict(data)
+    assert arr.block_at(0, 0) == ((0, 2), (1, 3))
+    assert arr == build_m1k(2)
+    assert verify(arr).passed
 
 
 def test_parse_rejects_bad_parameters():

@@ -12,7 +12,7 @@ import pytest
 
 from omd.bases import build_2k, build_m1k
 from omd.compose import construct
-from omd.core import Block
+from omd.core import canonical_block
 from omd.errors import InvalidStarter, NonExistent, SearchExhausted
 from omd.room import (
     _NINE,
@@ -160,7 +160,7 @@ def test_room_from_starter_seven():
     assert report.passed, report.failure()
     assert verify_transversal(arr, transversal).passed
     for j in range(7):
-        assert arr.block_at(j, j) == Block(((j, 7),))
+        assert arr.block_at(j, j) == canonical_block([(j, 7)])
 
 
 @pytest.mark.parametrize("r", [7, 11])
@@ -170,9 +170,9 @@ def test_starter_square_column_structure(r):
     sa = SEVEN if r == 7 else strong_starter_search(r)
     arr, _ = room_from_starter(sa)
     for c in range(r):
-        expected = {Block(((c, r),))}
+        expected = {canonical_block([(c, r)])}
         for (x, y), a in zip(sa.pairs, sa.adder):
-            expected.add(Block((((x - a + c) % r, (y - a + c) % r),)))
+            expected.add(canonical_block([((x - a + c) % r, (y - a + c) % r)]))
         got = {arr.block_at(i, c) for i in range(r)} - {None}
         assert got == expected
 
@@ -184,7 +184,7 @@ def test_room_from_starter_revalidates():
 
 def test_build_room_two():
     arr, transversal = build_room(2)
-    assert arr.cells == {(0, 0): Block(((0, 1),))}
+    assert arr.cells == {(0, 0): canonical_block([(0, 1)])}
     assert transversal.cells == ((0, 0),)
 
 

@@ -5,7 +5,6 @@ import pytest
 from omd.bases import build_2k, build_m1k, six_point_square
 from omd.compose import construct
 from omd.core import (
-    Block,
     Complete,
     CompleteBipartite,
     CompleteMultipartite,
@@ -14,6 +13,7 @@ from omd.core import (
     LexMatching,
     LexMatchingComplete,
     Transversal,
+    canonical_block,
 )
 from omd.room import build_room
 from omd.verify import (
@@ -81,7 +81,7 @@ def test_foreign_pair_fails_coverage():
     arr = build_m1k(2)
     # k=1 host edge (0,1) is within one side of the bipartition
     cells = dict(arr.cells)
-    cells[(0, 0)] = Block(((0, 1), (2, 3)))
+    cells[(0, 0)] = canonical_block(((0, 1), (2, 3)))
     report = verify(DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
     checks = {c.name: c for c in report.checks}
     assert not checks["pair-coverage"].passed
@@ -105,13 +105,13 @@ def test_host_shape_failures():
 def test_block_shape_failures():
     arr, _, _ = build_2k(2)
     cells = dict(arr.cells)
-    cells[(0, 0)] = Block(((0, 1),))
+    cells[(0, 0)] = canonical_block(((0, 1),))
     report = verify(DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
     checks = {c.name: c for c in report.checks}
     assert "holds 1 edges" in checks["block-shape"].detail
 
     cells = dict(arr.cells)
-    cells[(0, 0)] = Block(((0, 9), (1, 2)))
+    cells[(0, 0)] = canonical_block(((0, 9), (1, 2)))
     report = verify(DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
     checks = {c.name: c for c in report.checks}
     assert "outside" in checks["block-shape"].detail
@@ -166,7 +166,7 @@ PINNED = {
          "column 1 covers point 0 2 times", "pair (0, 3) covered 2 times"),
     ),
     "foreign-pair": (
-        lambda: _edit(build_m1k(2), put={(0, 0): Block(((0, 1), (2, 3)))}),
+        lambda: _edit(build_m1k(2), put={(0, 0): canonical_block(((0, 1), (2, 3)))}),
         "pair-coverage: pair (0, 1) is not a host edge",
         (None, None, None, None, "pair (0, 1) is not a host edge"),
     ),
@@ -177,7 +177,7 @@ PINNED = {
          "column 0 covers point 0 0 times", None),
     ),
     "out-of-range-point": (
-        lambda: _edit(_two_k(2), put={(0, 0): Block(((0, 9), (1, 2)))}),
+        lambda: _edit(_two_k(2), put={(0, 0): canonical_block(((0, 9), (1, 2)))}),
         "block-shape: cell (0, 0) uses a point outside 0..3",
         (None, "cell (0, 0) uses a point outside 0..3", "row 0 covers point 3 0 times",
          "column 0 covers point 3 0 times", "pair (0, 9) is not a host edge"),
