@@ -18,6 +18,7 @@ a matching included, parses and then fails verification.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import Any
 
 from . import core
@@ -142,8 +143,23 @@ def design_from_dict(data: Any) -> DesignArray:
     return DesignArray(side, n, k, host, cells)
 
 
+# a cell and an edge as json.dumps(..., indent=2) lays them out in a design
+_CELL = '    {\n      "row": %d,\n      "col": %d,\n      "edges": [\n%s\n      ]\n    }'
+_EDGE = "        [\n          %d,\n          %d\n        ]"
+
+
 def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
-    return json.dumps(design_to_dict(arr, meta), indent=2) + "\n"
+    """json.dumps(design_to_dict(arr, meta), indent=2) + "\\n", byte for byte;
+    only the header, host and meta go through that pure-Python encoder."""
+    text = json.dumps(design_to_dict(replace(arr, cells={}), meta), indent=2)
+    cells = ",\n".join(
+        _CELL % (r, c, ",\n".join(_EDGE % edge for edge in block))
+        for (r, c), block in arr.occupied()
+    )
+    if cells:
+        # host comes first and cannot hold this text, so it is the cells key
+        text = text.replace('"cells": []', '"cells": [\n' + cells + "\n  ]", 1)
+    return text + "\n"
 
 
 def loads_design(text: str) -> DesignArray:

@@ -184,138 +184,180 @@ class _BudgetExceeded(Exception):
 
 
 def find_transversal(
-    arr: DesignArray, *, seed: int = 0, budget: int = DEFAULT_BUDGET
+    arr: DesignArray,
+    *,
+    seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
+    tally: dict | None = None,
 ) -> Transversal | None:
     """Search for a certified transversal of a design array.
 
-    Depth-first over the uncovered point with the fewest usable occupied
-    cells; once every point is covered, the leftover rows and columns must
-    pair up through empty cells, which is a bipartite matching. The first
-    attempt runs in deterministic order and, if it exhausts the tree
-    within budget, the absence verdict is final. Later attempts reshuffle
-    candidate order from seed until budget is spent. Every returned
-    transversal is re-checked by the verifier.
+    Depth-first over the uncovered points, trying each live cell through
+    the branch point in array order; a live cell shares no row, column or
+    point with the cells chosen so far. Each point counts its live cells.
+    Choosing a cell kills the live cells sharing its row, column or a
+    point and decrements their points' counts; backtracking restores them.
+    The branch point is the first uncovered point whose count is at most
+    1 (0: the node is dead), else the first of least count. A node is
+    also dead when its uncovered points need more blocks than rows remain.
+    Once all points are covered, the leftover rows and columns must pair
+    up through empty cells, a bipartite matching. Both searches keep
+    explicit stacks, so depth is not bound by recursion.
+
+    The first attempt runs in deterministic order and, if it exhausts the
+    tree within budget, the absence verdict is final. Later attempts
+    reshuffle candidate order from seed until budget is spent. Every
+    returned transversal is re-checked by the verifier. tally, if given,
+    receives the nodes spent and the slices, the attempts started.
     """
+    tally = {} if tally is None else tally
+    tally.update(nodes=0, slices=0)
     n, side = arr.n, arr.side
+    if side == 0:
+        return None
     per_block = 2 * arr.k
     occupied = arr.occupied()
     cell_row = [r for (r, _), _ in occupied]
     cell_col = [c for (_, c), _ in occupied]
-    cell_mask = []
+    cell_points = [tuple(set().union(*block)) for _, block in occupied]
     by_point: list[list[int]] = [[] for _ in range(n)]
-    for idx, ((r, c), block) in enumerate(occupied):
-        mask = 0
-        for edge in block:
-            for p in edge:
-                mask |= 1 << p
-                by_point[p].append(idx)
-        cell_mask.append(mask)
+    by_row: list[list[int]] = [[] for _ in range(side)]
+    by_col: list[list[int]] = [[] for _ in range(side)]
+    for idx, points in enumerate(cell_points):
+        by_row[cell_row[idx]].append(idx)
+        by_col[cell_col[idx]].append(idx)
+        for p in points:
+            by_point[p].append(idx)
 
-    full = (1 << n) - 1
-    all_rows = (1 << side) - 1
-
-    def match_empty(used_rows: int, used_cols: int) -> list[tuple[int, int]] | None:
-        free_rows = [i for i in range(side) if not (used_rows >> i) & 1]
-        free_cols = [c for c in range(side) if not (used_cols >> c) & 1]
+    def match_empty(chosen: list[int]) -> list[tuple[int, int]] | None:
+        used_rows = {cell_row[idx] for idx in chosen}
+        used_cols = {cell_col[idx] for idx in chosen}
+        free_cols = [c for c in range(side) if c not in used_cols]
+        end = len(free_cols)
         match_of_col: dict[int, int] = {}
-
-        def assign(i: int, visited: set[int]) -> bool:
-            for c in free_cols:
-                if c in visited or (i, c) in arr.cells:
+        for i in range(side):
+            if i in used_rows:
+                continue
+            # augmenting path from row i, one [row, position after the
+            # column it tries] frame per row on it; skip[j] leads past the
+            # columns visited so far, so no row rescans them
+            skip = list(range(end + 1))
+            frames = [[i, 0]]
+            while frames:
+                frame = frames[-1]
+                row, pos = frame
+                while True:
+                    while skip[pos] != pos:
+                        skip[pos] = pos = skip[skip[pos]]
+                    if pos == end or (row, free_cols[pos]) not in arr.cells:
+                        break
+                    pos += 1
+                if pos == end:
+                    frames.pop()
                     continue
-                visited.add(c)
-                if c not in match_of_col or assign(match_of_col[c], visited):
-                    match_of_col[c] = i
-                    return True
-            return False
-
-        for i in free_rows:
-            if not assign(i, set()):
+                frame[1] = skip[pos] = pos + 1
+                if free_cols[pos] not in match_of_col:
+                    for r, after in frames:
+                        match_of_col[free_cols[after - 1]] = r
+                    break
+                frames.append([match_of_col[free_cols[pos]], 0])
+            else:
                 return None
         return sorted((i, c) for c, i in match_of_col.items())
 
-    class _Done(Exception):
-        def __init__(self, cells):
-            self.cells = cells
-
-    def attempt(order_rng, node_budget: int) -> tuple[bool, int]:
-        """Returns (tree fully explored, nodes used); raises _Done on success."""
+    def attempt(order_rng, node_budget: int) -> tuple[list | None, int]:
+        """(a transversal's cells, or None if the tree is exhausted; nodes)."""
+        alive = [True] * len(occupied)
+        count = [len(cells) for cells in by_point]
+        covered = [False] * n
+        uncovered = n
+        chosen: list[int] = []
+        killed: list[int] = []
+        stack: list[list] = []  # per open node: [candidates, next, kill mark]
         nodes = 0
-
-        def rec(covered: int, used_rows: int, used_cols: int, chosen) -> bool:
-            """True while the subtree was fully explored."""
-            nonlocal nodes
-            if covered == full:
-                completion = match_empty(used_cols=used_cols, used_rows=used_rows)
+        while True:
+            if not uncovered:
+                completion = match_empty(chosen)
                 if completion is not None:
-                    raise _Done(chosen + completion)
-                return True
-            need = (n - covered.bit_count()) // per_block
-            free = side - used_rows.bit_count()
-            if need > free:
-                return True
-            best = None
-            for p in range(n):
-                if (covered >> p) & 1:
+                    picks = [(cell_row[idx], cell_col[idx]) for idx in chosen]
+                    return picks + completion, nodes
+            elif uncovered // per_block <= side - len(chosen):
+                best, low = -1, len(occupied) + 1
+                for p in range(n):
+                    if not covered[p] and count[p] < low:
+                        best, low = p, count[p]
+                        if low <= 1:
+                            break
+                if low:
+                    cands = [idx for idx in by_point[best] if alive[idx]]
+                    if order_rng is not None:
+                        order_rng.shuffle(cands)
+                    stack.append([cands, 0, 0])
+            while stack:
+                frame = stack[-1]
+                cands, pos, mark = frame
+                if pos:
+                    # undo this node's last choice
+                    for idx in killed[mark:]:
+                        alive[idx] = True
+                        for p in cell_points[idx]:
+                            count[p] += 1
+                    del killed[mark:]
+                    for p in cell_points[chosen.pop()]:
+                        covered[p] = False
+                        uncovered += 1
+                if pos == len(cands):
+                    stack.pop()
                     continue
-                cands = [
-                    idx
-                    for idx in by_point[p]
-                    if not (used_rows >> cell_row[idx]) & 1
-                    and not (used_cols >> cell_col[idx]) & 1
-                    and not cell_mask[idx] & covered
-                ]
-                if not cands:
-                    return True
-                if best is None or len(cands) < len(best):
-                    best = cands
-                    if len(cands) == 1:
-                        break
-            if order_rng is not None:
-                order_rng.shuffle(best)
-            complete = True
-            for idx in best:
                 nodes += 1
                 if nodes > node_budget:
                     raise _BudgetExceeded
-                finished = rec(
-                    covered | cell_mask[idx],
-                    used_rows | (1 << cell_row[idx]),
-                    used_cols | (1 << cell_col[idx]),
-                    chosen + [(cell_row[idx], cell_col[idx])],
-                )
-                complete = complete and finished
-            return complete
-
-        try:
-            explored = rec(0, 0, 0, [])
-        except _BudgetExceeded:
-            return False, nodes
-        return explored, nodes
-
-    if side == 0:
-        return None
+                pick = cands[pos]
+                frame[1], frame[2] = pos + 1, len(killed)
+                for line in (
+                    by_row[cell_row[pick]],
+                    by_col[cell_col[pick]],
+                    *(by_point[p] for p in cell_points[pick]),
+                ):
+                    for idx in line:
+                        if alive[idx]:
+                            alive[idx] = False
+                            killed.append(idx)
+                            for p in cell_points[idx]:
+                                count[p] -= 1
+                for p in cell_points[pick]:
+                    covered[p] = True
+                    uncovered -= 1
+                chosen.append(pick)
+                break
+            else:
+                return None, nodes
 
     remaining = budget
     rng = random.Random(seed)
-    first = True
+    order_rng = None
     while remaining > 0:
         slice_budget = min(remaining, max(4000, budget // 64))
+        tally["slices"] += 1
         try:
-            explored, used = attempt(None if first else rng, slice_budget)
-        except _Done as done:
-            transversal = Transversal(tuple(sorted(done.cells)))
-            report = verify_transversal(arr, transversal)
-            if not report.passed:
-                raise AssertionError(
-                    f"internal: transversal search produced an invalid result: "
-                    f"{report.failure()}"
-                )
-            return transversal
-        if explored:
+            cells, used = attempt(order_rng, slice_budget)
+        except _BudgetExceeded:
+            tally["nodes"] += slice_budget
+            # the slice is charged one node past its budget
+            remaining -= slice_budget + 1
+            order_rng = rng
+            continue
+        tally["nodes"] += used
+        if cells is None:
             return None
-        remaining -= max(used, 1)
-        first = False
+        transversal = Transversal(tuple(sorted(cells)))
+        report = verify_transversal(arr, transversal)
+        if not report.passed:
+            raise AssertionError(
+                f"internal: transversal search produced an invalid result: "
+                f"{report.failure()}"
+            )
+        return transversal
     return None
 
 
@@ -349,20 +391,23 @@ def _cached_room(n: int, seed: int, budget: int) -> tuple[DesignArray, Transvers
     r = n - 1
     tally = {"steps": 0, "restarts": 0}
     starters = [_NINE] if r == 9 else _strong_starters(r, budget, seed, tally)
-    transversal_failures = 0
+    transversal_failures = nodes = 0
     for sa in itertools.islice(starters, 4):
         arr = _starter_array(sa)
-        transversal = find_transversal(arr, seed=seed, budget=budget)
+        spent: dict = {}
+        transversal = find_transversal(arr, seed=seed, budget=budget, tally=spent)
         if transversal is not None:
             return arr, transversal
         transversal_failures += 1
+        nodes += spent["nodes"]
+    within = f"within budget ({nodes} search nodes)"
     if r == 9:
         raise SearchExhausted(
-            f"order {n}: the fixed _NINE square had no transversal within budget"
+            f"order {n}: the fixed _NINE square had no transversal {within}"
         )
     squares = "square" if transversal_failures == 1 else "squares"
     raise SearchExhausted(
         f"order {n}: the strong starter phase gave up after {tally['steps']} "
         f"steps and {tally['restarts']} restarts; {transversal_failures} "
-        f"starter {squares} had no transversal within budget"
+        f"starter {squares} had no transversal {within}"
     )

@@ -46,6 +46,17 @@ def test_dumps_is_deterministic_and_sorted():
     assert data["cells"][0]["edges"] == [[0, 1]]
 
 
+@pytest.mark.parametrize(
+    "arr",
+    _samples() + [DesignArray(3, 4, 1, Complete(4), {})],
+    ids=lambda a: f"n{a.n}k{a.k}c{len(a.cells)}",
+)
+@pytest.mark.parametrize("meta", [None, {"t": [[0, 1]], "m": {}, "s": "\n"}])
+def test_dumps_writes_the_indenting_encoders_bytes(arr, meta):
+    reference = json.dumps(design_to_dict(arr, meta), indent=2) + "\n"
+    assert dumps_design(arr, meta) == reference
+
+
 def test_meta_is_carried_but_not_parsed():
     arr = build_m1k(2)
     text = dumps_design(arr, meta={"provenance": "test", "seed": 0})

@@ -6,7 +6,12 @@ the search's empty answer is checked against ground truth rather than
 against itself.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -133,8 +138,12 @@ def test_starter_phase_exhaustion_is_reported():
     with pytest.raises(SearchExhausted) as info:
         build_room(10, budget=0)
     assert str(info.value) == (
-        "order 10: the fixed _NINE square had no transversal within budget"
+        "order 10: the fixed _NINE square had no transversal within budget "
+        "(0 search nodes)"
     )
+    with pytest.raises(SearchExhausted) as info:
+        build_room(10, budget=3)
+    assert str(info.value).endswith("within budget (3 search nodes)")
 
 
 def test_construct_two_hundred_verifies():
@@ -228,3 +237,89 @@ def test_find_transversal_certifies():
 def test_find_transversal_is_seed_reproducible():
     arr, _ = build_room(10, seed=2)
     assert find_transversal(arr, seed=9) == find_transversal(arr, seed=9)
+
+
+def test_find_transversal_tally():
+    tally = {}
+    assert find_transversal(build_room(62)[0], tally=tally) is not None
+    assert tally == {"nodes": 31, "slices": 1}
+    assert find_transversal(build_room(62)[0], budget=5, tally=tally) is None
+    assert tally == {"nodes": 5, "slices": 1}
+    assert find_transversal(build_m1k(2), tally=tally) is None
+    assert tally == {"nodes": 2, "slices": 1}
+
+
+def _digest(rows):
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def _cells(transversal):
+    return "None" if transversal is None else repr(transversal.cells)
+
+
+def test_find_transversal_results_are_pinned():
+    """The search's answers on every Room square up to order 122.
+
+    Both digests in this file were recorded with the earlier search, which
+    rescanned every uncovered point's cells at each node; the counting
+    search must give the same answers."""
+    rows = []
+    for n in range(8, 123, 2):
+        for seed in (0, 3):
+            arr = build_room(n, seed=seed)[0]
+            rows.append(f"{n} {seed} {_cells(find_transversal(arr, seed=seed))}")
+    assert _digest(rows) == (
+        "fa01bcf4d636d781e1c4020d36a461f573e1a1bb3437cefc4e418623198aab3b"
+    )
+
+
+def test_find_transversal_budget_table_is_pinned():
+    """Answers under small budgets fix the search node for node: which
+    branch it takes, when a slice runs out, and each reshuffled restart."""
+    rows = []
+    for n in (12, 20, 30, 62):
+        for seed in range(5):
+            arr = build_room(n, seed=seed)[0]
+            for budget in range(1, n // 2 + 3):
+                t = find_transversal(arr, seed=seed, budget=budget)
+                rows.append(f"room {n} {seed} {budget} {_cells(t)}")
+    for n, k in ((8, 2), (24, 3), (30, 5)):
+        arr = construct(n, k).design
+        for seed in range(5):
+            for budget in (1, 2, 3, 5, 8, 13, 50, 4001):
+                t = find_transversal(arr, seed=seed, budget=budget)
+                rows.append(f"design {n} {k} {seed} {budget} {_cells(t)}")
+    assert _digest(rows) == (
+        "ef867ccaca903140b46b31adf6e0be2fef3d18c4210c4a55a908c2fa3fda70e4"
+    )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_find_transversal_needs_no_recursion():
+    script = (
+        "import sys\n"
+        "from omd.room import build_room, find_transversal\n"
+        "sys.setrecursionlimit(150)\n"
+        "arr = build_room(200, seed=0)[0]\n"
+        "print(find_transversal(arr) is not None)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
+
+
+def test_package_leaves_the_recursion_limit_alone():
+    offenders = [
+        path.name
+        for path in (SRC / "omd").glob("*.py")
+        if "setrecursionlimit" in path.read_text()
+    ]
+    assert offenders == []
