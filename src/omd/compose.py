@@ -8,6 +8,8 @@ ingredient (on the matching-of-cliques host) with its hole permuted onto
 the extra rows and columns; all other filled cells receive a copy of the
 smaller ingredient (on the matching-blowup host). The copies tile the new
 edge set exactly once, which the verifier confirms on every output.
+The product's transversal is the image of the larger ingredient's in
+every outer transversal cell; no transversal is searched for here.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     NonExistent,
     VerificationFailed,
 )
-from .room import DEFAULT_BUDGET, build_room, find_transversal
+from .room import DEFAULT_BUDGET, build_room
 from .bases import build_2k, build_4k, build_6k, build_m1k
 from .verify import (
     VerificationReport,
@@ -40,10 +42,6 @@ from .verify import (
     verify_hole,
     verify_transversal,
 )
-
-# the output transversal hunt is best-effort; keep it from eating the
-# whole construction budget
-TRANSVERSAL_SEARCH_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,8 @@ class IngredientSet:
     outer: design whose cells get expanded, with a certified transversal.
     cell_ingredient: design on the matching blowup M_l[s], side s.
     transversal_ingredient: design on the clique blowup M_l[K_s], side
-    2s - 1, with a certified transversal and a hole of size s - 1.
+    2s - 1, with a certified transversal that pairs the hole rows with the
+    hole columns (as build_2k's back diagonal does) and a hole of size s - 1.
     """
 
     outer: DesignArray
@@ -183,8 +182,10 @@ def _block_point_map(block: Block, l: int, s: int) -> dict[int, int]:
     }
 
 
-def _expand(ing: IngredientSet) -> DesignArray:
-    """Blow up ing.outer by s into one cell dict, wrapped once; no checks."""
+def _expand(ing: IngredientSet) -> tuple[DesignArray, Transversal]:
+    """Blow up ing.outer by s into one cell dict, wrapped once; no checks.
+    The transversal is the union of ing.ingredient_transversal's images in
+    every outer transversal cell, empty or not (hole images coincide)."""
     outer, small, big = ing.outer, ing.cell_ingredient, ing.transversal_ingredient
     l, s = outer.k, small.side
     # appended rows and columns, which take the larger ingredient's hole
@@ -193,15 +194,22 @@ def _expand(ing: IngredientSet) -> DesignArray:
     big_rows = [r for r in range(big.side) if r not in hole.rows] + list(hole.rows)
     big_cols = [c for c in range(big.side) if c not in hole.cols] + list(hole.cols)
     on_transversal = set(ing.outer_transversal.cells)
+    big_transversal = ing.ingredient_transversal.cells
 
     cells: dict[Cell, Block] = {}
-    for (i, j), block in outer.occupied():
+    chosen: set[Cell] = set()
+    for i, j in sorted(on_transversal.union(outer.cells)):
         if (i, j) in on_transversal:
             source, rows, cols = big, big_rows, big_cols
         else:
             source, rows, cols = small, range(s), range(s)
         row_map = dict(zip(rows, [*range(i * s, i * s + s), *extras]))
         col_map = dict(zip(cols, [*range(j * s, j * s + s), *extras]))
+        if source is big:
+            chosen.update((row_map[r], col_map[c]) for r, c in big_transversal)
+        block = outer.cells.get((i, j))
+        if block is None:
+            continue
         pmap = _block_point_map(block, l, s)
         for (r, c), piece in source.cells.items():
             target = (row_map[r], col_map[c])
@@ -209,14 +217,15 @@ def _expand(ing: IngredientSet) -> DesignArray:
                 raise EmbeddingCollision(f"outer cell ({i}, {j}) collided at {target}")
             cells[target] = canonical_block((pmap[u], pmap[v]) for u, v in piece)
     n = s * outer.n
-    return DesignArray(s * outer.side + s - 1, n, small.k, Complete(n), cells)
+    design = DesignArray(s * outer.side + s - 1, n, small.k, Complete(n), cells)
+    return design, Transversal(tuple(sorted(chosen)))
 
 
 def compose(ing: IngredientSet) -> DesignArray:
     """Blow up ing.outer by s after checking every ingredient; the result
     is verified before it is returned."""
     check_ingredients(ing)
-    out = _expand(ing)
+    out, _transversal = _expand(ing)
     report = verify(out)
     if not report.passed:
         raise VerificationFailed(
@@ -227,45 +236,31 @@ def compose(ing: IngredientSet) -> DesignArray:
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """A verified design plus its certificates.
-
-    transversal is best-effort: present when the construction path yields
-    one or the bounded search finds one, else None. transversal_report is
-    its certification when present.
+    """A verified design plus its certified transversal, which comes from
+    the path's builder: omd.room's search for k = 1, build_2k's, build_4k's
+    or build_6k's fixed rule, or _expand's image on the product path.
     """
 
     design: DesignArray
     report: VerificationReport
     path: str
-    transversal: Transversal | None
-    transversal_report: VerificationReport | None
+    transversal: Transversal
+    transversal_report: VerificationReport
 
 
 def _certify(
-    design: DesignArray,
-    path: str,
-    transversal: Transversal | None,
-    *,
-    seed: int,
-    budget: int,
+    design: DesignArray, path: str, transversal: Transversal
 ) -> ConstructionResult:
     report = verify(design)
     if not report.passed:
         raise VerificationFailed(
             f"{path} construction failed verification: {report.failure()}"
         )
-    if transversal is None:
-        transversal = find_transversal(
-            design, seed=seed, budget=min(budget, TRANSVERSAL_SEARCH_CAP)
+    t_report = verify_transversal(design, transversal)
+    if not t_report.passed:
+        raise VerificationFailed(
+            f"{path} construction produced a bad transversal: {t_report.failure()}"
         )
-    t_report = None
-    if transversal is not None:
-        t_report = verify_transversal(design, transversal)
-        if not t_report.passed:
-            raise VerificationFailed(
-                f"{path} construction produced a bad transversal: "
-                f"{t_report.failure()}"
-            )
     return ConstructionResult(design, report, path, transversal, t_report)
 
 
@@ -281,8 +276,9 @@ def construct(
     Dispatch: order not divisible by 2k is impossible; k = 1 goes to the
     square builders (orders 4 and 6 impossible); n = 2k, 4k, 6k use the
     direct constructions; everything from 8k up expands a single-edge
-    design of order n/k by s = k. Every returned design has passed the
-    verifier; NonExistent names the violated condition.
+    design of order n/k by s = k. Each builder returns its transversal.
+    Every returned design and transversal has passed the verifier;
+    NonExistent names the violated condition.
     """
     if n < 2 or k < 1:
         raise ValueError(f"need n >= 2 and k >= 1, got ({n}, {k})")
@@ -293,27 +289,23 @@ def construct(
         )
     if k == 1:
         design, transversal = build_room(n, seed=seed, budget=budget)
-        return _certify(design, "room", transversal, seed=seed, budget=budget)
+        return _certify(design, "room", transversal)
     if n == 2 * k:
         design, transversal, _hole = build_2k(k)
-        return _certify(
-            design, "diagonal", transversal, seed=seed, budget=budget
-        )
+        return _certify(design, "diagonal", transversal)
     if n == 4 * k:
-        return _certify(
-            build_4k(k), "quad-split", None, seed=seed, budget=budget
-        )
+        design, transversal = build_4k(k)
+        return _certify(design, "quad-split", transversal)
     if n == 6 * k:
-        return _certify(
-            build_6k(k), "hex-split", None, seed=seed, budget=budget
-        )
+        design, transversal = build_6k(k)
+        return _certify(design, "hex-split", transversal)
 
     m = n // k
     outer, outer_transversal = build_room(m, seed=seed, budget=budget)
     t_design, t_transversal, t_hole = build_2k(k)
     # the package's own builders made these ingredients, so they skip
     # check_ingredients; _certify verifies the expanded design once
-    design = _expand(
+    design, transversal = _expand(
         IngredientSet(
             outer=outer,
             outer_transversal=outer_transversal,
@@ -323,6 +315,4 @@ def construct(
             ingredient_hole=t_hole,
         )
     )
-    return _certify(
-        design, f"product(room({m}), s={k})", None, seed=seed, budget=budget
-    )
+    return _certify(design, f"product(room({m}), s={k})", transversal)

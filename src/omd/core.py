@@ -24,6 +24,7 @@ import bisect
 import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import itemgetter
 
 Point = int
 Edge = tuple[int, int]
@@ -179,7 +180,7 @@ class DesignArray:
 
     def occupied(self) -> list[tuple[Cell, Block]]:
         """Occupied cells and their blocks in (row, col) order."""
-        return sorted(self.cells.items())
+        return sorted(self.cells.items(), key=itemgetter(0))
 
 
 @dataclass(frozen=True)

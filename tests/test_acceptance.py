@@ -51,8 +51,8 @@ def test_criterion_1_base_constructions():
         ok = ok and verify_transversal(arr, transversal).passed
         ok = ok and verify_hole(arr, hole).passed
     for k in range(2, 9):
-        ok = ok and verify(build_4k(k)).passed
-        ok = ok and verify(build_6k(k)).passed
+        ok = ok and verify(build_4k(k)[0]).passed
+        ok = ok and verify(build_6k(k)[0]).passed
     elapsed = time.monotonic() - start
     _verdict(
         1,

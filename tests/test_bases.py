@@ -70,29 +70,32 @@ def test_4k_rejects_k_one():
 
 
 def test_4k_two_counts():
-    arr = build_4k(2)
+    arr, _ = build_4k(2)
     assert arr.side == 7
     assert len(arr.cells) == 14
     assert verify(arr).passed
 
 
 def test_4k_three_cells_per_line():
-    arr = build_4k(3)
+    arr, _ = build_4k(3)
     report = verify(arr)
     assert report.passed
     assert report.row_blocks == (2,) * 11
     assert report.col_blocks == (2,) * 11
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", range(2, 61))
 def test_4k_verifies(k):
-    report = verify(build_4k(k))
+    arr, transversal = build_4k(k)
+    report = verify(arr)
+    assert report.passed, report.failure()
+    report = verify_transversal(arr, transversal)
     assert report.passed, report.failure()
 
 
 def test_4k_rows_cover_all_points_directly():
     # independent of the verifier: each line's blocks cover 0..n-1 once
-    arr = build_4k(2)
+    arr, _ = build_4k(2)
     for r in range(arr.side):
         pts = sorted(
             p
@@ -135,19 +138,22 @@ def test_6k_rejects_k_one():
 
 
 def test_6k_two_counts():
-    arr = build_6k(2)
+    arr, _ = build_6k(2)
     assert arr.side == 11
     assert len(arr.cells) == 33
     assert verify(arr).passed
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", range(2, 61))
 def test_6k_verifies(k):
-    report = verify(build_6k(k))
+    arr, transversal = build_6k(k)
+    report = verify(arr)
+    assert report.passed, report.failure()
+    report = verify_transversal(arr, transversal)
     assert report.passed, report.failure()
 
 
 def test_builders_are_deterministic():
-    assert build_4k(2).cells == build_4k(2).cells
-    assert build_6k(2).cells == build_6k(2).cells
+    assert build_4k(2)[0].cells == build_4k(2)[0].cells
+    assert build_6k(2)[0].cells == build_6k(2)[0].cells
     assert build_m1k(3).cells == build_m1k(3).cells

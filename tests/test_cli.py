@@ -222,26 +222,26 @@ GOLDEN_DIGESTS = {
     (12, 1, 0): "1d1a48b79282e223de8d878a2b59771b98cad99da22e14c3805867a1b13eb124",
     (62, 1, 0): "47cdb3cdc3d36726b4b69792dc503534c81c04a0b1288296cefaa2eb56728f9a",
     (4, 2, 0): "443e753ac20f295184591bad131912f81f17cf4329928952edc7dbb67f58b7ac",
-    (8, 2, 0): "24070846029384635bcc31a24bca25f4b06a89a9536b87eba11f3e48403eb3de",
-    (12, 2, 0): "1186d2ea4c27a4bf44cff9e191826e8d80182b6cd3afe7274fc5cd5483ac930f",
-    (16, 2, 0): "906f756e7701e5db763a064c516c1e181003680cd80d46ff44b1534cb30b4421",
-    (20, 2, 0): "482ab5cf7acb800f8a8b5df9df4d738e3e8c6c82b864be9b6edd9a38f4b1f6bd",
-    (24, 3, 0): "3e79d62011ad7dd4efa88fe4db6830aa662ed1a78207242038dd60a6d7b19db8",
-    (30, 3, 0): "01fcbbc3c5c3d2334536ea4d7ec188bd6ac1ced3259b2dceb2e9510baf0b4135",
-    (60, 5, 0): "f20a7dde77c0dbecc02d2d4398535e1d61259225380b20ce7c71e46823ba4178",
+    (8, 2, 0): "5d34c27b84bf8e8d4295e4630303010b2a84284c733efe4dd97f7a8dad305254",
+    (12, 2, 0): "b694e09ff514f52d878bc3f85969e9583527e4858ac10ce2bf9016de0779fc39",
+    (16, 2, 0): "ee2f847ee81074b989e648222440d60effff2b3c586a8e6b9cea22d0e55e0275",
+    (20, 2, 0): "7235ee379b64353ab4cee60db48ba72ceb8ac8a112d2d34f1b7e1e25f8f8f047",
+    (24, 3, 0): "c27568c1e4d547ffdd6d39fcf24ee1f0c15beb5bc2884e27f07a4507b366dd99",
+    (30, 3, 0): "189eb59eb936e7115f75da2d03f2dbd17514bc4edec9e85349994e1f0bcf1674",
+    (60, 5, 0): "307ed8db70a26e50e0620533b652a2dfa7142d3fbe5cbabf424abec1297e5860",
     (2, 1, 3): "18de0246400768ed3ae769cfa052d3d8febf0c253b91f6fdbd4b5d811b786faf",
     (8, 1, 3): "febf289f0eb2d275dd5c1ee6871b59ca830721e82014e2bed90a1f2afc1ef837",
     (10, 1, 3): "3625415261230bf5b602d14433149062518f73de2895998a90fb37b0ee224d08",
     (12, 1, 3): "a93bc2dd260a54d8a77ed5ee7298e1d36b47dba1b27468a07f40eef30187d6b9",
     (62, 1, 3): "c027785e9206b194d2ec1f82fd1eaab373861512b278d3ff6fe6af22af2a2569",
     (4, 2, 3): "5e767f2eb8f7bb7ac5e01a75629d07aa11820f17de147e8a6a18be936ce14d70",
-    (8, 2, 3): "71d3f1e2a700b0045cdb21a07ebf5bc1e9be4734af145340b7d8d558401890a5",
-    (12, 2, 3): "1eb29e1add7f2860f17d765a9a6a777de49356276d9dd5d039cc34b1909a6147",
-    (16, 2, 3): "4334bf92dc56782cebb4cee26525aab8658e22fe9b2f0c2380cdbaa51a762443",
-    (20, 2, 3): "d100f2dfc0b3794ad7117726a10710e4e9c0e7cdd0c43fcda4a63c2b327b3ef4",
-    (24, 3, 3): "7b95cc9dad9618013119b085ef4adfba668659ce844d212d1ceba0c0e2948763",
-    (30, 3, 3): "68cb6bd1792176a9a4f21b0421a119906729e081c022ef3aa1fe55ce8781e46c",
-    (60, 5, 3): "45394c9285910e1f65be2ff7d674d5af446a77a7471ce1bbfa71ef12a0f3164f",
+    (8, 2, 3): "04c9d9dc92da8cbf2363f7e1d1a8014c08af62bde7b82647e2458eafda6fcadf",
+    (12, 2, 3): "8736a4168871a78ff11c2ee8651a28f06b829a56a47e870e26d07b9df282ebe8",
+    (16, 2, 3): "7060aae75e1ebd57f17d5c253148b9b14481d68095a6d112d750fecf6bc921e7",
+    (20, 2, 3): "0f71c93d41082c239a18ea767028f8fb07e34dcd98c05f5b2d23f4fd8b2efa77",
+    (24, 3, 3): "2f25f8666910b229f527aae2d647e7c744475e5e500e710f22e061c57729991d",
+    (30, 3, 3): "c17fdedb1139d2a7c7c9ee57d563c999f692c4cbf2c3167b12f492efc1f3d45c",
+    (60, 5, 3): "b7bbfda72a7b970383a5d517e09cbaa03d045986dbc83e3f3bc8cedea08e0f3c",
 }
 
 

@@ -296,3 +296,27 @@ def test_construct_verifies_each_design_once(n, k, monkeypatch):
     monkeypatch.setattr(module, "verify", counting)
     res = construct(n, k)
     assert seen == [res.design]
+
+
+def test_construct_searches_room_squares_only(monkeypatch):
+    # omd/__init__.py binds omd.compose to the function, so fetch the modules
+    room = importlib.import_module("omd.room")
+    find, searched = room.find_transversal, []
+
+    def recording(arr, **kwargs):
+        searched.append(arr)
+        return find(arr, **kwargs)
+
+    monkeypatch.setattr(room, "find_transversal", recording)
+    # a find_transversal bound in omd.compose must not be called either
+    compose_module = importlib.import_module("omd.compose")
+    monkeypatch.setattr(compose_module, "find_transversal", recording, raising=False)
+    room._cached_room.cache_clear()
+    for n, k in [(4, 2), (8, 2), (12, 2)]:
+        construct(n, k)
+        assert searched == [], (n, k)
+    for n, k in [(16, 2), (24, 3)]:
+        room._cached_room.cache_clear()
+        construct(n, k)
+        assert searched and all(arr.k == 1 for arr in searched), (n, k)
+        searched.clear()

@@ -24,7 +24,7 @@ from omd.verify import verify
 def _samples():
     return [
         build_2k(3)[0],
-        build_4k(2),
+        build_4k(2)[0],
         build_m1k(3),
         six_point_square(),
         build_room(8)[0],
