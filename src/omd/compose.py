@@ -15,6 +15,7 @@ every outer transversal cell; no transversal is searched for here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     Block,
@@ -26,7 +27,6 @@ from .core import (
     LexMatching,
     LexMatchingComplete,
     Transversal,
-    canonical_block,
 )
 from .errors import (
     EmbeddingCollision,
@@ -167,27 +167,12 @@ def check_ingredients(ing: IngredientSet) -> tuple[int, int, int]:
     return l, s, k
 
 
-def _block_point_map(block: Block, l: int, s: int) -> dict[int, int]:
-    """Map blowup-host points x*s + z to new points phi(x)*s + z.
-
-    Group 2t of the blowup host corresponds to the lower endpoint of the
-    t-th edge of the block (in canonical order), group 2t + 1 to the upper.
-    """
-    phi: dict[int, int] = {}
-    for t, (u, v) in enumerate(block):
-        phi[2 * t] = u
-        phi[2 * t + 1] = v
-    return {
-        x * s + z: phi[x] * s + z for x in range(2 * l) for z in range(s)
-    }
-
-
 def _expand(ing: IngredientSet) -> tuple[DesignArray, Transversal]:
     """Blow up ing.outer by s into one cell dict, wrapped once; no checks.
     The transversal is the union of ing.ingredient_transversal's images in
     every outer transversal cell, empty or not (hole images coincide)."""
     outer, small, big = ing.outer, ing.cell_ingredient, ing.transversal_ingredient
-    l, s = outer.k, small.side
+    s = small.side
     # appended rows and columns, which take the larger ingredient's hole
     extras = list(range(s * outer.side, s * outer.side + s - 1))
     hole = ing.ingredient_hole
@@ -210,12 +195,19 @@ def _expand(ing: IngredientSet) -> tuple[DesignArray, Transversal]:
         block = outer.cells.get((i, j))
         if block is None:
             continue
-        pmap = _block_point_map(block, l, s)
+        # point x*s + z goes to phi(x)*s + z: phi sends group 2t to u_t and
+        # 2t + 1 to v_t, the t-th edge (u_t, v_t) of the block
+        pmap = [q * s + z for q in chain.from_iterable(block) for z in range(s)]
         for (r, c), piece in source.cells.items():
             target = (row_map[r], col_map[c])
             if target in cells:
                 raise EmbeddingCollision(f"outer cell ({i}, {j}) collided at {target}")
-            cells[target] = canonical_block((pmap[u], pmap[v]) for u, v in piece)
+            # an edge lies in groups 2t and 2t + 1, where phi increases, so
+            # it stays canonical; the edges can change order only if k > 1
+            # in the outer design, the one case the sort is for
+            image = [(pmap[u], pmap[v]) for u, v in piece]
+            image.sort()
+            cells[target] = tuple(image)
     n = s * outer.n
     design = DesignArray(s * outer.side + s - 1, n, small.k, Complete(n), cells)
     return design, Transversal(tuple(sorted(chosen)))

@@ -22,7 +22,7 @@ from dataclasses import replace
 from typing import Any
 
 from . import core
-from .core import Block, DesignArray, canonical_block
+from .core import Block, DesignArray
 from .errors import FormatError
 
 GRID_EMPTY = "."
@@ -115,19 +115,25 @@ def design_from_dict(data: Any) -> DesignArray:
     if not isinstance(raw_cells, list):
         raise FormatError("cells must be a list")
 
+    # exact ints skip _require_int, which keeps its verdict on all else
     cells: dict[core.Cell, Block] = {}
     for entry in raw_cells:
         if not isinstance(entry, dict):
             raise FormatError("each cell must be an object")
         try:
-            r = _require_int(entry["row"], "cell.row")
-            c = _require_int(entry["col"], "cell.col")
+            r = entry["row"]
+            if type(r) is not int:
+                r = _require_int(r, "cell.row")
+            c = entry["col"]
+            if type(c) is not int:
+                c = _require_int(c, "cell.col")
             raw_edges = entry["edges"]
         except KeyError as exc:
             raise FormatError(f"cell is missing field {exc.args[0]!r}") from exc
         if not (0 <= r < side and 0 <= c < side):
             raise FormatError(f"cell ({r}, {c}) outside side-{side} array")
-        if (r, c) in cells:
+        cell = (r, c)
+        if cell in cells:
             raise FormatError(f"cell ({r}, {c}) appears twice")
         if not isinstance(raw_edges, list) or not raw_edges:
             raise FormatError(f"cell ({r}, {c}) must hold a non-empty edge list")
@@ -135,10 +141,12 @@ def design_from_dict(data: Any) -> DesignArray:
         for raw in raw_edges:
             if not isinstance(raw, list) or len(raw) != 2:
                 raise FormatError(f"cell ({r}, {c}) has a malformed edge {raw!r}")
-            edges.append(
-                (_require_int(raw[0], "edge point"), _require_int(raw[1], "edge point"))
-            )
-        cells[(r, c)] = canonical_block(edges)
+            u, v = raw
+            if type(u) is not int or type(v) is not int:
+                u, v = _require_int(u, "edge point"), _require_int(v, "edge point")
+            edges.append((u, v) if u < v else (v, u))
+        edges.sort()
+        cells[cell] = tuple(edges)
 
     return DesignArray(side, n, k, host, cells)
 

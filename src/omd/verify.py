@@ -8,6 +8,10 @@ verify is the one place a cell is found to be a k-matching over 0..n-1.
 Work follows the cells, not what the header claims. Reports carry one
 entry per condition with the first counterexample found.
 
+verify settles whether each condition holds with bulk passes run in C
+(map, set, min, max, blocks grouped by line unsorted); only a condition
+that fails is walked cell, line or pair in order to say where it fails.
+
 brute_force_exists settles existence for small parameters by exhaustive
 backtracking and is the independent ground truth the constructors are
 compared against in the tests.
@@ -16,8 +20,10 @@ compared against in the tests.
 from __future__ import annotations
 
 import enum
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, repeat, starmap
+from operator import itemgetter, lt
 
 from . import core
 from .core import Block, DesignArray, Hole, Transversal, canonical_block
@@ -117,44 +123,66 @@ def _block_fault(r: int, c: int, block: Block, side: int, n: int, k: int) -> str
     return None
 
 
-def _resolution_detail(lines: dict, side: int, n: int, label: str) -> str | None:
-    """First line of 0..side-1 that is not a resolution class, stopping there."""
-    for i in range(side):
-        points = [p for block in lines.get(i, ()) for e in block for p in e]
-        miss = _first_miscount(points, n)
-        if miss is not None:
-            return f"{label} {i} covers point {miss[0]} {miss[1]} times"
-    return None
+def _group(keys, values) -> defaultdict:
+    """values listed under their keys; list.append returns None, so any()
+    runs the map, in C, to its end."""
+    groups: defaultdict = defaultdict(list)
+    any(map(list.append, map(groups.__getitem__, keys), values))
+    return groups
 
 
-def _line_counts(lines: dict, side: int) -> tuple[int, ...]:
-    counts = [0] * side
+def _resolution(lines: dict, side: int, n: int, label: str) -> tuple[str | None, list]:
+    """The first line of 0..side-1 that is not a resolution class, named, and
+    the blocks of all such lines. n points resolve when their set is 0..n-1,
+    built only once a line has n points, so never beyond the input's size."""
+    full, failing = None, []
     for i, blocks in lines.items():
-        counts[i] = len(blocks)
-    return tuple(counts)
+        if 2 * sum(map(len, blocks)) == n:
+            full = full or set(range(n))
+            if full == set(chain.from_iterable(chain.from_iterable(blocks))):
+                continue
+        failing.append(i)
+    first = min([*failing, next((i for i in range(side) if i not in lines), side)])
+    if first == side:
+        return None, []
+    points = list(chain.from_iterable(chain.from_iterable(lines.get(first, ()))))
+    miss = _first_miscount(points, n)
+    detail = f"{label} {first} covers point {miss[0]} {miss[1]} times"
+    return detail, [b for i in failing for b in lines[i]]
 
 
-def _pair_detail(host: core.HostGraph, placed: Counter) -> str | None:
-    """First placed pair that is foreign or repeated, else the first gap;
-    distinct placed host edges cover the host when they number edge_count().
-    The gap walk visits only host edges, so it stops at the first point
-    whose neighbours above are not all placed."""
+def _pair_detail(host: core.HostGraph, edges: list) -> str | None:
+    """First placed pair that is foreign or repeated, else the first gap.
+    If each u's placed ends v are distinct and inside above(u), they cover
+    the host when they number edge_count(), else the first u short of
+    len(above(u)) holds the gap; otherwise the pairs are walked."""
     n = host.vertex_count()
-    above = {u: host.above(u) for u in {u for u, _ in placed if 0 <= u < n}}
-    foreign = {(u, v) for u, v in placed if not (u < v < n and v in above.get(u, ()))}
+    ends = _group(map(itemgetter(0), edges), map(itemgetter(1), edges))
+    spans = {u: host.above(u) for u in ends if 0 <= u < n}
+    if len(spans) == len(ends) and all(
+        span.start <= min(vs) and max(vs) < span.stop and len(set(vs)) == len(vs)
+        for span, vs in zip(spans.values(), ends.values())
+    ):
+        if len(edges) == host.edge_count():
+            return None
+        u = next(u for u in range(n) if len(ends.get(u, ())) < len(host.above(u)))
+        vs = set(ends.get(u, ()))
+        v = next(v for v in host.above(u) if v not in vs)
+        return f"host edge {(u, v)} is uncovered"
+    placed = Counter(edges)
+    foreign = {(u, v) for u, v in placed if not (u < v < n and v in spans.get(u, ()))}
     repeated = [e for e, times in placed.items() if times > 1]
-    if foreign or repeated:
-        edge = min([*foreign, *repeated])
-        if edge in foreign:
-            return f"pair {edge} is not a host edge"
-        return f"pair {edge} covered {placed[edge]} times"
-    if len(placed) == host.edge_count():
-        return None
-    for u in range(n):
-        for v in host.above(u):
-            if (u, v) not in placed:
-                return f"host edge {(u, v)} is uncovered"
-    return None
+    edge = min([*foreign, *repeated])
+    if edge in foreign:
+        return f"pair {edge} is not a host edge"
+    return f"pair {edge} covered {placed[edge]} times"
+
+
+def _matchings_hold(blocks: list, n: int, k: int) -> bool:
+    """Whether every block has 2k distinct points, all in 0..n-1."""
+    points = list(chain.from_iterable(chain.from_iterable(blocks)))
+    sizes = set(map(len, map(set, map(chain.from_iterable, blocks))))
+    return sizes <= {2 * k} and (not points or 0 <= min(points) and max(points) < n)
 
 
 def verify(arr: DesignArray) -> VerificationReport:
@@ -163,7 +191,9 @@ def verify(arr: DesignArray) -> VerificationReport:
     Conditions: every cell inside the array and empty or a k-matching,
     every row and column a resolution class, every host edge covered
     exactly once and nothing else. All checks run even after a failure so
-    the report is complete. One pass over the cells gathers everything.
+    the report is complete. Bulk passes over all cells settle whether a
+    condition holds; only one that fails is scanned cell by cell, line by
+    line or pair by pair, to name its first counterexample.
     """
     n, side, k = arr.n, arr.side, arr.k
     checks = []
@@ -185,33 +215,41 @@ def verify(arr: DesignArray) -> VerificationReport:
         shape = Check("host-shape", True)
     checks.append(shape)
 
-    block_detail = None
-    rows: dict[int, list[Block]] = {}
-    cols: dict[int, list[Block]] = {}
-    edges = []
-    for (r, c), block in arr.occupied():
-        if block_detail is None:
-            block_detail = _block_fault(r, c, block, side, n, k)
-        if 0 <= r < side and 0 <= c < side:
-            rows.setdefault(r, []).append(block)
-            cols.setdefault(c, []).append(block)
-        edges.extend(block)
-    checks.append(Check("block-shape", block_detail is None, block_detail))
+    cells = arr.cells
+    rows, cols = list(map(itemgetter(0), cells)), list(map(itemgetter(1), cells))
+    inside = not cells or 0 <= min(rows + cols) and max(rows + cols) < side
+    if not inside:
+        cells = {rc: b for rc, b in cells.items() if 0 <= min(rc) and max(rc) < side}
+        rows, cols = list(map(itemgetter(0), cells)), list(map(itemgetter(1), cells))
+    by_row, by_col = _group(rows, cells.values()), _group(cols, cells.values())
+    row_detail, unresolved = _resolution(by_row, side, n, "row")
+    col_detail, _ = _resolution(by_col, side, n, "column")
 
-    row_detail = _resolution_detail(rows, side, n, "row")
+    # a resolved row holds no block with a repeated or outside point, so
+    # only the blocks of unresolved rows are looked at for either
+    edges = list(chain.from_iterable(arr.cells.values()))
+    block_detail = None
+    if not (
+        inside
+        and set(map(len, cells.values())) <= {k}
+        and all(starmap(lt, edges))
+        and _matchings_hold(unresolved, n, k)
+    ):
+        faults = (_block_fault(r, c, b, side, n, k) for (r, c), b in arr.occupied())
+        block_detail = next(filter(None, faults), None)
+    checks.append(Check("block-shape", block_detail is None, block_detail))
     checks.append(Check("row-resolution", row_detail is None, row_detail))
-    col_detail = _resolution_detail(cols, side, n, "column")
     checks.append(Check("column-resolution", col_detail is None, col_detail))
 
-    pair_detail = _pair_detail(arr.host, Counter(edges))
+    pair_detail = _pair_detail(arr.host, edges)
     checks.append(Check("pair-coverage", pair_detail is None, pair_detail))
 
     return VerificationReport(
         passed=all(c.passed for c in checks),
         checks=tuple(checks),
         total_blocks=len(arr.cells),
-        row_blocks=_line_counts(rows, side),
-        col_blocks=_line_counts(cols, side),
+        row_blocks=tuple(map(len, map(by_row.get, range(side), repeat(())))),
+        col_blocks=tuple(map(len, map(by_col.get, range(side), repeat(())))),
     )
 
 

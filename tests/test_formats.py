@@ -1,5 +1,6 @@
 """Serialization: JSON wire format, grid text, LaTeX arrays."""
 
+import enum
 import json
 
 import pytest
@@ -128,6 +129,43 @@ def test_parse_rejects_cell_problems():
     bad["cells"] = "nope"
     with pytest.raises(FormatError, match="list"):
         design_from_dict(bad)
+
+
+class _Label(enum.IntEnum):
+    ZERO = 0
+
+
+def _put(data, field, value):
+    """Set the first cell's row or col, or the first point of its first edge."""
+    cell = data["cells"][0]
+    if field == "edge point":
+        cell["edges"][0][0] = value
+    else:
+        cell[field.removeprefix("cell.")] = value
+
+
+@pytest.mark.parametrize("field", ["cell.row", "cell.col", "edge point"])
+@pytest.mark.parametrize("value", [True, 1.0, None], ids=repr)
+def test_parse_rejects_non_integers_in_cells(field, value):
+    data = design_to_dict(build_2k(2)[0])
+    _put(data, field, value)
+    with pytest.raises(FormatError) as info:
+        design_from_dict(data)
+    assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("field", ["cell.row", "cell.col", "edge point"])
+def test_parse_accepts_int_subclasses_in_cells(field):
+    # the first cell is (0, 0) and its first edge (0, 3): ZERO stands for a 0
+    arr = build_2k(2)[0]
+    data = design_to_dict(arr)
+    _put(data, field, _Label.ZERO)
+    assert design_from_dict(data) == arr
+
+
+def test_round_trip_identity_at_scale():
+    arr = build_room(122)[0]
+    assert loads_design(dumps_design(arr)) == arr
 
 
 def test_cell_that_is_no_matching_parses_and_fails_verify():

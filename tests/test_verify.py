@@ -1,5 +1,8 @@
 """The verifier and the exhaustive existence oracle."""
 
+import hashlib
+import json
+
 import pytest
 
 from omd.bases import build_2k, build_m1k, six_point_square
@@ -206,6 +209,86 @@ PINNED = {
 }
 
 
+def _last_row_fault(block_of):
+    """build_room(122) with the last row's rightmost cell, edge (u, v),
+    replaced by block_of(u, v): the fault sits at the end of every scan."""
+    arr = build_room(122)[0]
+    cell = max(c for c in arr.cells if c[0] == arr.side - 1)
+    ((u, v),) = arr.cells[cell]
+    return _edit(arr, put={cell: block_of(u, v)})
+
+
+def _moved_outside():
+    arr = build_room(122)[0]
+    r, c = max(arr.cells)
+    return _edit(arr, drop=[(r, c)], put={(arr.side, c): arr.cells[(r, c)]})
+
+
+def _product_deletion():
+    arr = construct(80, 2).design
+    return _edit(arr, drop=[max(arr.cells)])
+
+
+def _product_swap():
+    arr = construct(80, 2).design
+    (a, first), (b, last) = arr.occupied()[0], arr.occupied()[-1]
+    return _edit(arr, put={a: last, b: first})
+
+
+# Faults at scale, where the bulk checks fail and the per-cell scan must
+# name the first faulty cell, line or pair. Recorded before verify gained
+# its bulk checks; the hash is the sha256 of
+# json.dumps(report.to_dict(), sort_keys=True), which pins the line counts.
+PINNED_AT_SCALE = {
+    "non-canonical-edge": (
+        lambda: _last_row_fault(lambda u, v: ((v, u),)),
+        (None, "cell (120, 120) has a non-canonical edge", None, None,
+         "pair (121, 120) is not a host edge"),
+        "1489404b120281e6393b72046daab1a1661b2a825e7ee6f39d7ba65ca869e894",
+    ),
+    "short-cell": (
+        lambda: _last_row_fault(lambda u, v: ()),
+        (None, "cell (120, 120) holds 0 edges, expected 1",
+         "row 120 covers point 120 0 times", "column 120 covers point 120 0 times",
+         "host edge (120, 121) is uncovered"),
+        "a1515d1a66adb1cfcf2dde57275676f192ff8f1cd3b7f6a4b2674d2e740c6d45",
+    ),
+    "loop": (
+        lambda: _last_row_fault(lambda u, v: ((u, u),)),
+        (None, "cell (120, 120) repeats an endpoint",
+         "row 120 covers point 120 2 times", "column 120 covers point 120 2 times",
+         "pair (120, 120) is not a host edge"),
+        "59d3f163bb65ebf40df3c1c50bfc1537ecbdd579169850af20206058d8b2ccfb",
+    ),
+    "out-of-range-point": (
+        lambda: _last_row_fault(lambda u, v: ((u, 122),)),
+        (None, "cell (120, 120) uses a point outside 0..121",
+         "row 120 covers point 121 0 times", "column 120 covers point 121 0 times",
+         "pair (120, 122) is not a host edge"),
+        "8569944b5e8becdbcfc7d237460174191bd03050d9d7009743751c5c083e8805",
+    ),
+    "moved-outside": (
+        _moved_outside,
+        (None, "cell (121, 120) outside side-121 array",
+         "row 120 covers point 120 0 times", "column 120 covers point 120 0 times",
+         None),
+        "f43aea66f8e83cb1f4609dec1a10e1b790c3300c2974549482b0d22404a040e6",
+    ),
+    "product-deletion": (
+        _product_deletion,
+        (None, None, "row 78 covers point 16 0 times",
+         "column 74 covers point 16 0 times", "host edge (16, 23) is uncovered"),
+        "2ec7461bf3026153f84761ae124984748ba4b5baab72088c980c4b49688866fb",
+    ),
+    "product-swap": (
+        _product_swap,
+        (None, None, "row 0 covers point 0 0 times",
+         "column 1 covers point 0 0 times", None),
+        "83d757693a09f6d25f2f67401f17c3af1278ddbfe852ac454bb3ae2363a915b2",
+    ),
+}
+
+
 @pytest.mark.parametrize("case", PINNED)
 def test_failure_reports_are_pinned(case):
     make, failure, details = PINNED[case]
@@ -216,6 +299,16 @@ def test_failure_reports_are_pinned(case):
     assert [c.name for c in report.checks] == names + ["pair-coverage"]
     assert tuple(c.detail for c in report.checks) == details
     assert [c.passed for c in report.checks] == [d is None for d in details]
+
+
+@pytest.mark.parametrize("case", PINNED_AT_SCALE)
+def test_failure_reports_at_scale_are_pinned(case):
+    make, details, digest = PINNED_AT_SCALE[case]
+    report = verify(make())
+    assert tuple(c.detail for c in report.checks) == details
+    assert [c.passed for c in report.checks] == [d is None for d in details]
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_transversal_back_diagonal_passes():
