@@ -133,22 +133,23 @@ def _group(keys, values) -> defaultdict:
 
 def _resolution(lines: dict, side: int, n: int, label: str) -> tuple[str | None, list]:
     """The first line of 0..side-1 that is not a resolution class, named, and
-    the blocks of all such lines. n points resolve when their set is 0..n-1,
-    built only once a line has n points, so never beyond the input's size."""
-    full, failing = None, []
+    the blocks of the lines failing the bulk test: n points whose set is
+    0..n-1, built only once a line has n points. Those lines and the empty
+    ones are counted exactly, in order, as one may still cover 0..n-1 once."""
+    full, suspects = None, [i for i in range(side) if i not in lines]
     for i, blocks in lines.items():
         if 2 * sum(map(len, blocks)) == n:
             full = full or set(range(n))
             if full == set(chain.from_iterable(chain.from_iterable(blocks))):
                 continue
-        failing.append(i)
-    first = min([*failing, next((i for i in range(side) if i not in lines), side)])
-    if first == side:
-        return None, []
-    points = list(chain.from_iterable(chain.from_iterable(lines.get(first, ()))))
-    miss = _first_miscount(points, n)
-    detail = f"{label} {first} covers point {miss[0]} {miss[1]} times"
-    return detail, [b for i in failing for b in lines[i]]
+        suspects.append(i)
+    unresolved = [b for i in suspects for b in lines.get(i, ())]
+    for i in sorted(suspects):
+        points = list(chain.from_iterable(chain.from_iterable(lines.get(i, ()))))
+        miss = _first_miscount(points, n)
+        if miss is not None:
+            return f"{label} {i} covers point {miss[0]} {miss[1]} times", unresolved
+    return None, unresolved
 
 
 def _pair_detail(host: core.HostGraph, edges: list) -> str | None:
@@ -225,8 +226,8 @@ def verify(arr: DesignArray) -> VerificationReport:
     row_detail, unresolved = _resolution(by_row, side, n, "row")
     col_detail, _ = _resolution(by_col, side, n, "column")
 
-    # a resolved row holds no block with a repeated or outside point, so
-    # only the blocks of unresolved rows are looked at for either
+    # a row passing the bulk test holds 0..n-1 once, so its blocks repeat no
+    # point and leave no point outside: only the other rows' are looked at
     edges = list(chain.from_iterable(arr.cells.values()))
     block_detail = None
     if not (

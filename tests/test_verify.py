@@ -224,6 +224,16 @@ def _moved_outside():
     return _edit(arr, drop=[(r, c)], put={(arr.side, c): arr.cells[(r, c)]})
 
 
+def _extra_block(line, block):
+    """build_room(122) with block put in the first empty cell of the last
+    row or column, which stays a resolution class over 0..121."""
+    arr = build_room(122)[0]
+    last = arr.side - 1
+    free = [(last, i) if line == "row" else (i, last) for i in range(arr.side)]
+    cell = next(c for c in free if c not in arr.cells)
+    return _edit(arr, put={cell: block})
+
+
 def _product_deletion():
     arr = construct(80, 2).design
     return _edit(arr, drop=[max(arr.cells)])
@@ -266,6 +276,18 @@ PINNED_AT_SCALE = {
          "row 120 covers point 121 0 times", "column 120 covers point 121 0 times",
          "pair (120, 122) is not a host edge"),
         "8569944b5e8becdbcfc7d237460174191bd03050d9d7009743751c5c083e8805",
+    ),
+    "extra-block-above-range": (
+        lambda: _extra_block("row", ((122, 123),)),
+        (None, "cell (120, 1) uses a point outside 0..121", None, None,
+         "pair (122, 123) is not a host edge"),
+        "510c90d6f42511e42f7537945f5bd8eec6c5ca0215b80275f18f3a94387cb14a",
+    ),
+    "extra-block-below-range": (
+        lambda: _extra_block("column", ((-2, -1),)),
+        (None, "cell (0, 120) uses a point outside 0..121", None, None,
+         "pair (-2, -1) is not a host edge"),
+        "7f200434507d0ff04de00fb672613790ec23f4f7822678193d52e282de943469",
     ),
     "moved-outside": (
         _moved_outside,
