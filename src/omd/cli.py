@@ -106,7 +106,9 @@ def _load_design_file(path: str):
             data = json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, bytes that are not UTF-8, an integer past
+        # Python's digit limit, or arrays nested past the parser's depth
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     arr = design_from_dict(data)
     meta = data.get("meta")

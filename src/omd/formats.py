@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from itertools import chain
+from operator import itemgetter
 from typing import Any
 
 from . import core
@@ -152,18 +154,29 @@ def design_from_dict(data: Any) -> DesignArray:
 
 
 # a cell and an edge as json.dumps(..., indent=2) lays them out in a design
-_CELL = '    {\n      "row": %d,\n      "col": %d,\n      "edges": [\n%s\n      ]\n    }'
+_CELL = '    {\n      "row": %%d,\n      "col": %%d,\n      "edges": %s\n    }'
 _EDGE = "        [\n          %d,\n          %d\n        ]"
+
+
+def _cell_template(size: int) -> str:
+    """The % template of a cell whose block holds size edges."""
+    if not size:
+        return _CELL % "[]"
+    return _CELL % ("[\n" + ",\n".join([_EDGE] * size) + "\n      ]")
 
 
 def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
     """json.dumps(design_to_dict(arr, meta), indent=2) + "\\n", byte for byte;
-    only the header, host and meta go through that pure-Python encoder."""
+    only the header, host and meta go through that pure-Python encoder.
+    The cells are one % format over (row, col, u, v, ...) in cell order."""
     text = json.dumps(design_to_dict(replace(arr, cells={}), meta), indent=2)
-    cells = ",\n".join(
-        _CELL % (r, c, ",\n".join(_EDGE % edge for edge in block))
-        for (r, c), block in arr.occupied()
-    )
+    occupied = arr.occupied()
+    blocks = list(map(itemgetter(1), occupied))
+    sizes = list(map(len, blocks))
+    templates = {size: _cell_template(size) for size in set(sizes)}
+    # sum(block, (row, col)) is the tuple (row, col, u, v, ...)
+    values = chain.from_iterable(map(sum, blocks, map(itemgetter(0), occupied)))
+    cells = ",\n".join(map(templates.__getitem__, sizes)) % tuple(values)
     if cells:
         # host comes first and cannot hold this text, so it is the cells key
         text = text.replace('"cells": []', '"cells": [\n' + cells + "\n  ]", 1)
@@ -173,7 +186,9 @@ def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
 def loads_design(text: str) -> DesignArray:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors; so is an
+        # integer past Python's digit limit; deep nesting is a RecursionError
         raise FormatError(f"not valid JSON: {exc}") from exc
     return design_from_dict(data)
 

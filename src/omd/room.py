@@ -17,7 +17,9 @@ with another adder. A transversal is certified before returning.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -157,14 +159,27 @@ def strong_starter_search(
 
 
 def _starter_array(sa: StarterAdder) -> DesignArray:
+    """The starter square, its cells inserted in (row, col) order.
+
+    Row j holds the diagonal at column j and each pair at column j + a
+    mod r. With the offsets sorted, those at least r - j wrap around and
+    come first, so occupied() sorts one presorted run in linear time.
+    """
     r = sa.r
-    # canonical one-edge blocks written inline: a canonical_block call per
-    # cell made this function about 1.7 times slower at side 999
-    cells = {(j, j): ((j, r),) for j in range(r)}
-    for (x, y), a in zip(sa.pairs, sa.adder):
-        for j in range(r):
+    starts = sorted(zip(sa.adder, sa.pairs))
+    offsets = [a for a, _ in starts]
+    cells = {}
+    for j in range(r):
+        split = bisect.bisect_left(offsets, r - j)
+        # canonical one-edge blocks written inline: a canonical_block call
+        # per cell made this function about 1.7 times slower at side 999
+        for a, (x, y) in starts[split:]:
             u, v = (x + j) % r, (y + j) % r
-            cells[(j, (j + a) % r)] = ((u, v),) if u < v else ((v, u),)
+            cells[(j, j + a - r)] = ((u, v),) if u < v else ((v, u),)
+        cells[(j, j)] = ((j, r),)
+        for a, (x, y) in starts[:split]:
+            u, v = (x + j) % r, (y + j) % r
+            cells[(j, j + a)] = ((u, v),) if u < v else ((v, u),)
     return DesignArray(r, r + 1, 1, Complete(r + 1), cells)
 
 
@@ -222,7 +237,13 @@ def find_transversal(
     occupied = arr.occupied()
     cell_row = [r for (r, _), _ in occupied]
     cell_col = [c for (_, c), _ in occupied]
-    cell_points = [tuple(set().union(*block)) for _, block in occupied]
+    blocks = [block for _, block in occupied]
+    # a block of one edge with two distinct ends covers just those ends
+    edges = [block[0] for block in blocks] if set(map(len, blocks)) == {1} else []
+    if edges and not any(map(operator.eq, *zip(*edges))):
+        cell_points = edges
+    else:
+        cell_points = [tuple(set().union(*block)) for block in blocks]
     by_point: list[list[int]] = [[] for _ in range(n)]
     by_row: list[list[int]] = [[] for _ in range(side)]
     by_col: list[list[int]] = [[] for _ in range(side)]

@@ -125,6 +125,20 @@ def test_verify_malformed_json_exits_four(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 200_000 + b"]" * 200_000, b'{"n": ' + b"9" * 5000 + b"}"],
+    ids=["not-utf8", "nested-200000-deep", "int-past-digit-limit"],
+)
+def test_verify_undecodable_file_exits_four(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["verify", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 def test_verify_missing_file_exits_four(tmp_path):
     assert main(["verify", str(tmp_path / "absent.json")]) == 4
 
@@ -221,6 +235,7 @@ GOLDEN_DIGESTS = {
     (10, 1, 0): "786cc0e7a668693b84bb2689aa0e52228c082b486aadecc904e508e41b21a0b2",
     (12, 1, 0): "1d1a48b79282e223de8d878a2b59771b98cad99da22e14c3805867a1b13eb124",
     (62, 1, 0): "47cdb3cdc3d36726b4b69792dc503534c81c04a0b1288296cefaa2eb56728f9a",
+    (122, 1, 0): "ed95f0bfa95007d05dca3fb2b31a64d499ce71e8a451e6332522db9fc401228f",
     (4, 2, 0): "443e753ac20f295184591bad131912f81f17cf4329928952edc7dbb67f58b7ac",
     (8, 2, 0): "5d34c27b84bf8e8d4295e4630303010b2a84284c733efe4dd97f7a8dad305254",
     (12, 2, 0): "b694e09ff514f52d878bc3f85969e9583527e4858ac10ce2bf9016de0779fc39",
@@ -234,6 +249,7 @@ GOLDEN_DIGESTS = {
     (10, 1, 3): "3625415261230bf5b602d14433149062518f73de2895998a90fb37b0ee224d08",
     (12, 1, 3): "a93bc2dd260a54d8a77ed5ee7298e1d36b47dba1b27468a07f40eef30187d6b9",
     (62, 1, 3): "c027785e9206b194d2ec1f82fd1eaab373861512b278d3ff6fe6af22af2a2569",
+    (122, 1, 3): "0c5073eab29e84675aa7853639c8cdcd362bc3755e978d8d411788017ef846d0",
     (4, 2, 3): "5e767f2eb8f7bb7ac5e01a75629d07aa11820f17de147e8a6a18be936ce14d70",
     (8, 2, 3): "04c9d9dc92da8cbf2363f7e1d1a8014c08af62bde7b82647e2458eafda6fcadf",
     (12, 2, 3): "8736a4168871a78ff11c2ee8651a28f06b829a56a47e870e26d07b9df282ebe8",

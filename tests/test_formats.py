@@ -6,6 +6,7 @@ import json
 import pytest
 
 from omd.bases import build_2k, build_4k, build_m1k, six_point_square
+from omd.compose import construct
 from omd.core import Complete, DesignArray, canonical_block
 from omd.errors import FormatError
 from omd.formats import (
@@ -47,9 +48,20 @@ def test_dumps_is_deterministic_and_sorted():
     assert data["cells"][0]["edges"] == [[0, 1]]
 
 
+def _writer_samples():
+    mixed = {(0, 0): ((0, 1),), (0, 1): ((2, 3), (4, 5)), (1, 2): ((1, 4),)}
+    return _samples() + [
+        DesignArray(3, 4, 1, Complete(4), {}),
+        construct(16, 2).design,
+        build_room(122)[0],
+        DesignArray(3, 6, 1, Complete(6), mixed),
+        DesignArray(3, 6, 1, Complete(6), {**mixed, (2, 1): ()}),
+    ]
+
+
 @pytest.mark.parametrize(
     "arr",
-    _samples() + [DesignArray(3, 4, 1, Complete(4), {})],
+    _writer_samples(),
     ids=lambda a: f"n{a.n}k{a.k}c{len(a.cells)}",
 )
 @pytest.mark.parametrize("meta", [None, {"t": [[0, 1]], "m": {}, "s": "\n"}])
@@ -73,6 +85,16 @@ def test_host_round_trip(arr):
 def test_parse_rejects_non_json():
     with pytest.raises(FormatError):
         loads_design("not a design")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"\xff\xff{}", "[" * 200_000 + "]" * 200_000, '{"n": ' + "9" * 5000 + "}"],
+    ids=["not-utf8", "nested-200000-deep", "int-past-digit-limit"],
+)
+def test_parse_turns_decoding_errors_into_format_errors(text):
+    with pytest.raises(FormatError, match="not valid JSON"):
+        loads_design(text)
 
 
 def test_parse_rejects_non_object():

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from omd.room import (
     _NINE,
     StarterAdder,
     _cached_room,
+    _starter_array,
     build_room,
     find_transversal,
     room_from_starter,
@@ -186,6 +188,19 @@ def test_starter_square_column_structure(r):
         assert got == expected
 
 
+@pytest.mark.parametrize("r", [9, 61, 121])
+def test_starter_array_inserts_cells_in_row_order(r):
+    """The cells are the starter formula's, inserted in (row, col) order."""
+    sa = _NINE if r == 9 else strong_starter_search(r)
+    expected = {(j, j): ((j, r),) for j in range(r)}
+    for (x, y), a in zip(sa.pairs, sa.adder):
+        for j in range(r):
+            expected[(j, (j + a) % r)] = canonical_block([((x + j) % r, (y + j) % r)])
+    arr = _starter_array(sa)
+    assert arr.cells == expected
+    assert list(arr.cells) == sorted(expected)
+
+
 def test_room_from_starter_revalidates():
     with pytest.raises(InvalidStarter):
         room_from_starter(StarterAdder(7, ((1, 3), (2, 6), (4, 5)), (4, 4, 2)))
@@ -247,6 +262,39 @@ def test_find_transversal_tally():
     assert tally == {"nodes": 5, "slices": 1}
     assert find_transversal(build_m1k(2), tally=tally) is None
     assert tally == {"nodes": 2, "slices": 1}
+
+
+@pytest.mark.parametrize(
+    "n,cell,block,expected,nodes",
+    [
+        # a loop covers one point; counted as an edge's two ends, it
+        # would let the search finish one point short
+        (
+            10,
+            (0, 4),
+            ((1, 1),),
+            ((0, 8), (1, 0), (2, 4), (3, 3), (4, 1), (5, 7), (6, 5), (7, 2), (8, 6)),
+            74,
+        ),
+        # a two-edge block in an empty cell of a k = 1 array
+        (
+            8,
+            (0, 1),
+            ((0, 1), (2, 3)),
+            ((0, 3), (1, 4), (2, 2), (3, 5), (4, 0), (5, 6), (6, 1)),
+            4,
+        ),
+    ],
+    ids=["loop", "two-edge-block"],
+)
+def test_find_transversal_on_blocks_that_are_not_one_edge(n, cell, block, expected, nodes):
+    """Arrays whose blocks are not all one edge with two distinct ends
+    take each cell's points as a set; the answers are pinned."""
+    arr = build_room(n)[0]
+    odd = replace(arr, cells={**arr.cells, cell: block})
+    tally = {}
+    assert find_transversal(odd, tally=tally).cells == expected
+    assert tally == {"nodes": nodes, "slices": 1}
 
 
 def _digest(rows):
