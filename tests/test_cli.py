@@ -270,6 +270,53 @@ def test_generate_matches_golden_digest(n, k, seed, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[(n, k, seed)]
 
 
+# SHA-256 of the same outputs with meta.transversal removed, re-serialised
+# with indent 2: the cells, header and every other meta field. A change to
+# how a path picks its transversal moves GOLDEN_DIGESTS, and moves these
+# only where the cells depend on it (the outer transversal of a product)
+CELL_DIGESTS = {
+    (2, 1, 0): "3ca46d47fd877c4f36d37e32b294d059f1a21e1581e541bf6f1fbe36c573d413",
+    (2, 1, 3): "79bce58ceed1cab520976c1e020fa4685d4dc9d70709990527e5c9daab92f498",
+    (4, 2, 0): "e8a96b273047dbe68502b051b3950cc270ba650a2504e9bfb88c5bcd89f97bdd",
+    (4, 2, 3): "0cb2df2aff7410f4d429b6eba9581f0c47ae9d7be9b61240e8cc3eeaf7954291",
+    (8, 1, 0): "a07f2dc788f3ef9340379e2dfc6bb84efd7cca0860f82ca4d7f85cb33c5a9b13",
+    (8, 1, 3): "4c02df2d40fbf781013c164d6d188f5810edeb46bb9096b94cf997b85c6aa699",
+    (8, 2, 0): "cd522569ead6299ba313b4f55087ae2b023229a931ce5c0d70b692afa614dc0c",
+    (8, 2, 3): "8c54f7c625303d4c821973060f86956e0a0e940d1a06eef6a54f2d12be56e6a9",
+    (10, 1, 0): "00cbb43aad3caba4423d2d4898fe19545280088a6810004cafdcbfd54ae6f709",
+    (10, 1, 3): "4bc9033e7b6772c3498982e9911ad337165fad1ed513a5d0ba5a0557a1f4275e",
+    (12, 1, 0): "d09f95bf14a5c4765a7ffb0c8622308f5d04dd43d27cee2d840c27e722162151",
+    (12, 1, 3): "1c5fc688cd65ee88c537118736efb60f327c2d2fedb9c1567b4e386c19a1bb78",
+    (12, 2, 0): "7614e4ba3b19b9be8c02ca085d9d715f4b8d93faa4ee57ea5183e64b839943c6",
+    (12, 2, 3): "a955ce6d3e0bf43db04d632103f198c7f5b3f6a780e31344092a7fdce7e4c637",
+    (16, 2, 0): "7f3b5724f7f618b0aedabd248bff21626bd63debfd231a010cc4d85540b6d248",
+    (16, 2, 3): "05bc00ba5d1cc6b20dd001a3532b597052c20b36f8329baae2aaaf20afb2a000",
+    (20, 2, 0): "f0dd44cb654bd24d70e179566361ff115b614327ffafe445fc93da7dace421df",
+    (20, 2, 3): "a36f1c1f78393f82ca3be57e676926d6415c5bfd86cf92fe1ad579bb368aebd8",
+    (24, 3, 0): "2bf04e8c3dfb8f647747c9e927f9ccf03fbab1026fbc243567a7d72e5580669c",
+    (24, 3, 3): "03dbf4bd969828520a11c690d34fbd863e14da16521e81cbf5f414a9efced04f",
+    (30, 3, 0): "dd8bfc079f21afb0c6e65d9a15f1b0c5733baabde61aeeddae731d81a69dcd83",
+    (30, 3, 3): "75a64d8c4427b069c17390dda3db443d7154d66e8671b7df21fb671adeea822c",
+    (60, 5, 0): "4c547f1ba2321ddfd611fdc3e05dfde607d1d372b79b755114d3dc0f9cbad5af",
+    (60, 5, 3): "5acd1049e677c960fa49c7912ebe92db83fc99b37dedf937f5363bb589a2e7e6",
+    (62, 1, 0): "47dc8bdc6a0a1415198e43ab7cb74733c279ecada3e924d3e58f696fae7210ac",
+    (62, 1, 3): "eeba7b6f35d7b789acefacb4c789c24c4a65fe1800093d41f1deccc27aaf86b6",
+    (122, 1, 0): "9e723db47f371ccec61c4714502b5d489aabe96d4b58eb4c4d25849d6ecfa3c7",
+    (122, 1, 3): "b4328eb1e941ae6cb013ac0253944472b4cf1b2f8c6111623e45f8280894c177",
+}
+
+
+@pytest.mark.parametrize("n,k,seed", sorted(CELL_DIGESTS))
+def test_generate_cells_match_pinned_digest(n, k, seed, capsys):
+    _cached_room.cache_clear()
+    args = ["generate", "--n", str(n), "--k", str(k), "--seed", str(seed)]
+    assert main(args) == 0
+    data = json.loads(capsys.readouterr()[0])
+    del data["meta"]["transversal"]
+    text = json.dumps(data, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == CELL_DIGESTS[(n, k, seed)]
+
+
 def test_sweep_single_row(capsys):
     assert main(["sweep", "--n-max", "2", "--k-max", "1"]) == 0
     out, _ = capsys.readouterr()
