@@ -28,7 +28,9 @@ print("Translating each pair through every residue fills a side-7 array")
 print("(point 7 stands for the extra point paired with j on the diagonal):")
 arr, transversal = room_from_starter(sa)
 print(render_grid(arr))
-print(f"transversal (one cell per row and column, covering all 8 points):")
+print("Its transversal (one cell per row and column, covering all 8 points)")
+print("is the anti-diagonal (j, -j mod 7), as in every square whose offsets")
+print("are the pair sums:")
 print(f"  {transversal.cells}\n")
 
 print("The search finds starters for any odd side from 7 up, except 9:")

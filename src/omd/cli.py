@@ -243,7 +243,7 @@ def _parser() -> argparse.ArgumentParser:
             "--budget",
             type=_at_least(1),
             default=DEFAULT_BUDGET,
-            help=f"search node budget (default {DEFAULT_BUDGET})",
+            help=f"strong starter climb step budget (default {DEFAULT_BUDGET})",
         )
 
     gen = sub.add_parser("generate", help="construct one design")

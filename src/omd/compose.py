@@ -229,8 +229,9 @@ def compose(ing: IngredientSet) -> DesignArray:
 @dataclass(frozen=True)
 class ConstructionResult:
     """A verified design plus its certified transversal, which comes from
-    the path's builder: omd.room's search for k = 1, build_2k's, build_4k's
-    or build_6k's fixed rule, or _expand's image on the product path.
+    the path's builder: build_room's anti-diagonal (or order 10's constant)
+    for k = 1, build_2k's, build_4k's or build_6k's fixed rule, or
+    _expand's image on the product path.
     """
 
     design: DesignArray

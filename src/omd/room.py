@@ -10,16 +10,22 @@ holds the translates by j, and column c holds the pairs
 from c. The point at infinity is flattened to r, everything else is its
 residue.
 
+The anti-diagonal {(j, -j mod r)}, one cell per row and column, is a
+transversal of such a square. Its filled cells are (0, 0) = {0, inf} and,
+for each pair i, the cell at row j = -a_i / 2 (2 is invertible mod odd r,
+so these rows differ and are nonzero), where the translate is
+{x_i - a_i / 2, y_i - a_i / 2} = {(x_i - y_i) / 2, (y_i - x_i) / 2}. The
+differences +-(x_i - y_i) cover Z_r \\ {0} once, so their halves do too.
+
 Strong starters exist for every odd r >= 7 except r = 9; a seeded hill
-climb finds them within a node budget. Side 9 comes from _NINE, a starter
-with another adder. A transversal is certified before returning.
+climb finds them within a step budget. Side 9 comes from _NINE, a
+starter with another adder, none of whose anti-diagonals is a
+transversal; its transversal is the constant _NINE_TRANSVERSAL.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
-import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,6 +77,10 @@ def validate_starter_adder(sa: StarterAdder) -> None:
 
 # no strong starter on Z_9, but twelve starter-adders (by enumeration)
 _NINE = StarterAdder(9, ((1, 2), (3, 7), (4, 6), (5, 8)), (5, 4, 2, 7))
+# a transversal of _NINE's square, fixed so that order 10 keeps its output
+_NINE_TRANSVERSAL = Transversal(
+    ((0, 0), (1, 7), (2, 4), (3, 2), (4, 8), (5, 3), (6, 5), (7, 6), (8, 1))
+)
 
 
 def _strong_starters(r: int, budget: int, seed: int = 0, tally: dict | None = None):
@@ -183,218 +193,40 @@ def _starter_array(sa: StarterAdder) -> DesignArray:
     return DesignArray(r, r + 1, 1, Complete(r + 1), cells)
 
 
-def room_from_starter(
-    sa: StarterAdder, *, seed: int = 0, budget: int = DEFAULT_BUDGET
-) -> tuple[DesignArray, Transversal]:
-    """Build the side-r square from a validated starter-adder."""
+def _transversal(sa: StarterAdder) -> Transversal:
+    """The anti-diagonal for the sum adder, the constant for _NINE."""
+    if sa == _NINE:
+        return _NINE_TRANSVERSAL
+    if sa.adder != tuple((x + y) % sa.r for x, y in sa.pairs):
+        raise InvalidStarter(
+            "the adder is not the sum adder, so no transversal rule applies"
+        )
+    return Transversal(tuple((j, -j % sa.r) for j in range(sa.r)))
+
+
+def room_from_starter(sa: StarterAdder) -> tuple[DesignArray, Transversal]:
+    """The side-r square of a validated starter-adder with its certified
+    transversal; the adder must be the sum adder, or sa must be _NINE."""
     validate_starter_adder(sa)
-    arr = _starter_array(sa)
-    transversal = find_transversal(arr, seed=seed, budget=budget)
-    if transversal is None:
-        raise SearchExhausted(
-            f"no transversal found for the side-{sa.r} starter square within budget"
+    arr, transversal = _starter_array(sa), _transversal(sa)
+    report = verify_transversal(arr, transversal)
+    if not report.passed:
+        raise AssertionError(
+            f"internal: the side-{sa.r} transversal rule failed: {report.failure()}"
         )
     return arr, transversal
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-def find_transversal(
-    arr: DesignArray,
-    *,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-    tally: dict | None = None,
-) -> Transversal | None:
-    """Search for a certified transversal of a design array.
-
-    Depth-first over the uncovered points, trying each live cell through
-    the branch point in array order; a live cell shares no row, column or
-    point with the cells chosen so far. Each point counts its live cells.
-    Choosing a cell kills the live cells sharing its row, column or a
-    point and decrements their points' counts; backtracking restores them.
-    The branch point is the first uncovered point whose count is at most
-    1 (0: the node is dead), else the first of least count. A node is
-    also dead when its uncovered points need more blocks than rows remain.
-    Once all points are covered, the leftover rows and columns must pair
-    up through empty cells, a bipartite matching. Both searches keep
-    explicit stacks, so depth is not bound by recursion.
-
-    The first attempt runs in deterministic order and, if it exhausts the
-    tree within budget, the absence verdict is final. Later attempts
-    reshuffle candidate order from seed until budget is spent. Every
-    returned transversal is re-checked by the verifier. tally, if given,
-    receives the nodes spent and the slices, the attempts started.
-    """
-    tally = {} if tally is None else tally
-    tally.update(nodes=0, slices=0)
-    n, side = arr.n, arr.side
-    if side == 0:
-        return None
-    per_block = 2 * arr.k
-    occupied = arr.occupied()
-    cell_row = [r for (r, _), _ in occupied]
-    cell_col = [c for (_, c), _ in occupied]
-    blocks = [block for _, block in occupied]
-    # a block of one edge with two distinct ends covers just those ends
-    edges = [block[0] for block in blocks] if set(map(len, blocks)) == {1} else []
-    if edges and not any(map(operator.eq, *zip(*edges))):
-        cell_points = edges
-    else:
-        cell_points = [tuple(set().union(*block)) for block in blocks]
-    by_point: list[list[int]] = [[] for _ in range(n)]
-    by_row: list[list[int]] = [[] for _ in range(side)]
-    by_col: list[list[int]] = [[] for _ in range(side)]
-    for idx, points in enumerate(cell_points):
-        by_row[cell_row[idx]].append(idx)
-        by_col[cell_col[idx]].append(idx)
-        for p in points:
-            by_point[p].append(idx)
-
-    def match_empty(chosen: list[int]) -> list[tuple[int, int]] | None:
-        used_rows = {cell_row[idx] for idx in chosen}
-        used_cols = {cell_col[idx] for idx in chosen}
-        free_cols = [c for c in range(side) if c not in used_cols]
-        end = len(free_cols)
-        match_of_col: dict[int, int] = {}
-        for i in range(side):
-            if i in used_rows:
-                continue
-            # augmenting path from row i, one [row, position after the
-            # column it tries] frame per row on it; skip[j] leads past the
-            # columns visited so far, so no row rescans them
-            skip = list(range(end + 1))
-            frames = [[i, 0]]
-            while frames:
-                frame = frames[-1]
-                row, pos = frame
-                while True:
-                    while skip[pos] != pos:
-                        skip[pos] = pos = skip[skip[pos]]
-                    if pos == end or (row, free_cols[pos]) not in arr.cells:
-                        break
-                    pos += 1
-                if pos == end:
-                    frames.pop()
-                    continue
-                frame[1] = skip[pos] = pos + 1
-                if free_cols[pos] not in match_of_col:
-                    for r, after in frames:
-                        match_of_col[free_cols[after - 1]] = r
-                    break
-                frames.append([match_of_col[free_cols[pos]], 0])
-            else:
-                return None
-        return sorted((i, c) for c, i in match_of_col.items())
-
-    def attempt(order_rng, node_budget: int) -> tuple[list | None, int]:
-        """(a transversal's cells, or None if the tree is exhausted; nodes)."""
-        alive = [True] * len(occupied)
-        count = [len(cells) for cells in by_point]
-        covered = [False] * n
-        uncovered = n
-        chosen: list[int] = []
-        killed: list[int] = []
-        stack: list[list] = []  # per open node: [candidates, next, kill mark]
-        nodes = 0
-        while True:
-            if not uncovered:
-                completion = match_empty(chosen)
-                if completion is not None:
-                    picks = [(cell_row[idx], cell_col[idx]) for idx in chosen]
-                    return picks + completion, nodes
-            elif uncovered // per_block <= side - len(chosen):
-                best, low = -1, len(occupied) + 1
-                for p in range(n):
-                    if not covered[p] and count[p] < low:
-                        best, low = p, count[p]
-                        if low <= 1:
-                            break
-                if low:
-                    cands = [idx for idx in by_point[best] if alive[idx]]
-                    if order_rng is not None:
-                        order_rng.shuffle(cands)
-                    stack.append([cands, 0, 0])
-            while stack:
-                frame = stack[-1]
-                cands, pos, mark = frame
-                if pos:
-                    # undo this node's last choice
-                    for idx in killed[mark:]:
-                        alive[idx] = True
-                        for p in cell_points[idx]:
-                            count[p] += 1
-                    del killed[mark:]
-                    for p in cell_points[chosen.pop()]:
-                        covered[p] = False
-                        uncovered += 1
-                if pos == len(cands):
-                    stack.pop()
-                    continue
-                nodes += 1
-                if nodes > node_budget:
-                    raise _BudgetExceeded
-                pick = cands[pos]
-                frame[1], frame[2] = pos + 1, len(killed)
-                for line in (
-                    by_row[cell_row[pick]],
-                    by_col[cell_col[pick]],
-                    *(by_point[p] for p in cell_points[pick]),
-                ):
-                    for idx in line:
-                        if alive[idx]:
-                            alive[idx] = False
-                            killed.append(idx)
-                            for p in cell_points[idx]:
-                                count[p] -= 1
-                for p in cell_points[pick]:
-                    covered[p] = True
-                    uncovered -= 1
-                chosen.append(pick)
-                break
-            else:
-                return None, nodes
-
-    remaining = budget
-    rng = random.Random(seed)
-    order_rng = None
-    while remaining > 0:
-        slice_budget = min(remaining, max(4000, budget // 64))
-        tally["slices"] += 1
-        try:
-            cells, used = attempt(order_rng, slice_budget)
-        except _BudgetExceeded:
-            tally["nodes"] += slice_budget
-            # the slice is charged one node past its budget
-            remaining -= slice_budget + 1
-            order_rng = rng
-            continue
-        tally["nodes"] += used
-        if cells is None:
-            return None
-        transversal = Transversal(tuple(sorted(cells)))
-        report = verify_transversal(arr, transversal)
-        if not report.passed:
-            raise AssertionError(
-                f"internal: transversal search produced an invalid result: "
-                f"{report.failure()}"
-            )
-        return transversal
-    return None
 
 
 def build_room(
     n: int, *, seed: int = 0, budget: int = DEFAULT_BUDGET
 ) -> tuple[DesignArray, Transversal]:
-    """Single-edge design of even order n with a certified transversal.
+    """Single-edge design of even order n with its transversal.
 
     Orders 4 and 6 are the two genuine exclusions. Order 2 is the one-cell
     array. Order 10 comes from _NINE, since Z_9 has no strong starter.
-    Every other order takes the first of up to four starters from the hill
-    climb at seed whose square has a transversal; SearchExhausted says what
-    the starter phase spent when none does.
+    Every other order takes the first starter of the hill climb at seed
+    and its square's anti-diagonal; SearchExhausted says what the starter
+    phase spent when it finds none. construct certifies the transversal.
     """
     if n < 2 or n % 2:
         raise ValueError(f"single-edge designs need even n >= 2, got {n}")
@@ -411,27 +243,13 @@ def _cached_room(n: int, seed: int, budget: int) -> tuple[DesignArray, Transvers
     if n == 2:
         arr = DesignArray(1, 2, 1, Complete(2), {(0, 0): canonical_block([(0, 1)])})
         return arr, Transversal(((0, 0),))
-
-    r = n - 1
-    tally = {"steps": 0, "restarts": 0}
-    starters = [_NINE] if r == 9 else _strong_starters(r, budget, seed, tally)
-    transversal_failures = nodes = 0
-    for sa in itertools.islice(starters, 4):
-        arr = _starter_array(sa)
-        spent: dict = {}
-        transversal = find_transversal(arr, seed=seed, budget=budget, tally=spent)
-        if transversal is not None:
-            return arr, transversal
-        transversal_failures += 1
-        nodes += spent["nodes"]
-    within = f"within budget ({nodes} search nodes)"
-    if r == 9:
+    if n == 10:
+        return _starter_array(_NINE), _NINE_TRANSVERSAL
+    tally: dict = {}
+    sa = next(_strong_starters(n - 1, budget, seed, tally), None)
+    if sa is None:
         raise SearchExhausted(
-            f"order {n}: the fixed _NINE square had no transversal {within}"
+            f"order {n}: the strong starter phase gave up after {tally['steps']} "
+            f"steps and {tally['restarts']} restarts"
         )
-    squares = "square" if transversal_failures == 1 else "squares"
-    raise SearchExhausted(
-        f"order {n}: the strong starter phase gave up after {tally['steps']} "
-        f"steps and {tally['restarts']} restarts; {transversal_failures} "
-        f"starter {squares} had no transversal {within}"
-    )
+    return _starter_array(sa), _transversal(sa)

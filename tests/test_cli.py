@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,26 @@ def test_bad_flags_exit_four(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_generate_budget_exhaustion_is_prompt_and_names_the_starter_phase():
+    src = Path(__file__).resolve().parent.parent / "src"
+    args = ["generate", "--n", "4000", "--k", "1", "--budget", "1"]
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "omd.cli", *args],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert time.monotonic() - start < 5.0
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == (
+        "budget exhausted: order 4000: the strong starter phase gave up "
+        "after 1 steps and 1 restarts\n"
+    )
+
+
 # headers that claim far more than the file holds, and the first check
 # that refutes each; verify's work must follow the cells, not the claim
 HEADER_ONLY = {
@@ -233,9 +254,9 @@ GOLDEN_DIGESTS = {
     (2, 1, 0): "e55a5807525b3041ff5353d589b8584565dcb92c7d2a169a04a18189bdfb7532",
     (8, 1, 0): "31159029ae7f3d0cfb30675ceb5f50222945ce678e72cb12c72b37d602f71cbe",
     (10, 1, 0): "786cc0e7a668693b84bb2689aa0e52228c082b486aadecc904e508e41b21a0b2",
-    (12, 1, 0): "1d1a48b79282e223de8d878a2b59771b98cad99da22e14c3805867a1b13eb124",
-    (62, 1, 0): "47cdb3cdc3d36726b4b69792dc503534c81c04a0b1288296cefaa2eb56728f9a",
-    (122, 1, 0): "ed95f0bfa95007d05dca3fb2b31a64d499ce71e8a451e6332522db9fc401228f",
+    (12, 1, 0): "4ba2e4ddd7e74f1d80051f791e7b8ae53f0a1523468d82154c0f3fcbd9ea2aae",
+    (62, 1, 0): "b84a0525ff258a7a8575b3cf7d3ad2820f225f15ce15307fc1dcf5649be3fb70",
+    (122, 1, 0): "d87b9bc0dd64a1b623fe23f52eeff3feb4e6cb720eea1277b7c82706c6df951e",
     (4, 2, 0): "443e753ac20f295184591bad131912f81f17cf4329928952edc7dbb67f58b7ac",
     (8, 2, 0): "5d34c27b84bf8e8d4295e4630303010b2a84284c733efe4dd97f7a8dad305254",
     (12, 2, 0): "b694e09ff514f52d878bc3f85969e9583527e4858ac10ce2bf9016de0779fc39",
@@ -243,13 +264,13 @@ GOLDEN_DIGESTS = {
     (20, 2, 0): "7235ee379b64353ab4cee60db48ba72ceb8ac8a112d2d34f1b7e1e25f8f8f047",
     (24, 3, 0): "c27568c1e4d547ffdd6d39fcf24ee1f0c15beb5bc2884e27f07a4507b366dd99",
     (30, 3, 0): "189eb59eb936e7115f75da2d03f2dbd17514bc4edec9e85349994e1f0bcf1674",
-    (60, 5, 0): "307ed8db70a26e50e0620533b652a2dfa7142d3fbe5cbabf424abec1297e5860",
+    (60, 5, 0): "ce6bd031fac07f9e3de170e69ae08c2ea4b918b89a9e53aaabbfc8189385e546",
     (2, 1, 3): "18de0246400768ed3ae769cfa052d3d8febf0c253b91f6fdbd4b5d811b786faf",
     (8, 1, 3): "febf289f0eb2d275dd5c1ee6871b59ca830721e82014e2bed90a1f2afc1ef837",
     (10, 1, 3): "3625415261230bf5b602d14433149062518f73de2895998a90fb37b0ee224d08",
-    (12, 1, 3): "a93bc2dd260a54d8a77ed5ee7298e1d36b47dba1b27468a07f40eef30187d6b9",
-    (62, 1, 3): "c027785e9206b194d2ec1f82fd1eaab373861512b278d3ff6fe6af22af2a2569",
-    (122, 1, 3): "0c5073eab29e84675aa7853639c8cdcd362bc3755e978d8d411788017ef846d0",
+    (12, 1, 3): "c3e3c3ccad15e62c886800175abc37957d0c0f04e7e633a540e9831772ce65a4",
+    (62, 1, 3): "a4616732807b3b4377b9f8dbdc7c0a16c33900f4c52c8f0b6305ee62e3c356f8",
+    (122, 1, 3): "a9c141846c3d2c2fb722f64252400e9ab0e66b81f6fb81c6b159d311bb289a48",
     (4, 2, 3): "5e767f2eb8f7bb7ac5e01a75629d07aa11820f17de147e8a6a18be936ce14d70",
     (8, 2, 3): "04c9d9dc92da8cbf2363f7e1d1a8014c08af62bde7b82647e2458eafda6fcadf",
     (12, 2, 3): "8736a4168871a78ff11c2ee8651a28f06b829a56a47e870e26d07b9df282ebe8",
@@ -257,7 +278,7 @@ GOLDEN_DIGESTS = {
     (20, 2, 3): "0f71c93d41082c239a18ea767028f8fb07e34dcd98c05f5b2d23f4fd8b2efa77",
     (24, 3, 3): "2f25f8666910b229f527aae2d647e7c744475e5e500e710f22e061c57729991d",
     (30, 3, 3): "c17fdedb1139d2a7c7c9ee57d563c999f692c4cbf2c3167b12f492efc1f3d45c",
-    (60, 5, 3): "b7bbfda72a7b970383a5d517e09cbaa03d045986dbc83e3f3bc8cedea08e0f3c",
+    (60, 5, 3): "a2795942fa83552a56e69d92c1824811faad42d335cb71e3ed3cdb0aeafa3611",
 }
 
 
@@ -297,8 +318,8 @@ CELL_DIGESTS = {
     (24, 3, 3): "03dbf4bd969828520a11c690d34fbd863e14da16521e81cbf5f414a9efced04f",
     (30, 3, 0): "dd8bfc079f21afb0c6e65d9a15f1b0c5733baabde61aeeddae731d81a69dcd83",
     (30, 3, 3): "75a64d8c4427b069c17390dda3db443d7154d66e8671b7df21fb671adeea822c",
-    (60, 5, 0): "4c547f1ba2321ddfd611fdc3e05dfde607d1d372b79b755114d3dc0f9cbad5af",
-    (60, 5, 3): "5acd1049e677c960fa49c7912ebe92db83fc99b37dedf937f5363bb589a2e7e6",
+    (60, 5, 0): "e49874e759c1c5ce49e9bd67ee3a448bb79f22418148967fb3ef141605aa6c8d",
+    (60, 5, 3): "205b403fb8890d82ee0f53c67ac402f96f541540753db7bf44f9caa8f14e8562",
     (62, 1, 0): "47dc8bdc6a0a1415198e43ab7cb74733c279ecada3e924d3e58f696fae7210ac",
     (62, 1, 3): "eeba7b6f35d7b789acefacb4c789c24c4a65fe1800093d41f1deccc27aaf86b6",
     (122, 1, 0): "9e723db47f371ccec61c4714502b5d489aabe96d4b58eb4c4d25849d6ecfa3c7",

@@ -298,9 +298,9 @@ PINNED_AT_SCALE = {
     ),
     "product-deletion": (
         _product_deletion,
-        (None, None, "row 78 covers point 16 0 times",
-         "column 74 covers point 16 0 times", "host edge (16, 23) is uncovered"),
-        "2ec7461bf3026153f84761ae124984748ba4b5baab72088c980c4b49688866fb",
+        (None, None, "row 78 covers point 22 0 times",
+         "column 64 covers point 22 0 times", "host edge (22, 57) is uncovered"),
+        "47f49d96563a5a613c9053cdbc8487a365e55dc17da23391e63b5687e55f576e",
     ),
     "product-swap": (
         _product_swap,
