@@ -249,7 +249,8 @@ def test_generate_is_byte_identical(n, k, tmp_path, capsys):
 
 # SHA-256 of `omd generate` stdout, one case per construction path (room,
 # order 10's fixed square, diagonal, quad-split, hex-split, products over
-# room(8), room(10) and room(12)); any change in output bytes shows here
+# room(8), room(10), room(12), room(40) and room(56)); any change in output
+# bytes shows here
 GOLDEN_DIGESTS = {
     (2, 1, 0): "e55a5807525b3041ff5353d589b8584565dcb92c7d2a169a04a18189bdfb7532",
     (8, 1, 0): "31159029ae7f3d0cfb30675ceb5f50222945ce678e72cb12c72b37d602f71cbe",
@@ -265,6 +266,8 @@ GOLDEN_DIGESTS = {
     (24, 3, 0): "c27568c1e4d547ffdd6d39fcf24ee1f0c15beb5bc2884e27f07a4507b366dd99",
     (30, 3, 0): "189eb59eb936e7115f75da2d03f2dbd17514bc4edec9e85349994e1f0bcf1674",
     (60, 5, 0): "ce6bd031fac07f9e3de170e69ae08c2ea4b918b89a9e53aaabbfc8189385e546",
+    (112, 2, 0): "e5c17c45c8e0e7564db561686c01d646ca523bae31b03eba0c37ce807c5ec2d6",
+    (240, 6, 0): "481200607d198322b55a6cb113a61a674b25e595384f67275cbfcaab501b5a39",
     (2, 1, 3): "18de0246400768ed3ae769cfa052d3d8febf0c253b91f6fdbd4b5d811b786faf",
     (8, 1, 3): "febf289f0eb2d275dd5c1ee6871b59ca830721e82014e2bed90a1f2afc1ef837",
     (10, 1, 3): "3625415261230bf5b602d14433149062518f73de2895998a90fb37b0ee224d08",
@@ -324,6 +327,8 @@ CELL_DIGESTS = {
     (62, 1, 3): "eeba7b6f35d7b789acefacb4c789c24c4a65fe1800093d41f1deccc27aaf86b6",
     (122, 1, 0): "9e723db47f371ccec61c4714502b5d489aabe96d4b58eb4c4d25849d6ecfa3c7",
     (122, 1, 3): "b4328eb1e941ae6cb013ac0253944472b4cf1b2f8c6111623e45f8280894c177",
+    (112, 2, 0): "f120ece2675903e88b988e0bf1318c8b3181d8d47a287363cdfbfe97fea86a5f",
+    (240, 6, 0): "2b2e2421343319ecfc45e1d334b41630d2aaae394c2a36600ae9a94c2943ef97",
 }
 
 
