@@ -6,35 +6,19 @@ absorb the hole of the larger ingredient. The side comes out as
 s(n-1) + s - 1 = sn - 1, exactly the side a design of order sn needs.
 """
 
-from omd import (
-    IngredientSet,
-    build_2k,
-    build_m1k,
-    build_room,
-    compose,
-    construct,
-    verify,
-)
+from omd import build_2k, build_m1k, build_room, compose, construct, verify
 
-s = k = 2
+s = 2
 outer, outer_transversal = build_room(8)
-cell_ingredient = build_m1k(k)
-t_design, t_transversal, t_hole = build_2k(k)
+cell_ingredient = build_m1k(s)
+t_design, _, t_hole = build_2k(s)
 
 print(f"outer: order {outer.n}, side {outer.side}, single-edge blocks")
 print(f"cell ingredient: side {cell_ingredient.side} on the doubled edge")
 print(f"transversal ingredient: side {t_design.side} with a hole of size {t_hole.size}\n")
 
-design = compose(
-    IngredientSet(
-        outer=outer,
-        outer_transversal=outer_transversal,
-        cell_ingredient=cell_ingredient,
-        transversal_ingredient=t_design,
-        ingredient_transversal=t_transversal,
-        ingredient_hole=t_hole,
-    )
-)
+# compose builds both ingredients itself from s
+design = compose(outer, outer_transversal, s)
 print(f"composed: order {design.n}, side {design.side} "
       f"(= {s}*{outer.side} + {s - 1})")
 print(f"verified: {verify(design).passed}\n")

@@ -23,12 +23,11 @@ from .room import (
     validate_starter_adder,
 )
 from .verify import brute_force_exists, verify
-from .compose import IngredientSet, compose, construct
+from .compose import compose, construct
 from .formats import render_grid
 
 __all__ = [
     "DesignArray",
-    "IngredientSet",
     "NonExistent",
     "StarterAdder",
     "brute_force_exists",

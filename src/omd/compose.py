@@ -1,223 +1,93 @@
-"""Recursive product: expand each cell of a small design into a subarray.
+"""Recursive product: expand each cell of a single-edge design into a subarray.
 
-Given a design with single- or multi-edge blocks on n points, every point
-is split into s copies. Each outer cell grows into an s x s block, and
-s - 1 extra rows and columns are appended, for a side of s(n-1) + s - 1
-= sn - 1. Cells on the outer transversal receive a copy of the larger
-ingredient (on the matching-of-cliques host) with its hole permuted onto
-the extra rows and columns; all other filled cells receive a copy of the
-smaller ingredient (on the matching-blowup host). The copies tile the new
+Given a single-edge design on m points (a Room square) with a certified
+transversal, every point is split into s copies. Each outer cell grows
+into an s x s block, and s - 1 extra rows and columns are appended, for a
+side of s(m-1) + s - 1 = sm - 1. The ingredients are always build_m1k(s),
+on the doubled edge K_{s,s}, and build_2k(s), on K_{2s} with its hole of
+size s - 1. Cells on the outer transversal receive a copy of build_2k(s)
+with its hole rows and columns laid onto the extra rows and columns; all
+other filled cells receive a copy of build_m1k(s). The copies tile the new
 edge set exactly once, which the verifier confirms on every output.
-The product's transversal is the image of the larger ingredient's in
+The product's transversal is the image of build_2k(s)'s back diagonal in
 every outer transversal cell; no transversal is searched for here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
-from .core import (
-    Block,
-    Cell,
-    Complete,
-    CompleteBipartite,
-    DesignArray,
-    Hole,
-    LexMatching,
-    LexMatchingComplete,
-    Transversal,
-)
-from .errors import (
-    EmbeddingCollision,
-    IncoherentIngredients,
-    NonExistent,
-    VerificationFailed,
-)
+from .core import Complete, DesignArray, Transversal
+from .errors import IncoherentIngredients, NonExistent, VerificationFailed
 from .room import DEFAULT_BUDGET, build_room
 from .bases import build_2k, build_4k, build_6k, build_m1k
-from .verify import (
-    VerificationReport,
-    verify,
-    verify_hole,
-    verify_transversal,
-)
+from .verify import VerificationReport, verify, verify_transversal
 
 
-@dataclass(frozen=True)
-class IngredientSet:
-    """Everything the product construction consumes.
+def _expand(
+    outer: DesignArray, outer_transversal: Transversal, s: int
+) -> tuple[DesignArray, Transversal]:
+    """Blow up a single-edge outer design by s; no checks.
+    The transversal is the union of build_2k(s)'s back diagonal images in
+    every outer transversal cell, empty or not (hole images coincide)."""
+    small = build_m1k(s)
+    big, big_transversal, hole = build_2k(s)
+    # build_2k's rows and columns in the order they are laid out: first
+    # those outside the hole, then the hole's, which go to the extra lines
+    row_order = [r for r in range(big.side) if r not in hole.rows] + list(hole.rows)
+    col_order = [c for c in range(big.side) if c not in hole.cols] + list(hole.cols)
+    row_at = {r: p for p, r in enumerate(row_order)}
+    col_at = {c: p for p, c in enumerate(col_order)}
+    big_cells = [(row_at[r], col_at[c], b) for (r, c), b in big.cells.items()]
+    big_chosen = [(row_at[r], col_at[c]) for r, c in big_transversal.cells]
+    small_cells = [(r, c, b) for (r, c), b in small.cells.items()]
+    extras = range(s * outer.side, s * outer.side + s - 1)
 
-    outer: design whose cells get expanded, with a certified transversal.
-    cell_ingredient: design on the matching blowup M_l[s], side s.
-    transversal_ingredient: design on the clique blowup M_l[K_s], side
-    2s - 1, with a certified transversal that pairs the hole rows with the
-    hole columns (as build_2k's back diagonal does) and a hole of size s - 1.
-    """
+    def lines(x: int) -> list[int]:
+        """Outer line x's s rows (or columns), then the s - 1 extra ones."""
+        return [*range(x * s, x * s + s), *extras]
 
-    outer: DesignArray
-    outer_transversal: Transversal
-    cell_ingredient: DesignArray
-    transversal_ingredient: DesignArray
-    ingredient_transversal: Transversal
-    ingredient_hole: Hole
-
-
-def _matching_blowup_params(host) -> tuple[int, int] | None:
-    """(l, s) when host is M_l[s] up to isomorphism, else None."""
-    if isinstance(host, LexMatching):
-        return host.l, host.s
-    if isinstance(host, CompleteBipartite) and host.a == host.b:
-        return 1, host.a
-    return None
-
-
-def _clique_blowup_params(host) -> tuple[int, int] | None:
-    """(l, s) when host is M_l[K_s] up to isomorphism, else None."""
-    if isinstance(host, LexMatchingComplete):
-        return host.l, host.s
-    if isinstance(host, Complete) and host.n % 2 == 0:
-        return 1, host.n // 2
-    return None
+    chosen = set()
+    for i, j in outer_transversal.cells:
+        rows, cols = lines(i), lines(j)
+        chosen.update((rows[r], cols[c]) for r, c in big_chosen)
+    on_transversal = set(outer_transversal.cells)
+    cells = {}
+    for (i, j), ((u, v),) in outer.cells.items():
+        rows, cols = lines(i), lines(j)
+        # point a of the ingredient goes to u's copies for a < s, else to
+        # v's; u < v keeps every edge canonical and the block in order
+        pmap = [*range(u * s, u * s + s), *range(v * s, v * s + s)]
+        source = big_cells if (i, j) in on_transversal else small_cells
+        for r, c, block in source:
+            cells[rows[r], cols[c]] = tuple([(pmap[a], pmap[b]) for a, b in block])
+    n = s * outer.n
+    design = DesignArray(s * outer.side + s - 1, n, s, Complete(n), cells)
+    return design, Transversal(tuple(sorted(chosen)))
 
 
-def check_ingredients(ing: IngredientSet) -> tuple[int, int, int]:
-    """Validate parameter coherence; return (l, s, k) on success."""
-    outer = ing.outer
+def compose(outer: DesignArray, outer_transversal: Transversal, s: int) -> DesignArray:
+    """Blow up a single-edge design on a complete graph by s after checking
+    it and its transversal; the result is verified before it is returned."""
     if not isinstance(outer.host, Complete):
         raise IncoherentIngredients(
             f"outer design must live on a complete graph, got {outer.host!r}"
         )
-    l = outer.k
-
-    cell_params = _matching_blowup_params(ing.cell_ingredient.host)
-    if cell_params is None:
+    if outer.k != 1:
         raise IncoherentIngredients(
-            "cell ingredient must live on a matching blowup M_l[s], "
-            f"got {ing.cell_ingredient.host!r}"
+            f"outer design must have single-edge blocks, got k = {outer.k}"
         )
-    if cell_params[0] != l:
-        raise IncoherentIngredients(
-            f"cell ingredient is built for {cell_params[0]}-edge outer "
-            f"blocks but the outer design has {l}-edge blocks"
-        )
-    s = cell_params[1]
-
-    trans_params = _clique_blowup_params(ing.transversal_ingredient.host)
-    if trans_params is None:
-        raise IncoherentIngredients(
-            "transversal ingredient must live on a clique blowup M_l[K_s], "
-            f"got {ing.transversal_ingredient.host!r}"
-        )
-    if trans_params != (l, s):
-        raise IncoherentIngredients(
-            f"transversal ingredient parameters {trans_params} do not match "
-            f"(l, s) = {(l, s)}"
-        )
-
-    k = ing.cell_ingredient.k
-    if ing.transversal_ingredient.k != k:
-        raise IncoherentIngredients(
-            f"ingredients disagree on block size: "
-            f"{k} vs {ing.transversal_ingredient.k}"
-        )
-    if ing.cell_ingredient.side != s:
-        raise IncoherentIngredients(
-            f"cell ingredient side must be s = {s}, "
-            f"got {ing.cell_ingredient.side}"
-        )
-    if ing.transversal_ingredient.side != 2 * s - 1:
-        raise IncoherentIngredients(
-            f"transversal ingredient side must be 2s - 1 = {2 * s - 1}, "
-            f"got {ing.transversal_ingredient.side}"
-        )
-    if ing.ingredient_hole.size != s - 1:
-        raise IncoherentIngredients(
-            f"hole must have size s - 1 = {s - 1}, "
-            f"got {ing.ingredient_hole.size}"
-        )
-
-    for name, arr in (
-        ("outer", outer),
-        ("cell ingredient", ing.cell_ingredient),
-        ("transversal ingredient", ing.transversal_ingredient),
-    ):
-        report = verify(arr)
-        if not report.passed:
-            raise IncoherentIngredients(
-                f"{name} fails verification: {report.failure()}"
-            )
-    report = verify_transversal(outer, ing.outer_transversal)
+    if s < 1:
+        raise ValueError(f"need s >= 1, got {s}")
+    report = verify(outer)
+    if not report.passed:
+        raise IncoherentIngredients(f"outer fails verification: {report.failure()}")
+    report = verify_transversal(outer, outer_transversal)
     if not report.passed:
         raise IncoherentIngredients(
             f"outer transversal fails certification: {report.failure()}"
         )
-    report = verify_transversal(
-        ing.transversal_ingredient, ing.ingredient_transversal
-    )
-    if not report.passed:
-        raise IncoherentIngredients(
-            f"ingredient transversal fails certification: {report.failure()}"
-        )
-    report = verify_hole(ing.transversal_ingredient, ing.ingredient_hole)
-    if not report.passed:
-        raise IncoherentIngredients(
-            f"ingredient hole fails certification: {report.failure()}"
-        )
-    return l, s, k
-
-
-def _expand(ing: IngredientSet) -> tuple[DesignArray, Transversal]:
-    """Blow up ing.outer by s into one cell dict, wrapped once; no checks.
-    The transversal is the union of ing.ingredient_transversal's images in
-    every outer transversal cell, empty or not (hole images coincide)."""
-    outer, small, big = ing.outer, ing.cell_ingredient, ing.transversal_ingredient
-    s = small.side
-    # appended rows and columns, which take the larger ingredient's hole
-    extras = list(range(s * outer.side, s * outer.side + s - 1))
-    hole = ing.ingredient_hole
-    big_rows = [r for r in range(big.side) if r not in hole.rows] + list(hole.rows)
-    big_cols = [c for c in range(big.side) if c not in hole.cols] + list(hole.cols)
-    on_transversal = set(ing.outer_transversal.cells)
-    big_transversal = ing.ingredient_transversal.cells
-
-    cells: dict[Cell, Block] = {}
-    chosen: set[Cell] = set()
-    for i, j in sorted(on_transversal.union(outer.cells)):
-        if (i, j) in on_transversal:
-            source, rows, cols = big, big_rows, big_cols
-        else:
-            source, rows, cols = small, range(s), range(s)
-        row_map = dict(zip(rows, [*range(i * s, i * s + s), *extras]))
-        col_map = dict(zip(cols, [*range(j * s, j * s + s), *extras]))
-        if source is big:
-            chosen.update((row_map[r], col_map[c]) for r, c in big_transversal)
-        block = outer.cells.get((i, j))
-        if block is None:
-            continue
-        # point x*s + z goes to phi(x)*s + z: phi sends group 2t to u_t and
-        # 2t + 1 to v_t, the t-th edge (u_t, v_t) of the block
-        pmap = [q * s + z for q in chain.from_iterable(block) for z in range(s)]
-        for (r, c), piece in source.cells.items():
-            target = (row_map[r], col_map[c])
-            if target in cells:
-                raise EmbeddingCollision(f"outer cell ({i}, {j}) collided at {target}")
-            # an edge lies in groups 2t and 2t + 1, where phi increases, so
-            # it stays canonical; the edges can change order only if k > 1
-            # in the outer design, the one case the sort is for
-            image = [(pmap[u], pmap[v]) for u, v in piece]
-            image.sort()
-            cells[target] = tuple(image)
-    n = s * outer.n
-    design = DesignArray(s * outer.side + s - 1, n, small.k, Complete(n), cells)
-    return design, Transversal(tuple(sorted(chosen)))
-
-
-def compose(ing: IngredientSet) -> DesignArray:
-    """Blow up ing.outer by s after checking every ingredient; the result
-    is verified before it is returned."""
-    check_ingredients(ing)
-    out, _transversal = _expand(ing)
+    out, _transversal = _expand(outer, outer_transversal, s)
     report = verify(out)
     if not report.passed:
         raise VerificationFailed(
@@ -230,8 +100,9 @@ def compose(ing: IngredientSet) -> DesignArray:
 class ConstructionResult:
     """A verified design plus its certified transversal, which comes from
     the path's builder: build_room's anti-diagonal (or order 10's constant)
-    for k = 1, build_2k's, build_4k's or build_6k's fixed rule, or
-    _expand's image on the product path.
+    for k = 1, build_2k's, build_4k's or build_6k's fixed rule, or on the
+    product path the image of build_2k(k)'s back diagonal in every cell of
+    the Room square's transversal.
     """
 
     design: DesignArray
@@ -295,17 +166,7 @@ def construct(
 
     m = n // k
     outer, outer_transversal = build_room(m, seed=seed, budget=budget)
-    t_design, t_transversal, t_hole = build_2k(k)
-    # the package's own builders made these ingredients, so they skip
-    # check_ingredients; _certify verifies the expanded design once
-    design, transversal = _expand(
-        IngredientSet(
-            outer=outer,
-            outer_transversal=outer_transversal,
-            cell_ingredient=build_m1k(k),
-            transversal_ingredient=t_design,
-            ingredient_transversal=t_transversal,
-            ingredient_hole=t_hole,
-        )
-    )
+    # build_room's design and transversal skip compose's checks;
+    # _certify verifies the expanded design once
+    design, transversal = _expand(outer, outer_transversal, k)
     return _certify(design, f"product(room({m}), s={k})", transversal)

@@ -26,11 +26,7 @@ class SearchExhausted(DesignError):
 
 
 class IncoherentIngredients(DesignError):
-    """Ingredient designs do not fit together for the product construction."""
-
-
-class EmbeddingCollision(DesignError):
-    """Two ingredient embeddings wrote to the same cell; indicates a bug."""
+    """The outer design or transversal given to the product does not fit it."""
 
 
 class VerificationFailed(DesignError):

@@ -134,9 +134,12 @@ def _group(keys, values) -> defaultdict:
 def _resolution(lines: dict, side: int, n: int, label: str) -> tuple[str | None, list]:
     """The first line of 0..side-1 that is not a resolution class, named, and
     the blocks of the lines failing the bulk test: n points whose set is
-    0..n-1, built only once a line has n points. Those lines and the empty
-    ones are counted exactly, in order, as one may still cover 0..n-1 once."""
-    full, suspects = None, [i for i in range(side) if i not in lines]
+    0..n-1, built only once a line has n points. Those lines and the first
+    empty one are counted exactly, in order, as one may still cover 0..n-1
+    once; a later empty line cannot come first, so it is not listed."""
+    ordered = sorted(lines)
+    empty = next((p for p, i in enumerate(ordered) if p != i), len(ordered))
+    full, suspects = None, [empty] if empty < side else []
     for i, blocks in lines.items():
         if 2 * sum(map(len, blocks)) == n:
             full = full or set(range(n))
@@ -245,12 +248,19 @@ def verify(arr: DesignArray) -> VerificationReport:
     pair_detail = _pair_detail(arr.host, edges)
     checks.append(Check("pair-coverage", pair_detail is None, pair_detail))
 
+    # fewer cells than lines leaves a line empty, which fails resolution; the
+    # per-line counts are then left out, so no work follows the claimed side
+    if len(arr.cells) < side:
+        row_blocks = col_blocks = ()
+    else:
+        row_blocks = tuple(map(len, map(by_row.get, range(side), repeat(()))))
+        col_blocks = tuple(map(len, map(by_col.get, range(side), repeat(()))))
     return VerificationReport(
         passed=all(c.passed for c in checks),
         checks=tuple(checks),
         total_blocks=len(arr.cells),
-        row_blocks=tuple(map(len, map(by_row.get, range(side), repeat(())))),
-        col_blocks=tuple(map(len, map(by_col.get, range(side), repeat(())))),
+        row_blocks=row_blocks,
+        col_blocks=col_blocks,
     )
 
 

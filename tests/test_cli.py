@@ -199,6 +199,7 @@ def test_generate_budget_exhaustion_is_prompt_and_names_the_starter_phase():
 HEADER_ONLY = {
     "n-20000": ((20000, 19999, {"type": "complete", "n": 20000}), "row-resolution"),
     "side-2000000": ((8, 2_000_000, {"type": "complete", "n": 8}), "host-shape"),
+    "side-1e9": ((8, 10**9, {"type": "complete", "n": 8}), "host-shape"),
     "lex-matching-s-1e8": (
         (2 * 10**8, 1, {"type": "lex_matching", "l": 1, "s": 10**8}),
         "host-shape",
@@ -217,6 +218,7 @@ def test_verify_header_only_file_is_refuted_promptly(case, tmp_path):
     path = tmp_path / "stub.json"
     path.write_text(json.dumps(dict(header, cells=[])))
     src = Path(__file__).resolve().parent.parent / "src"
+    start = time.monotonic()
     done = subprocess.run(
         [sys.executable, "-m", "omd.cli", "verify", str(path)],
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -224,10 +226,13 @@ def test_verify_header_only_file_is_refuted_promptly(case, tmp_path):
         text=True,
         timeout=20,
     )
+    assert time.monotonic() - start < 2.0
     assert done.returncode == 1, done.stderr
     failed = [line for line in done.stdout.splitlines() if line.startswith("[FAIL]")]
     assert failed[0].startswith(f"[FAIL] {first_failure} ")
     assert failed[-1].startswith("[FAIL] pair-coverage (host edge (0, ")
+    # fewer cells than lines: the per-line block counts are left out
+    assert "blocks: 0 total, [] per row, [] per column\n" in done.stdout
     assert done.stdout.endswith("verdict: INVALID\n")
 
 

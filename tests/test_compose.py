@@ -5,181 +5,73 @@ import importlib
 import pytest
 
 from omd.bases import build_2k, build_m1k
-from omd.compose import IngredientSet, _expand, check_ingredients, compose, construct
-from omd.core import Complete, DesignArray, Hole, LexMatching, Transversal, canonical_block
-from omd.errors import EmbeddingCollision, IncoherentIngredients, NonExistent
+from omd.compose import compose, construct
+from omd.core import DesignArray, Transversal, canonical_block
+from omd.errors import IncoherentIngredients, NonExistent
 from omd.formats import dumps_design
 from omd.room import build_room
 from omd.verify import verify
 
 
-def _ingredients(k, outer_n=8):
-    outer, outer_t = build_room(outer_n)
-    t_design, t_trans, t_hole = build_2k(k)
-    return IngredientSet(
-        outer=outer,
-        outer_transversal=outer_t,
-        cell_ingredient=build_m1k(k),
-        transversal_ingredient=t_design,
-        ingredient_transversal=t_trans,
-        ingredient_hole=t_hole,
-    )
-
-
-def test_check_ingredients_happy_path():
-    assert check_ingredients(_ingredients(2)) == (1, 2, 2)
+@pytest.mark.parametrize(
+    "m,s", [(2, 1), (8, 1), (14, 1), (12, 2), (14, 3), (20, 2), (40, 6)]
+)
+def test_compose_matches_construct(m, s):
+    """compose is construct's product path; at s = 1 it returns the outer."""
+    outer, outer_t = build_room(m)
+    design = compose(outer, outer_t, s)
+    if s == 1:
+        assert design == outer
+    assert design == construct(s * m, s).design
 
 
 def test_outer_must_be_complete():
-    ing = _ingredients(2)
-    bad = IngredientSet(
-        outer=build_m1k(2),
-        outer_transversal=ing.outer_transversal,
-        cell_ingredient=ing.cell_ingredient,
-        transversal_ingredient=ing.transversal_ingredient,
-        ingredient_transversal=ing.ingredient_transversal,
-        ingredient_hole=ing.ingredient_hole,
-    )
+    # a single-edge design on the doubled edge K_{1,1}, not on K_2
+    outer = build_m1k(1)
     with pytest.raises(IncoherentIngredients, match="complete graph"):
-        check_ingredients(bad)
+        compose(outer, Transversal(((0, 0),)), 2)
 
 
-def test_cell_ingredient_host_checked():
-    ing = _ingredients(2)
-    bad = IngredientSet(
-        outer=ing.outer,
-        outer_transversal=ing.outer_transversal,
-        cell_ingredient=ing.transversal_ingredient,
-        transversal_ingredient=ing.transversal_ingredient,
-        ingredient_transversal=ing.ingredient_transversal,
-        ingredient_hole=ing.ingredient_hole,
-    )
-    with pytest.raises(IncoherentIngredients, match="matching blowup"):
-        check_ingredients(bad)
+def test_multi_edge_outer_rejected():
+    outer, outer_t, _ = build_2k(2)
+    with pytest.raises(IncoherentIngredients, match="single-edge blocks"):
+        compose(outer, outer_t, 2)
 
 
-def test_ingredient_parameter_mismatch():
-    ing = _ingredients(2)
-    bad = IngredientSet(
-        outer=ing.outer,
-        outer_transversal=ing.outer_transversal,
-        cell_ingredient=build_m1k(3),
-        transversal_ingredient=ing.transversal_ingredient,
-        ingredient_transversal=ing.ingredient_transversal,
-        ingredient_hole=ing.ingredient_hole,
-    )
-    with pytest.raises(IncoherentIngredients, match="do not match"):
-        check_ingredients(bad)
-
-
-def test_block_size_disagreement():
-    ing = _ingredients(2)
-    bad = IngredientSet(
-        outer=ing.outer,
-        outer_transversal=ing.outer_transversal,
-        cell_ingredient=ing.cell_ingredient,
-        transversal_ingredient=DesignArray(3, 4, 1, Complete(4), {}),
-        ingredient_transversal=ing.ingredient_transversal,
-        ingredient_hole=ing.ingredient_hole,
-    )
-    with pytest.raises(IncoherentIngredients, match="disagree on block size"):
-        check_ingredients(bad)
-
-
-def test_ingredient_side_checks():
-    ing = _ingredients(2)
-    bad = IngredientSet(
-        outer=ing.outer,
-        outer_transversal=ing.outer_transversal,
-        cell_ingredient=DesignArray(3, 4, 2, LexMatching(1, 2), {}),
-        transversal_ingredient=ing.transversal_ingredient,
-        ingredient_transversal=ing.ingredient_transversal,
-        ingredient_hole=ing.ingredient_hole,
-    )
-    with pytest.raises(IncoherentIngredients, match="side must be s"):
-        check_ingredients(bad)
-
-    bad = IngredientSet(
-        outer=ing.outer,
-        outer_transversal=ing.outer_transversal,
-        cell_ingredient=ing.cell_ingredient,
-        transversal_ingredient=DesignArray(5, 4, 2, Complete(4), {}),
-        ingredient_transversal=ing.ingredient_transversal,
-        ingredient_hole=ing.ingredient_hole,
-    )
-    with pytest.raises(IncoherentIngredients, match="side must be 2s - 1"):
-        check_ingredients(bad)
-
-
-def test_hole_size_checked():
-    ing = _ingredients(2)
-    bad = IngredientSet(
-        outer=ing.outer,
-        outer_transversal=ing.outer_transversal,
-        cell_ingredient=ing.cell_ingredient,
-        transversal_ingredient=ing.transversal_ingredient,
-        ingredient_transversal=ing.ingredient_transversal,
-        ingredient_hole=Hole((), ()),
-    )
-    with pytest.raises(IncoherentIngredients, match="hole must have size"):
-        check_ingredients(bad)
+def test_s_below_one_rejected():
+    outer, outer_t = build_room(8)
+    with pytest.raises(ValueError, match="s >= 1"):
+        compose(outer, outer_t, 0)
 
 
 def test_broken_outer_rejected():
-    ing = _ingredients(2)
-    cells = dict(ing.outer.cells)
+    outer, outer_t = build_room(8)
+    cells = dict(outer.cells)
     del cells[next(iter(cells))]
-    broken = DesignArray(
-        ing.outer.side, ing.outer.n, ing.outer.k, ing.outer.host, cells
-    )
-    bad = IngredientSet(
-        outer=broken,
-        outer_transversal=ing.outer_transversal,
-        cell_ingredient=ing.cell_ingredient,
-        transversal_ingredient=ing.transversal_ingredient,
-        ingredient_transversal=ing.ingredient_transversal,
-        ingredient_hole=ing.ingredient_hole,
-    )
+    broken = DesignArray(outer.side, outer.n, outer.k, outer.host, cells)
     with pytest.raises(IncoherentIngredients, match="outer fails verification"):
-        check_ingredients(bad)
+        compose(broken, outer_t, 2)
 
 
 def test_uncertified_outer_transversal_rejected():
-    ing = _ingredients(2)
-    side = ing.outer.side
-    bad = IngredientSet(
-        outer=ing.outer,
-        outer_transversal=Transversal(tuple((i, i) for i in range(side))),
-        cell_ingredient=ing.cell_ingredient,
-        transversal_ingredient=ing.transversal_ingredient,
-        ingredient_transversal=ing.ingredient_transversal,
-        ingredient_hole=ing.ingredient_hole,
-    )
+    outer, _ = build_room(8)
+    diagonal = Transversal(tuple((i, i) for i in range(outer.side)))
     with pytest.raises(IncoherentIngredients, match="outer transversal"):
-        check_ingredients(bad)
+        compose(outer, diagonal, 2)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_identity_expansion(k):
     """Blowing up the one-cell design reproduces the order-2k design."""
     outer, outer_t, _ = build_2k(1)
-    t_design, t_trans, t_hole = build_2k(k)
-    ing = IngredientSet(
-        outer=outer,
-        outer_transversal=outer_t,
-        cell_ingredient=build_m1k(k),
-        transversal_ingredient=t_design,
-        ingredient_transversal=t_trans,
-        ingredient_hole=t_hole,
-    )
-    design = compose(ing)
+    design = compose(outer, outer_t, k)
     assert design.side == 2 * k - 1
     assert design.n == 2 * k
     assert verify(design).passed
 
 
 def test_compose_sixteen_two():
-    design = compose(_ingredients(2))
+    design = compose(*build_room(8), 2)
     assert design.side == 15
     assert design.n == 16
     report = verify(design)
@@ -189,37 +81,18 @@ def test_compose_sixteen_two():
 
 
 def test_compose_thirty_three():
-    ing = _ingredients(3, outer_n=10)
-    design = compose(ing)
+    design = compose(*build_room(10), 3)
     assert design.side == 3 * 9 + 2 == 29
     assert design.n == 30
     assert verify(design).passed
 
 
 def test_size_identity():
-    ing = _ingredients(2)
-    design = compose(ing)
+    outer, outer_t = build_room(8)
     s = 2
-    assert design.side == s * ing.outer.side + s - 1
-    assert design.n == s * ing.outer.n
-
-
-def test_expand_collision_is_reported():
-    """A hole that holds a block sends every transversal copy of that block
-    to the same appended cell; the expansion says so instead of overwriting."""
-    ing = _ingredients(2)
-    bad = IngredientSet(
-        outer=ing.outer,
-        outer_transversal=ing.outer_transversal,
-        cell_ingredient=ing.cell_ingredient,
-        transversal_ingredient=ing.transversal_ingredient,
-        ingredient_transversal=ing.ingredient_transversal,
-        ingredient_hole=Hole((0,), (0,)),
-    )
-    with pytest.raises(EmbeddingCollision, match="collided at \\(14, 14\\)"):
-        _expand(bad)
-    with pytest.raises(IncoherentIngredients, match="hole fails"):
-        compose(bad)
+    design = compose(outer, outer_t, s)
+    assert design.side == s * outer.side + s - 1
+    assert design.n == s * outer.n
 
 
 def test_construct_rejects_bad_arguments():
