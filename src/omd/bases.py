@@ -14,7 +14,6 @@ from .core import (
     CompleteMultipartite,
     DesignArray,
     Hole,
-    LexMatching,
     Transversal,
     canonical_block,
 )
@@ -25,13 +24,13 @@ from .factorizations import ofact_bipartite, ofact_complete
 def build_m1k(k: int) -> DesignArray:
     """Design of matching size k on the blown-up single edge (side k).
 
-    The host is LexMatching(1, k), i.e. K_{k,k} with sides 0..k-1 and
-    k..2k-1. Factor i of the cyclic bipartite one-factorization goes to
-    cell (i, i); rows and columns then resolve because each factor is a
-    perfect matching.
+    The host is CompleteMultipartite((k, k)), i.e. K_{k,k} with sides
+    0..k-1 and k..2k-1. Factor i of the cyclic bipartite one-factorization
+    goes to cell (i, i); rows and columns then resolve because each factor
+    is a perfect matching.
     """
     cells = {(i, i): factor for i, factor in enumerate(ofact_bipartite(k))}
-    return DesignArray(k, 2 * k, k, LexMatching(1, k), cells)
+    return DesignArray(k, 2 * k, k, CompleteMultipartite((k, k)), cells)
 
 
 def build_2k(k: int) -> tuple[DesignArray, Transversal, Hole]:

@@ -6,6 +6,9 @@ design every row and every column is a resolution class (it covers each
 point of the host graph exactly once) and every host edge lies in exactly
 one block across the whole array.
 
+Hosts are Complete(n), K_n, where the paper's designs live, and
+CompleteMultipartite, for the K_{s,s} ingredient and the six-point square.
+
 A block is a plain tuple of edges in canonical form (each edge as
 (min, max), the tuple sorted), made by canonical_block. Nothing here checks
 that a block is a matching; the verifier is the one place that does.
@@ -50,6 +53,10 @@ class Complete:
 
     n: int
 
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError("host order must not be negative")
+
     def vertex_count(self) -> int:
         return self.n
 
@@ -58,68 +65,6 @@ class Complete:
 
     def above(self, u: int) -> range:
         return range(u + 1, self.n)
-
-
-@dataclass(frozen=True)
-class CompleteBipartite:
-    """Complete bipartite graph with sides 0..a-1 and a..a+b-1."""
-
-    a: int
-    b: int
-
-    def vertex_count(self) -> int:
-        return self.a + self.b
-
-    def edge_count(self) -> int:
-        return self.a * self.b
-
-    def above(self, u: int) -> range:
-        return range(self.a, self.a + self.b) if u < self.a else range(0)
-
-
-@dataclass(frozen=True)
-class LexMatching:
-    """l disjoint edges with every point blown into s independent copies.
-
-    Copy z of group x sits at point x*s + z. Groups 2t and 2t+1 are joined
-    completely for each t (u < v are adjacent when u // s is even and v is
-    in the next group). LexMatching(1, s) is K_{s,s}.
-    """
-
-    l: int
-    s: int
-
-    def vertex_count(self) -> int:
-        return 2 * self.l * self.s
-
-    def edge_count(self) -> int:
-        return self.l * self.s * self.s
-
-    def above(self, u: int) -> range:
-        x = u // self.s
-        return range(0) if x % 2 else range((x + 1) * self.s, (x + 2) * self.s)
-
-
-@dataclass(frozen=True)
-class LexMatchingComplete:
-    """Like LexMatching, but each group of s copies is itself complete.
-
-    The graph is l disjoint complete graphs on 2s points, one per original
-    edge, so u < v are adjacent when u // 2s == v // 2s; in particular
-    LexMatchingComplete(1, s) has exactly the edge set of Complete(2s).
-    """
-
-    l: int
-    s: int
-
-    def vertex_count(self) -> int:
-        return 2 * self.l * self.s
-
-    def edge_count(self) -> int:
-        return self.l * self.s * (2 * self.s - 1)
-
-    def above(self, u: int) -> range:
-        return range(u + 1, (u // (2 * self.s) + 1) * 2 * self.s)
 
 
 @dataclass(frozen=True)
@@ -148,16 +93,10 @@ class CompleteMultipartite:
         return range(ends[bisect.bisect_right(ends, u)], ends[-1])
 
 
-# For a point u in 0..vertex_count()-1, above(u) is the range of u's
-# neighbours greater than u: in every host they are contiguous. No host
-# enumerates its edges; the verifier asks about the points it meets.
-HostGraph = (
-    Complete
-    | CompleteBipartite
-    | LexMatching
-    | LexMatchingComplete
-    | CompleteMultipartite
-)
+# A host is K_n or complete multipartite; above(u) is the range of u's
+# neighbours past u, contiguous in both. No host enumerates its edges; the
+# verifier asks about the points it meets.
+HostGraph = Complete | CompleteMultipartite
 
 
 @dataclass

@@ -5,6 +5,9 @@ The JSON layout is a stable wire contract:
     {"n": .., "k": .., "side": .., "host": {"type": .., ..},
      "cells": [{"row": .., "col": .., "edges": [[u, v], ..]}, ..]}
 
+The host is {"type": "complete", "n": ..} or {"type":
+"complete_multipartite", "parts": [..]}; any other type fails to parse.
+
 Cells are sorted by (row, col) and every edge is written as [min, max],
 so serializing the same design always yields identical bytes. An optional
 top-level "meta" object carries provenance and certificates; parsing
@@ -33,12 +36,6 @@ GRID_EMPTY = "."
 def host_to_dict(host: core.HostGraph) -> dict:
     if isinstance(host, core.Complete):
         return {"type": "complete", "n": host.n}
-    if isinstance(host, core.CompleteBipartite):
-        return {"type": "complete_bipartite", "a": host.a, "b": host.b}
-    if isinstance(host, core.LexMatching):
-        return {"type": "lex_matching", "l": host.l, "s": host.s}
-    if isinstance(host, core.LexMatchingComplete):
-        return {"type": "lex_matching_complete", "l": host.l, "s": host.s}
     if isinstance(host, core.CompleteMultipartite):
         return {"type": "complete_multipartite", "parts": list(host.parts)}
     raise TypeError(f"unknown host graph {host!r}")
@@ -57,18 +54,6 @@ def host_from_dict(data: Any) -> core.HostGraph:
     try:
         if kind == "complete":
             return core.Complete(_require_int(data["n"], "host.n"))
-        if kind == "complete_bipartite":
-            return core.CompleteBipartite(
-                _require_int(data["a"], "host.a"), _require_int(data["b"], "host.b")
-            )
-        if kind == "lex_matching":
-            return core.LexMatching(
-                _require_int(data["l"], "host.l"), _require_int(data["s"], "host.s")
-            )
-        if kind == "lex_matching_complete":
-            return core.LexMatchingComplete(
-                _require_int(data["l"], "host.l"), _require_int(data["s"], "host.s")
-            )
         if kind == "complete_multipartite":
             parts = data["parts"]
             if not isinstance(parts, list) or not parts:

@@ -79,12 +79,6 @@ def expected_side(host: core.HostGraph) -> int | None:
     """
     if isinstance(host, core.Complete):
         return host.n - 1
-    if isinstance(host, core.CompleteBipartite):
-        return host.a if host.a == host.b else None
-    if isinstance(host, core.LexMatching):
-        return host.s
-    if isinstance(host, core.LexMatchingComplete):
-        return 2 * host.s - 1
     if isinstance(host, core.CompleteMultipartite):
         sizes = set(host.parts)
         if len(sizes) != 1:

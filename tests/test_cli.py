@@ -126,10 +126,23 @@ def test_verify_malformed_json_exits_four(tmp_path, capsys):
     assert "parse error" in err
 
 
+def _with_host(host):
+    return json.dumps({"n": 8, "k": 1, "side": 7, "host": host, "cells": []}).encode()
+
+
 @pytest.mark.parametrize(
     "content",
-    [b"\xff\xfe{}", b"[" * 200_000 + b"]" * 200_000, b'{"n": ' + b"9" * 5000 + b"}"],
-    ids=["not-utf8", "nested-200000-deep", "int-past-digit-limit"],
+    [
+        b"\xff\xfe{}",
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"n": ' + b"9" * 5000 + b"}",
+        _with_host({"type": "complete", "n": -5}),
+        _with_host({"type": "complete_bipartite", "a": 4, "b": 4}),
+        _with_host({"type": "lex_matching", "l": 1, "s": 4}),
+        _with_host({"type": "lex_matching_complete", "l": 1, "s": 4}),
+    ],
+    ids=["not-utf8", "nested-200000-deep", "int-past-digit-limit", "host-n-minus-5",
+         "host-complete_bipartite", "host-lex_matching", "host-lex_matching_complete"],
 )
 def test_verify_undecodable_file_exits_four(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
@@ -200,8 +213,8 @@ HEADER_ONLY = {
     "n-20000": ((20000, 19999, {"type": "complete", "n": 20000}), "row-resolution"),
     "side-2000000": ((8, 2_000_000, {"type": "complete", "n": 8}), "host-shape"),
     "side-1e9": ((8, 10**9, {"type": "complete", "n": 8}), "host-shape"),
-    "lex-matching-s-1e8": (
-        (2 * 10**8, 1, {"type": "lex_matching", "l": 1, "s": 10**8}),
+    "bipartite-1e8-1e8": (
+        (2 * 10**8, 1, {"type": "complete_multipartite", "parts": [10**8, 10**8]}),
         "host-shape",
     ),
     "multipartite-1e8-1": (

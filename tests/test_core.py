@@ -4,14 +4,12 @@ import itertools
 
 import pytest
 
+from omd.bases import build_2k, build_m1k
 from omd.core import (
     Complete,
-    CompleteBipartite,
     CompleteMultipartite,
     DesignArray,
     Hole,
-    LexMatching,
-    LexMatchingComplete,
     Transversal,
     canonical_block,
 )
@@ -69,12 +67,10 @@ def test_occupied_is_sorted():
 
 HOSTS_UP_TO_12 = (
     [Complete(n) for n in range(2, 13)]
-    + [CompleteBipartite(a, b) for a in range(1, 7) for b in range(1, 7)]
-    + [LexMatching(l, s) for l in range(1, 4) for s in range(1, 5)]
-    + [LexMatchingComplete(l, s) for l in range(1, 4) for s in range(1, 4)]
+    + [CompleteMultipartite((a, b)) for a in range(1, 7) for b in range(1, 7)]
     + [
         CompleteMultipartite(parts)
-        for parts in [(2, 2, 2), (1, 2, 3), (3, 3), (2, 2, 2, 2), (1, 1, 1)]
+        for parts in [(2, 2, 2), (1, 2, 3), (2, 2, 2, 2), (1, 1, 1)]
     ]
 )
 
@@ -88,12 +84,6 @@ def _adjacent(host, u, v):
     """Whether points u < v are adjacent, read off the host's definition."""
     if isinstance(host, Complete):
         return True
-    if isinstance(host, CompleteBipartite):
-        return u < host.a <= v
-    if isinstance(host, LexMatching):
-        return u // host.s % 2 == 0 and v // host.s == u // host.s + 1
-    if isinstance(host, LexMatchingComplete):
-        return u // (2 * host.s) == v // (2 * host.s)
     part = [i for i, size in enumerate(host.parts) for _ in range(size)]
     return part[u] != part[v]
 
@@ -112,19 +102,36 @@ def test_host_edge_count_matches_enumeration(host):
     assert _edge_set(host) == {(u, v) for u, v in pairs if _adjacent(host, u, v)}
 
 
+def _one_edge_blowup(s, copies_joined):
+    """K_2 with each end blown into s copies (copy z of end x is x*s + z);
+    the copies of one end are joined to each other when copies_joined."""
+    pairs = itertools.combinations(range(2 * s), 2)
+    return {(u, v) for u, v in pairs if copies_joined or u // s != v // s}
+
+
 @pytest.mark.parametrize("s", range(1, 11))
 def test_clique_blowup_of_one_edge_is_complete(s):
-    assert _edge_set(LexMatchingComplete(1, s)) == _edge_set(Complete(2 * s))
+    # the host of the product's transversal ingredient
+    assert build_2k(s)[0].host == Complete(2 * s)
+    assert _one_edge_blowup(s, True) == _edge_set(Complete(2 * s))
 
 
 @pytest.mark.parametrize("s", range(1, 11))
 def test_matching_blowup_of_one_edge_is_bipartite(s):
-    assert _edge_set(LexMatching(1, s)) == _edge_set(CompleteBipartite(s, s))
+    # the host of the product's cell ingredient
+    assert build_m1k(s).host == CompleteMultipartite((s, s))
+    assert _one_edge_blowup(s, False) == _edge_set(CompleteMultipartite((s, s)))
 
 
 def test_complete_edge_count_closed_form():
     for n in range(2, 13):
         assert Complete(n).edge_count() == n * (n - 1) // 2
+
+
+def test_complete_rejects_negative_order():
+    assert Complete(0).edge_count() == 0
+    with pytest.raises(ValueError, match="negative"):
+        Complete(-5)
 
 
 def test_transversal_normalizes_cells():

@@ -115,12 +115,20 @@ def test_parse_rejects_bool_as_int():
 
 
 def test_parse_rejects_unknown_host():
-    with pytest.raises(FormatError, match="host"):
-        host_from_dict({"type": "moebius", "n": 5})
+    for host in [
+        {"type": "moebius", "n": 5},
+        {"type": "complete_bipartite", "a": 2, "b": 2},
+        {"type": "lex_matching", "l": 1, "s": 4},
+        {"type": "lex_matching_complete", "l": 1, "s": 4},
+    ]:
+        with pytest.raises(FormatError, match=f"unknown host type {host['type']!r}"):
+            host_from_dict(host)
     with pytest.raises(FormatError, match="missing"):
         host_from_dict({"type": "complete"})
     with pytest.raises(FormatError):
         host_from_dict({"type": "complete_multipartite", "parts": []})
+    with pytest.raises(FormatError, match="negative"):
+        host_from_dict({"type": "complete", "n": -5})
 
 
 def test_parse_rejects_cell_problems():

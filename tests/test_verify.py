@@ -9,12 +9,9 @@ from omd.bases import build_2k, build_m1k, six_point_square
 from omd.compose import construct
 from omd.core import (
     Complete,
-    CompleteBipartite,
     CompleteMultipartite,
     DesignArray,
     Hole,
-    LexMatching,
-    LexMatchingComplete,
     Transversal,
     canonical_block,
 )
@@ -31,10 +28,8 @@ from omd.verify import (
 
 def test_expected_side_per_host():
     assert expected_side(Complete(8)) == 7
-    assert expected_side(CompleteBipartite(3, 3)) == 3
-    assert expected_side(CompleteBipartite(2, 3)) is None
-    assert expected_side(LexMatching(1, 4)) == 4
-    assert expected_side(LexMatchingComplete(1, 3)) == 5
+    assert expected_side(CompleteMultipartite((3, 3))) == 3
+    assert expected_side(CompleteMultipartite((2, 3))) is None
     assert expected_side(CompleteMultipartite((2, 2, 2))) == 4
     assert expected_side(CompleteMultipartite((1, 2))) is None
 
@@ -95,7 +90,7 @@ def test_host_shape_failures():
     report = verify(DesignArray(3, 6, 1, Complete(4), {}))
     assert "host-shape: array says n=6" in report.failure()
 
-    report = verify(DesignArray(2, 5, 1, CompleteBipartite(2, 3), {}))
+    report = verify(DesignArray(2, 5, 1, CompleteMultipartite((2, 3)), {}))
     checks = {c.name: c for c in report.checks}
     assert not checks["host-shape"].passed
     assert "irregular" in checks["host-shape"].detail
@@ -138,12 +133,12 @@ def test_report_serializes():
     assert report.failure() is None
 
 
-def _edit(arr, drop=(), put=(), host=None):
+def _edit(arr, drop=(), put=()):
     cells = dict(arr.cells)
     for cell in drop:
         del cells[cell]
     cells.update(put)
-    return DesignArray(arr.side, arr.n, arr.k, host or arr.host, cells)
+    return DesignArray(arr.side, arr.n, arr.k, arr.host, cells)
 
 
 def _two_k(k):
@@ -185,14 +180,12 @@ PINNED = {
         (None, "cell (0, 0) uses a point outside 0..3", "row 0 covers point 3 0 times",
          "column 0 covers point 3 0 times", "pair (0, 9) is not a host edge"),
     ),
-    "uncovered-lex-matching-complete": (
-        # LexMatchingComplete(1, 4) has the edges of Complete(8)
-        lambda: _edit(
-            build_room(8)[0], drop=[(4, 3), (5, 3)], host=LexMatchingComplete(1, 4)
-        ),
-        "row-resolution: row 4 covers point 2 0 times",
-        (None, None, "row 4 covers point 2 0 times",
-         "column 3 covers point 0 0 times", "host edge (0, 1) is uncovered"),
+    "uncovered-bipartite": (
+        # build_m1k(4) is on CompleteMultipartite((4, 4)), i.e. K_{4,4}
+        lambda: _edit(build_m1k(4), drop=[(1, 1)]),
+        "row-resolution: row 1 covers point 0 0 times",
+        (None, None, "row 1 covers point 0 0 times",
+         "column 1 covers point 0 0 times", "host edge (0, 5) is uncovered"),
     ),
     "uncovered-multipartite": (
         lambda: _edit(six_point_square(), drop=[(2, 3), (3, 3)]),
