@@ -6,10 +6,10 @@ absorb the hole of the larger ingredient. The side comes out as
 s(n-1) + s - 1 = sn - 1, exactly the side a design of order sn needs.
 """
 
-from omd import build_2k, build_m1k, build_room, compose, construct, verify
+from omd import build_2k, build_m1k, build_room, construct
 
 s = 2
-outer, outer_transversal = build_room(8)
+outer, _ = build_room(8)
 cell_ingredient = build_m1k(s)
 t_design, _, t_hole = build_2k(s)
 
@@ -17,11 +17,11 @@ print(f"outer: order {outer.n}, side {outer.side}, single-edge blocks")
 print(f"cell ingredient: side {cell_ingredient.side} on the doubled edge")
 print(f"transversal ingredient: side {t_design.side} with a hole of size {t_hole.size}\n")
 
-# compose builds both ingredients itself from s
-design = compose(outer, outer_transversal, s)
-print(f"composed: order {design.n}, side {design.side} "
-      f"(= {s}*{outer.side} + {s - 1})")
-print(f"verified: {verify(design).passed}\n")
+# construct builds the outer square and both ingredients itself
+res = construct(s * outer.n, s)
+print(f"product: order {res.design.n}, side {res.design.side} "
+      f"(= {s}*{outer.side} + {s - 1}) via {res.path}")
+print(f"verified: {res.report.passed}\n")
 
 print("The dispatcher picks the right path per order:")
 for n, k in ((4, 2), (8, 2), (12, 2), (16, 2), (24, 3), (60, 5)):

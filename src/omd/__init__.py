@@ -23,7 +23,7 @@ from .room import (
     validate_starter_adder,
 )
 from .verify import brute_force_exists, verify
-from .compose import compose, construct
+from .compose import construct
 from .formats import render_grid
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "build_6k",
     "build_m1k",
     "build_room",
-    "compose",
     "construct",
     "render_grid",
     "six_point_square",

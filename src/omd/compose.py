@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Complete, DesignArray, Transversal
-from .errors import IncoherentIngredients, NonExistent, VerificationFailed
+from .errors import NonExistent, VerificationFailed
 from .room import DEFAULT_BUDGET, build_room
 from .bases import build_2k, build_4k, build_6k, build_m1k
 from .verify import VerificationReport, verify, verify_transversal
@@ -64,36 +64,6 @@ def _expand(
     n = s * outer.n
     design = DesignArray(s * outer.side + s - 1, n, s, Complete(n), cells)
     return design, Transversal(tuple(sorted(chosen)))
-
-
-def compose(outer: DesignArray, outer_transversal: Transversal, s: int) -> DesignArray:
-    """Blow up a single-edge design on a complete graph by s after checking
-    it and its transversal; the result is verified before it is returned."""
-    if not isinstance(outer.host, Complete):
-        raise IncoherentIngredients(
-            f"outer design must live on a complete graph, got {outer.host!r}"
-        )
-    if outer.k != 1:
-        raise IncoherentIngredients(
-            f"outer design must have single-edge blocks, got k = {outer.k}"
-        )
-    if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
-    report = verify(outer)
-    if not report.passed:
-        raise IncoherentIngredients(f"outer fails verification: {report.failure()}")
-    report = verify_transversal(outer, outer_transversal)
-    if not report.passed:
-        raise IncoherentIngredients(
-            f"outer transversal fails certification: {report.failure()}"
-        )
-    out, _transversal = _expand(outer, outer_transversal, s)
-    report = verify(out)
-    if not report.passed:
-        raise VerificationFailed(
-            f"composed design failed verification: {report.failure()}"
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -166,7 +136,5 @@ def construct(
 
     m = n // k
     outer, outer_transversal = build_room(m, seed=seed, budget=budget)
-    # build_room's design and transversal skip compose's checks;
-    # _certify verifies the expanded design once
     design, transversal = _expand(outer, outer_transversal, k)
     return _certify(design, f"product(room({m}), s={k})", transversal)

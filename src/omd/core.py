@@ -17,8 +17,8 @@ Constructors that think in structured coordinates (group elements, side
 labels, part indices) flatten them to 0..n-1 through bijections documented
 where they are used, so this layer only ever sees plain integers.
 
-Builders fill one cell dict and wrap it once; callers treat the finished
-array as a value and do not mutate it.
+Builders fill one cell dict and wrap it once; every call builds its own
+array, which the caller owns.
 """
 
 from __future__ import annotations

@@ -25,10 +25,6 @@ class SearchExhausted(DesignError):
     """A bounded search ran out of budget before reaching a verdict."""
 
 
-class IncoherentIngredients(DesignError):
-    """The outer design or transversal given to the product does not fit it."""
-
-
 class VerificationFailed(DesignError):
     """A constructed design did not pass its own verification."""
 

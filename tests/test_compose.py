@@ -1,98 +1,53 @@
 """The product construction and the parameter dispatcher."""
 
-import importlib
-
 import pytest
 
-from omd.bases import build_2k, build_m1k
-from omd.compose import compose, construct
-from omd.core import DesignArray, Transversal, canonical_block
-from omd.errors import IncoherentIngredients, NonExistent
+import omd.compose as product
+from omd.bases import build_2k
+from omd.compose import _expand, construct
+from omd.core import canonical_block
+from omd.errors import NonExistent
 from omd.formats import dumps_design
 from omd.room import build_room
 from omd.verify import verify
 
 
 @pytest.mark.parametrize(
-    "m,s", [(2, 1), (8, 1), (14, 1), (12, 2), (14, 3), (20, 2), (40, 6)]
+    "m,s",
+    [(2, 1), (8, 1), (14, 1), (8, 2), (12, 2), (14, 3), (10, 3), (20, 2), (40, 6)],
 )
 def test_compose_matches_construct(m, s):
-    """compose is construct's product path; at s = 1 it returns the outer."""
+    """_expand is construct's product path; at s = 1 it returns the outer."""
     outer, outer_t = build_room(m)
-    design = compose(outer, outer_t, s)
+    design, _transversal = _expand(outer, outer_t, s)
+    assert design.side == s * outer.side + s - 1
+    assert design.n == s * m
+    report = verify(design)
+    assert report.passed, report.failure()
+    assert report.total_blocks == s * m * (s * m - 1) // (2 * s)
     if s == 1:
         assert design == outer
     assert design == construct(s * m, s).design
-
-
-def test_outer_must_be_complete():
-    # a single-edge design on the doubled edge K_{1,1}, not on K_2
-    outer = build_m1k(1)
-    with pytest.raises(IncoherentIngredients, match="complete graph"):
-        compose(outer, Transversal(((0, 0),)), 2)
-
-
-def test_multi_edge_outer_rejected():
-    outer, outer_t, _ = build_2k(2)
-    with pytest.raises(IncoherentIngredients, match="single-edge blocks"):
-        compose(outer, outer_t, 2)
-
-
-def test_s_below_one_rejected():
-    outer, outer_t = build_room(8)
-    with pytest.raises(ValueError, match="s >= 1"):
-        compose(outer, outer_t, 0)
-
-
-def test_broken_outer_rejected():
-    outer, outer_t = build_room(8)
-    cells = dict(outer.cells)
-    del cells[next(iter(cells))]
-    broken = DesignArray(outer.side, outer.n, outer.k, outer.host, cells)
-    with pytest.raises(IncoherentIngredients, match="outer fails verification"):
-        compose(broken, outer_t, 2)
-
-
-def test_uncertified_outer_transversal_rejected():
-    outer, _ = build_room(8)
-    diagonal = Transversal(tuple((i, i) for i in range(outer.side)))
-    with pytest.raises(IncoherentIngredients, match="outer transversal"):
-        compose(outer, diagonal, 2)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_identity_expansion(k):
     """Blowing up the one-cell design reproduces the order-2k design."""
     outer, outer_t, _ = build_2k(1)
-    design = compose(outer, outer_t, k)
+    design, _transversal = _expand(outer, outer_t, k)
     assert design.side == 2 * k - 1
     assert design.n == 2 * k
     assert verify(design).passed
 
 
-def test_compose_sixteen_two():
-    design = compose(*build_room(8), 2)
-    assert design.side == 15
-    assert design.n == 16
-    report = verify(design)
-    assert report.passed, report.failure()
-    assert report.total_blocks == 16 * 15 // 4
-    assert design == construct(16, 2).design
-
-
-def test_compose_thirty_three():
-    design = compose(*build_room(10), 3)
-    assert design.side == 3 * 9 + 2 == 29
-    assert design.n == 30
-    assert verify(design).passed
-
-
-def test_size_identity():
-    outer, outer_t = build_room(8)
-    s = 2
-    design = compose(outer, outer_t, s)
-    assert design.side == s * outer.side + s - 1
-    assert design.n == s * outer.n
+@pytest.mark.parametrize("n,k", [(12, 1), (24, 2)])
+def test_mutating_a_result_leaves_later_builds_intact(n, k):
+    # construct(24, 2) expands room(12), the square behind construct(12, 1)
+    mutant = construct(12, 1).design
+    mutant.cells.pop(next(iter(mutant.cells)))
+    res = construct(n, k)
+    assert res.report.passed
+    assert len(construct(12, 1).design.cells) == len(mutant.cells) + 1
 
 
 def test_construct_rejects_bad_arguments():
@@ -158,14 +113,13 @@ def test_construct_cells_are_canonical():
 
 @pytest.mark.parametrize("n,k", [(16, 2), (8, 1), (4, 2), (8, 2)])
 def test_construct_verifies_each_design_once(n, k, monkeypatch):
-    # omd/__init__.py binds omd.compose to the function, so fetch the module
-    module = importlib.import_module("omd.compose")
     seen = []
 
     def counting(arr):
         seen.append(arr)
         return verify(arr)
 
-    monkeypatch.setattr(module, "verify", counting)
+    # construct calls the verify that the omd.compose module binds
+    monkeypatch.setattr(product, "verify", counting)
     res = construct(n, k)
     assert seen == [res.design]
