@@ -14,7 +14,7 @@ from omd.verify import verify
 
 @pytest.mark.parametrize(
     "m,s",
-    [(2, 1), (8, 1), (14, 1), (8, 2), (12, 2), (14, 3), (10, 3), (20, 2), (40, 6)],
+    [(2, 1), (8, 1), (14, 1), (12, 2), (14, 3), (10, 3), (20, 2), (40, 6)],
 )
 def test_compose_matches_construct(m, s):
     """_expand is construct's product path; at s = 1 it returns the outer."""
@@ -38,6 +38,24 @@ def test_identity_expansion(k):
     assert design.side == 2 * k - 1
     assert design.n == 2 * k
     assert verify(design).passed
+
+
+def test_compose_sixteen_two():
+    design, _transversal = _expand(*build_room(8), 2)
+    assert design.side == 15
+    assert design.n == 16
+    report = verify(design)
+    assert report.passed, report.failure()
+    assert report.total_blocks == 16 * 15 // 4
+    assert design == construct(16, 2).design
+
+
+def test_size_identity():
+    outer, outer_t = build_room(8)
+    s = 2
+    design, _transversal = _expand(outer, outer_t, s)
+    assert design.side == s * outer.side + s - 1
+    assert design.n == s * outer.n
 
 
 @pytest.mark.parametrize("n,k", [(12, 1), (24, 2)])
