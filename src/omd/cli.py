@@ -1,10 +1,10 @@
 """Command-line entry point: generate, verify, and sweep.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 nonexistent parameters, 3 search budget exhausted, 4 unparsable input.
-With the same arguments and seed the written output is byte-identical
-across runs; progress notes go to stderr so stdout stays clean when it
-carries the design itself.
+2 nonexistent parameters, 3 search budget exhausted, 4 unparsable input
+or an unwritable --out. With the same arguments and seed the written
+output is byte-identical across runs; progress notes go to stderr so
+stdout stays clean when it carries the design itself.
 """
 
 from __future__ import annotations
@@ -39,13 +39,19 @@ EXIT_BUDGET = 3
 EXIT_PARSE = 4
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    """Write the payload to out_path or stdout."""
+def _emit(text: str, out_path: str | None) -> bool:
+    """Write the payload to out_path or stdout; False, after one stderr
+    line, when out_path cannot be written."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _note(message: str, out_path: str | None) -> None:
@@ -88,7 +94,8 @@ def cmd_generate(args) -> int:
         except ValueError as exc:
             print(f"cannot render: {exc}", file=sys.stderr)
             return EXIT_PARSE
-    _emit(text, args.out)
+    if not _emit(text, args.out):
+        return EXIT_PARSE
 
     _note(
         f"built ({args.n}, {args.k}): side {res.design.side}, "
@@ -205,7 +212,8 @@ def cmd_sweep(args) -> int:
         "  ".join(text.ljust(widths[i]) for i, text in enumerate(line)).rstrip()
         for line in table
     ]
-    _emit("\n".join(lines) + "\n", args.out)
+    if not _emit("\n".join(lines) + "\n", args.out):
+        return EXIT_PARSE
 
     if hard_fail:
         return EXIT_VERIFY

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Any
 
@@ -150,11 +151,50 @@ def _cell_template(size: int) -> str:
     return _CELL % ("[\n" + ",\n".join([_EDGE] * size) + "\n      ]")
 
 
+# looked up only for None and bools: 1 and 1.0 would find True's entry
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _indented(value: Any, depth: int) -> str:
+    """json.dumps(value, indent=2) laid out at nesting depth. Strings, ints,
+    None, bools, dicts with str keys and lists are written here, int lists
+    by one join and int-pair lists by one % format; anything else goes
+    through json.dumps."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return str(value)
+    if value is None or type(value) is bool:
+        return _CONSTANTS[value]
+    pad = "\n" + "  " * (depth + 1)
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        items = [
+            encode_basestring_ascii(key) + ": " + _indented(item, depth + 1)
+            for key, item in value.items()
+        ]
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    if type(value) is list and value:
+        if all(
+            type(item) is list and len(item) == 2
+            and type(item[0]) is int and type(item[1]) is int
+            for item in value
+        ):
+            pair = "[" + pad + "  %d," + pad + "  %d" + pad + "]"
+            values = tuple(chain.from_iterable(value))
+            items = [("," + pad).join([pair] * len(value)) % values]
+        elif all(type(item) is int for item in value):
+            items = map(str, value)
+        else:
+            items = [_indented(item, depth + 1) for item in value]
+        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+    return json.dumps(value, indent=2).replace("\n", pad[:-2])
+
+
 def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
-    """json.dumps(design_to_dict(arr, meta), indent=2) + "\\n", byte for byte;
-    only the header, host and meta go through that pure-Python encoder.
-    The cells are one % format over (row, col, u, v, ...) in cell order."""
-    text = json.dumps(design_to_dict(replace(arr, cells={}), meta), indent=2)
+    """json.dumps(design_to_dict(arr, meta), indent=2) + "\\n", byte for byte.
+    The header, host and meta are laid out by _indented; the cells are one
+    % format over (row, col, u, v, ...) in cell order."""
+    text = _indented(design_to_dict(replace(arr, cells={}), meta), 0)
     occupied = arr.occupied()
     blocks = list(map(itemgetter(1), occupied))
     sizes = list(map(len, blocks))

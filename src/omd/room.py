@@ -83,8 +83,8 @@ _NINE_TRANSVERSAL = Transversal(
 )
 
 
-def _strong_starters(r: int, budget: int, seed: int = 0, tally: dict | None = None):
-    """Yield strong starter-adders on Z_r, found by hill climbing.
+def _strong_starter(r: int, budget: int, seed: int, tally: dict) -> StarterAdder | None:
+    """The first strong starter-adder on Z_r found by hill climbing, or None.
 
     This is the method of Dinitz and Stinson ("A fast algorithm for finding
     strong starters", 1981). The state is a partial strong starter. Each
@@ -95,16 +95,14 @@ def _strong_starters(r: int, budget: int, seed: int = 0, tally: dict | None = No
     y, on d or on the sum: with two or more distinct clashing pairs the
     step is rejected, else the one clashing pair is dropped and the new
     pair placed. Each step is one node of budget. A slice of 2 r^2 steps
-    that completes no starter is abandoned and the climb restarts empty,
-    as after each starter it yields. Equal seeds give equal streams, which
-    end once budget steps are spent, and at once for r = 9 (Z_9 has no
-    strong starter). tally, if given, receives the steps spent and the
-    restarts, slices abandoned without a starter.
+    that completes no starter is abandoned and the climb restarts empty.
+    Equal seeds give equal results. None means budget steps were spent,
+    or r = 9 (Z_9 has no strong starter). tally receives the steps spent
+    and the restarts, slices abandoned without a starter.
     """
-    tally = {} if tally is None else tally
     tally.update(steps=0, restarts=0)
     if r == 9:
-        return
+        return None
     half = (r - 1) // 2
     rand = random.Random(seed).random
     while tally["steps"] < budget:
@@ -112,28 +110,48 @@ def _strong_starters(r: int, budget: int, seed: int = 0, tally: dict | None = No
         partner = [0] * r
         # a placed pair is named by its smaller element
         by_diff, by_sum = [0] * (half + 1), [0] * r
+        # the draws index into free and unused, so their order is part of
+        # the stream: appends and removes must keep it
         free, unused = list(range(1, r)), list(range(1, half + 1))
         for used in range(1, cap + 1):
             x = free[int(rand() * len(free))]
             if rand() < 0.75:
                 d = unused[int(rand() * len(unused))]
-                y = (x + d) % r if rand() < 0.5 else (x - d) % r
+                if rand() < 0.5:
+                    y = x + d
+                    if y >= r:
+                        y -= r
+                else:
+                    y = x - d
+                    if y < 0:
+                        y += r
             else:
-                y = (x + 1 + int(rand() * (r - 1))) % r
-            s = (x + y) % r
+                y = x + 1 + int(rand() * (r - 1))
+                if y >= r:
+                    y -= r
+                # the difference folded into 1..half, as a drawn d already is
+                d = y - x if y > x else x - y
+                if d > half:
+                    d = r - d
+            s = x + y
+            if s >= r:
+                s -= r
             if y == 0 or s == 0:
                 continue
-            d = min((y - x) % r, (x - y) % r)
-            # names of the pairs the new one clashes with; 0 names none
-            clashes = {by_diff[d], by_sum[s], partner[y] and min(y, partner[y])}
-            clashes.discard(0)
-            if len(clashes) > 1:
+            # the placed pairs the new one clashes with on d, on s and on y,
+            # by name (0 names none): a is the first, any other must equal it
+            c, z = by_sum[s], partner[y]
+            if z > y:
+                z = y
+            a = by_diff[d] or c or z
+            if c and c != a or z and z != a:
                 continue
-            if clashes:
-                a = clashes.pop()
+            if a:
                 b = partner[a]
                 partner[a] = partner[b] = 0
-                e = min(b - a, r - b + a)
+                e = b - a
+                if e > half:
+                    e = r - e
                 by_diff[e] = by_sum[(a + b) % r] = 0
                 free += (a, b)
                 unused.append(e)
@@ -141,15 +159,15 @@ def _strong_starters(r: int, budget: int, seed: int = 0, tally: dict | None = No
             free.remove(y)
             unused.remove(d)
             partner[x], partner[y] = y, x
-            by_diff[d] = by_sum[s] = min(x, y)
+            by_diff[d] = by_sum[s] = x if x < y else y
             if not free:
                 break
         tally["steps"] += used
-        if free:
-            tally["restarts"] += 1
-            continue
-        pairs = tuple((a, partner[a]) for a in range(1, r) if a < partner[a])
-        yield StarterAdder(r, pairs, tuple((x + y) % r for x, y in pairs))
+        if not free:
+            pairs = tuple((a, partner[a]) for a in range(1, r) if a < partner[a])
+            return StarterAdder(r, pairs, tuple((x + y) % r for x, y in pairs))
+        tally["restarts"] += 1
+    return None
 
 
 def strong_starter_search(
@@ -162,10 +180,10 @@ def strong_starter_search(
     """
     if r < 7 or r % 2 == 0:
         raise ValueError(f"strong starters need odd r >= 7, got {r}")
-    for sa in _strong_starters(r, budget, seed):
+    sa = _strong_starter(r, budget, seed, {})
+    if sa is not None:
         validate_starter_adder(sa)
-        return sa
-    return None
+    return sa
 
 
 def _starter_array(sa: StarterAdder) -> DesignArray:
@@ -252,7 +270,7 @@ def _cached_room(n: int, seed: int, budget: int) -> StarterAdder:
     if n == 10:
         return _NINE
     tally: dict = {}
-    sa = next(_strong_starters(n - 1, budget, seed, tally), None)
+    sa = _strong_starter(n - 1, budget, seed, tally)
     if sa is None:
         raise SearchExhausted(
             f"order {n}: the strong starter phase gave up after {tally['steps']} "

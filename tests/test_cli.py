@@ -389,3 +389,17 @@ def test_sweep_writes_table_file(tmp_path, capsys):
     assert main(["sweep", "--n-max", "8", "--k-max", "2", "--out", str(path)]) == 0
     capsys.readouterr()
     assert "verified" in path.read_text()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["generate", "--n", "8", "--k", "1"], ["sweep", "--n-max", "8", "--k-max", "1"]],
+    ids=["generate", "sweep"],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_four(command, target, tmp_path, capsys):
+    path = tmp_path / "absent" / "out.txt" if target == "missing-dir" else tmp_path
+    assert main([*command, "--out", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1

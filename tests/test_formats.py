@@ -59,12 +59,34 @@ def _writer_samples():
     ]
 
 
+# one value for each way the header writer lays a value out, and the same
+# again one level deeper: empty values, int lists ([True, 1] prints true),
+# int pairs and near-pairs, dicts in a list, a float, escaped strings
+_EVERY_LAYOUT = {
+    "list": [],
+    "dict": {},
+    "none": None,
+    "ints": [1, 2],
+    "bool-int": [True, 1],
+    "pairs": [[0, 1], [2, 3]],
+    "bool-pair": [[0, True]],
+    "triple": [[1, 2, 3]],
+    "dicts": [{"a": 1, "b": [2, 3]}, {}],
+    "int-keys": {1: "a"},
+    "float": 0.5,
+    "text": ['"', "\\", "\x07", "\u00e9\u20ac", "a\tb"],
+}
+
+
 @pytest.mark.parametrize(
     "arr",
     _writer_samples(),
     ids=lambda a: f"n{a.n}k{a.k}c{len(a.cells)}",
 )
-@pytest.mark.parametrize("meta", [None, {"t": [[0, 1]], "m": {}, "s": "\n"}])
+@pytest.mark.parametrize(
+    "meta",
+    [None, {"t": [[0, 1]], "m": {}, "s": "\n"}, {**_EVERY_LAYOUT, "in": _EVERY_LAYOUT}],
+)
 def test_dumps_writes_the_indenting_encoders_bytes(arr, meta):
     reference = json.dumps(design_to_dict(arr, meta), indent=2) + "\n"
     assert dumps_design(arr, meta) == reference
