@@ -9,7 +9,6 @@ bijections are what make serialized output reproducible.
 from __future__ import annotations
 
 from .core import (
-    Block,
     Complete,
     CompleteMultipartite,
     DesignArray,
@@ -52,15 +51,16 @@ def build_2k(k: int) -> tuple[DesignArray, Transversal, Hole]:
     return arr, transversal, hole
 
 
-def _relabel(block: Block, mapping: dict[int, int]) -> Block:
-    return canonical_block((mapping[u], mapping[v]) for u, v in block)
-
-
-def _split_map(first_base: int, second_base: int, k: int) -> dict[int, int]:
-    """Send one-factorization points 0..k-1 and k..2k-1 to two point ranges."""
-    mapping = {p: first_base + p for p in range(k)}
-    mapping.update({k + p: second_base + p for p in range(k)})
-    return mapping
+def _circulant(cells: dict, row: int, col: int, factors, bases) -> None:
+    """Lay factor i at (row + i, col + (i + t) mod len(factors)) for each t,
+    (low, high) in bases: a k-edge factor's points a < k go to low + a, the
+    others to high + a - k, each block re-sorted, as high may lie below low."""
+    k, size = len(factors[0]), len(factors)
+    spots = [[*range(low, low + k), *range(high, high + k)] for low, high in bases]
+    for i, factor in enumerate(factors):
+        for t, spot in enumerate(spots):
+            block = canonical_block([(spot[u], spot[v]) for u, v in factor])
+            cells[(row + i, col + (i + t) % size)] = block
 
 
 def build_4k(k: int) -> tuple[DesignArray, Transversal]:
@@ -93,73 +93,49 @@ def build_4k(k: int) -> tuple[DesignArray, Transversal]:
     n = 4 * k
     a0, b0, a1, b1 = 0, k, 2 * k, 3 * k
     cells = {}
-
     bip = ofact_bipartite(k)
-    for i in range(k):
-        cells[(i, i)] = _relabel(bip[i], _split_map(a0, b0, k))
-        cells[(i, (i + 1) % k)] = _relabel(bip[i], _split_map(a1, b1, k))
-    for i in range(k):
-        cells[(k + i, k + i)] = _relabel(bip[i], _split_map(a0, b1, k))
-        cells[(k + i, k + (i + 1) % k)] = _relabel(bip[i], _split_map(a1, b0, k))
-
-    comp = ofact_complete(2 * k)
-    a_half = _split_map(a0, a1, k)
-    b_half = _split_map(b0, b1, k)
+    _circulant(cells, 0, 0, bip, [(a0, b0), (a1, b1)])
+    _circulant(cells, k, k, bip, [(a0, b1), (a1, b0)])
+    _circulant(cells, 2 * k, 2 * k, ofact_complete(2 * k), [(a0, a1), (b0, b1)])
     ring = 2 * k - 1
-    for i in range(ring):
-        cells[(2 * k + i, 2 * k + i)] = _relabel(comp[i], a_half)
-        cells[(2 * k + i, 2 * k + (i + 1) % ring)] = _relabel(comp[i], b_half)
     chosen = [(i, 2 * k - 1 - i) for i in range(2 * k)]
     chosen += [(2 * k + r, 2 * k + -r % ring) for r in range(ring)]
     return DesignArray(n - 1, n, k, Complete(n), cells), Transversal(tuple(chosen))
 
 
-# One-edge cells of the order-6 pattern underlying build_6k: point (p, y)
-# of part p in Z_3, copy y in Z_2. Rows and columns each cover all six
+# One-edge cells (row, col, u, v), u < v, of the order-6 pattern underlying
+# build_6k, a pattern row to a line. Rows and columns each cover all six
 # points and the twelve cross-part pairs appear once.
 _SIX_PATTERN = (
-    (0, 0, (0, 0), (1, 0)),
-    (0, 1, (0, 1), (2, 0)),
-    (0, 3, (1, 1), (2, 1)),
-    (1, 0, (0, 1), (2, 1)),
-    (1, 1, (0, 0), (1, 1)),
-    (1, 2, (1, 0), (2, 0)),
-    (2, 0, (1, 1), (2, 0)),
-    (2, 2, (0, 0), (2, 1)),
-    (2, 3, (0, 1), (1, 0)),
-    (3, 1, (1, 0), (2, 1)),
-    (3, 2, (0, 1), (1, 1)),
-    (3, 3, (0, 0), (2, 0)),
+    (0, 0, 0, 2), (0, 1, 1, 4), (0, 3, 3, 5),
+    (1, 0, 1, 5), (1, 1, 0, 3), (1, 2, 2, 4),
+    (2, 0, 3, 4), (2, 2, 0, 5), (2, 3, 1, 2),
+    (3, 1, 2, 5), (3, 2, 1, 3), (3, 3, 0, 4),
 )
 
 
 def six_point_square() -> DesignArray:
     """The 4 x 4 single-edge design on the complete tripartite graph K_{2,2,2}.
 
-    Parts are {0,1}, {2,3}, {4,5} under the flattening (p, y) -> 2p + y.
-    This is the pattern build_6k expands; it is exported so it can be
-    checked and shown on its own.
+    Parts are {0,1}, {2,3}, {4,5}. This is the pattern build_6k expands;
+    it is exported so it can be checked and shown on its own.
     """
-    cells = {
-        (r, c): canonical_block([(2 * p1 + y1, 2 * p2 + y2)])
-        for r, c, (p1, y1), (p2, y2) in _SIX_PATTERN
-    }
+    cells = {(r, c): ((u, v),) for r, c, u, v in _SIX_PATTERN}
     return DesignArray(4, 6, 1, CompleteMultipartite((2, 2, 2)), cells)
 
 
 def build_6k(k: int) -> tuple[DesignArray, Transversal]:
     """Design of order n = 6k for k > 1, side 6k - 1, with a transversal.
 
-    Points are ((p, y), z) with part p in Z_3, copy y in Z_2, level z in
-    Z_k, flattened to 2k*p + k*y + z so each part occupies a contiguous
-    run of 2k points.
+    Points are (q, z) with q a point 0..5 of six_point_square and level z
+    in Z_k, flattened to k*q + z, so part q // 2 occupies a contiguous run
+    of 2k points.
 
     Rows 0..4k-1 expand the 4 x 4 pattern of six_point_square: each
-    one-edge cell {P, Q} becomes a k x k diagonal band holding the
-    bipartite factors between P's and Q's k levels (the group with the
-    smaller flattened base takes the 0..k-1 side). Expanded rows inherit
-    the pattern row's full coverage, and together the bands cover every
-    cross-part edge once.
+    one-edge cell {u, v}, u < v, becomes a k x k diagonal band holding the
+    bipartite factors between u's and v's k levels (u's levels take the
+    0..k-1 side). Expanded rows inherit the pattern row's full coverage,
+    and together the bands cover every cross-part edge once.
 
     Rows 4k..6k-2 are a side 2k-1 circulant whose diagonals at offsets
     0, 1, 2 hold the complete-graph factors of the three parts, covering
@@ -174,21 +150,12 @@ def build_6k(k: int) -> tuple[DesignArray, Transversal]:
         raise KTooSmall("order 6k needs k >= 2; k = 1 is the order-6 exclusion")
     n = 6 * k
     cells = {}
-
     bip = ofact_bipartite(k)
-    for r, c, (p1, y1), (p2, y2) in _SIX_PATTERN:
-        base1 = 2 * k * p1 + k * y1
-        base2 = 2 * k * p2 + k * y2
-        low, high = min(base1, base2), max(base1, base2)
-        for t in range(k):
-            cells[(r * k + t, c * k + t)] = _relabel(bip[t], _split_map(low, high, k))
-
-    comp = ofact_complete(2 * k)
+    for r, c, u, v in _SIX_PATTERN:
+        _circulant(cells, r * k, c * k, bip, [(u * k, v * k)])
+    parts = [(2 * k * p, 2 * k * p + k) for p in range(3)]
+    _circulant(cells, 4 * k, 4 * k, ofact_complete(2 * k), parts)
     ring = 2 * k - 1
-    for i in range(ring):
-        for p in range(3):
-            part = {q: 2 * k * p + q for q in range(2 * k)}
-            cells[(4 * k + i, 4 * k + (i + p) % ring)] = _relabel(comp[i], part)
     empty = enumerate((2, 3, 1, 0))
     chosen = [(r * k + t, c * k + t) for r, c in empty for t in range(k)]
     chosen += [(4 * k + r, 4 * k + -r % ring) for r in range(ring)]

@@ -10,11 +10,9 @@ stdout stays clean when it carries the design itself.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .compose import ConstructionResult, construct
-from .core import Transversal
 from .errors import (
     DesignError,
     FormatError,
@@ -24,8 +22,8 @@ from .errors import (
 )
 from .formats import (
     LATEX_MAX_SIDE,
-    design_from_dict,
     dumps_design,
+    loads_design,
     render_grid,
     render_latex,
 )
@@ -106,40 +104,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_design_file(path: str):
-    """Parse a JSON design file; returns (array, meta dict)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # a JSONDecodeError, bytes that are not UTF-8, an integer past
-        # Python's digit limit, or arrays nested past the parser's depth
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
-    arr = design_from_dict(data)
-    meta = data.get("meta")
-    return arr, (meta if isinstance(meta, dict) else None)
-
-
-def _meta_transversal(meta: dict | None) -> Transversal | None:
-    if meta is None or "transversal" not in meta:
-        return None
-    raw = meta["transversal"]
-    if not isinstance(raw, list):
-        raise FormatError("meta.transversal must be a list of cells")
-    cells = []
-    for entry in raw:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
-        ):
-            raise FormatError(f"meta.transversal entry {entry!r} is not a cell")
-        cells.append((entry[0], entry[1]))
-    return Transversal(tuple(cells))
-
-
 def _print_checks(report, prefix: str) -> None:
     for check in report.checks:
         tag = "PASS" if check.passed else "FAIL"
@@ -154,8 +118,11 @@ def _counts(values) -> str:
 
 def cmd_verify(args) -> int:
     try:
-        arr, meta = _load_design_file(args.path)
-        transversal = _meta_transversal(meta)
+        with open(args.path, encoding="utf-8") as fh:
+            arr, transversal = loads_design(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"parse error: cannot read {args.path}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

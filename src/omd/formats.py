@@ -10,12 +10,13 @@ The host is {"type": "complete", "n": ..} or {"type":
 
 Cells are sorted by (row, col) and every edge is written as [min, max],
 so serializing the same design always yields identical bytes. An optional
-top-level "meta" object carries provenance and certificates; parsing
-ignores it. Parsing is strict about structure (exit path for malformed
-files): types, cell range, duplicate cells, edge shape. It reads each cell
-into its canonical block and leaves semantic validity to the verifier, so
-a structurally fine file describing a broken design, a cell that is not
-a matching included, parses and then fails verification.
+top-level "meta" object carries provenance and certificates; parsing reads
+only its "transversal", a list of [row, col] cells, and ignores a meta
+that is not an object. Parsing is strict about structure (exit path for
+malformed files): types, cell range, duplicate cells, edge shape. It reads
+each cell into its canonical block and leaves semantic validity to the
+verifier, so a structurally fine file describing a broken design, a cell
+that is not a matching included, parses and then fails verification.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import itemgetter
 from typing import Any
 
 from . import core
-from .core import Block, DesignArray
+from .core import Block, DesignArray, Transversal
 from .errors import FormatError
 
 GRID_EMPTY = "."
@@ -208,14 +209,29 @@ def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
     return text + "\n"
 
 
-def loads_design(text: str) -> DesignArray:
+def loads_design(text: str) -> tuple[DesignArray, Transversal | None]:
+    """The design a JSON text holds, and the transversal its meta stores,
+    or None when meta is not an object or has no "transversal" field."""
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors; so is an
-        # integer past Python's digit limit; deep nesting is a RecursionError
+        # ValueError: bad JSON, an int past the digit limit; RecursionError: deep nesting
         raise FormatError(f"not valid JSON: {exc}") from exc
-    return design_from_dict(data)
+    del text  # the text and, below, the parsed JSON go early to keep the peak low
+    arr = design_from_dict(data)
+    meta = data.get("meta")
+    del data
+    if not isinstance(meta, dict) or "transversal" not in meta:
+        return arr, None
+    raw = meta["transversal"]
+    if not isinstance(raw, list):
+        raise FormatError("meta.transversal must be a list of cells")
+    for entry in raw:
+        if not isinstance(entry, list) or len(entry) != 2 or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in entry
+        ):
+            raise FormatError(f"meta.transversal entry {entry!r} is not a cell")
+    return arr, Transversal(tuple(map(tuple, raw)))
 
 
 def _cell_text(block: Block | None) -> str:

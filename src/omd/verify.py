@@ -258,18 +258,28 @@ def verify(arr: DesignArray) -> VerificationReport:
     )
 
 
+def _permutation_fault(cells, axis: int, side: int) -> str | None:
+    """The smallest row (axis 0) or column (axis 1) chosen more than once or
+    outside 0..side-1, else the smallest of 0..side-1 not chosen, named, or
+    None; those chosen are then distinct and in range, so the scan is short."""
+    label = ("row", "column")[axis]
+    counts = Counter(map(itemgetter(axis), cells))
+    bad = [i for i, times in counts.items() if times > 1 or not 0 <= i < side]
+    if not bad:
+        i = next((i for i in range(side) if i not in counts), None)
+        return None if i is None else f"{label} {i} is not chosen"
+    i = min(bad)
+    if 0 <= i < side:
+        return f"{label} {i} is chosen {counts[i]} times"
+    return f"{label} {i} is outside 0..{side - 1}"
+
+
 def verify_transversal(arr: DesignArray, transversal: Transversal) -> VerificationReport:
     """Check one-cell-per-row/column and exact point coverage."""
     checks = []
     cells = transversal.cells
 
-    rows = sorted(r for r, _ in cells)
-    cols = sorted(c for _, c in cells)
-    perm_detail = None
-    if len(rows) != arr.side or rows != list(range(arr.side)):
-        perm_detail = f"rows {rows} are not a permutation of 0..{arr.side - 1}"
-    elif cols != list(range(arr.side)):
-        perm_detail = f"columns {cols} are not a permutation of 0..{arr.side - 1}"
+    perm_detail = _permutation_fault(cells, 0, arr.side) or _permutation_fault(cells, 1, arr.side)
     checks.append(Check("one-per-row-and-column", perm_detail is None, perm_detail))
 
     chosen = [b for b in (arr.block_at(r, c) for r, c in cells) if b is not None]

@@ -1,5 +1,7 @@
 """Direct constructions for orders 2k, 4k, 6k and the bipartite ingredient."""
 
+import hashlib
+
 import pytest
 
 from omd.bases import build_2k, build_4k, build_6k, build_m1k, six_point_square
@@ -157,3 +159,26 @@ def test_builders_are_deterministic():
     assert build_4k(2)[0].cells == build_4k(2)[0].cells
     assert build_6k(2)[0].cells == build_6k(2)[0].cells
     assert build_m1k(3).cells == build_m1k(3).cells
+
+
+# SHA-256 over every direct builder for k = 1..24 (4k and 6k from k = 2)
+# and the six-point square; GOLDEN_DIGESTS reach build_4k and build_6k
+# only at k = 2, so this pins their cells at every other k
+BUILDERS_DIGEST = "7bc2878d766c033c814cbf77e73cc93a5cd249e2d9f0f00f8cd4038ec4329629"
+
+
+def _record(arr, transversal=None, hole=None):
+    cells = sorted(arr.cells.items())
+    return repr((cells, transversal, hole, arr.side, arr.n, arr.k, arr.host)).encode()
+
+
+def test_direct_builders_match_pinned_digest():
+    digest = hashlib.sha256()
+    for k in range(1, 25):
+        digest.update(_record(build_m1k(k)))
+        digest.update(_record(*build_2k(k)))
+        if k >= 2:
+            digest.update(_record(*build_4k(k)))
+            digest.update(_record(*build_6k(k)))
+    digest.update(_record(six_point_square()))
+    assert digest.hexdigest() == BUILDERS_DIGEST

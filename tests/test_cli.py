@@ -28,7 +28,7 @@ def test_generate_json_to_stdout(capsys):
 def test_generate_design_actually_verifies(capsys):
     assert main(["generate", "--n", "16", "--k", "2"]) == 0
     out, _ = capsys.readouterr()
-    arr = loads_design(out)
+    arr = loads_design(out)[0]
     assert verify(arr).passed
 
 
@@ -165,6 +165,30 @@ def test_verify_malformed_meta_cells_exits_four(tmp_path, capsys):
     path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(path)]) == 4
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [{"transversal": None}, {"transversal": "x"}, {"transversal": [[0, True]]},
+     {"transversal": [[0, 1.0]]}, [1]],
+    ids=["null", "string", "bool-entry", "float-entry", "meta-not-an-object"],
+)
+def test_verify_reads_meta_transversal_strictly(meta, tmp_path, capsys):
+    path = tmp_path / "d.json"
+    main(["generate", "--n", "4", "--k", "2", "--out", str(path)])
+    data = json.loads(path.read_text())
+    data["meta"] = meta
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    if isinstance(meta, dict):
+        assert code == 4 and out == ""
+        assert err.startswith("parse error: meta.transversal") and err.count("\n") == 1
+    else:
+        # a meta that is not an object is ignored, transversal and all
+        assert code == 0 and err == ""
+        assert "transversal" not in out and out.endswith("verdict: valid\n")
 
 
 def test_bad_flags_exit_four(tmp_path, capsys):

@@ -35,7 +35,7 @@ def _samples():
 
 @pytest.mark.parametrize("arr", _samples(), ids=lambda a: f"n{a.n}k{a.k}")
 def test_round_trip_identity(arr):
-    assert loads_design(dumps_design(arr)) == arr
+    assert loads_design(dumps_design(arr))[0] == arr
 
 
 def test_dumps_is_deterministic_and_sorted():
@@ -96,7 +96,17 @@ def test_meta_is_carried_but_not_parsed():
     arr = build_m1k(2)
     text = dumps_design(arr, meta={"provenance": "test", "seed": 0})
     assert json.loads(text)["meta"]["provenance"] == "test"
-    assert loads_design(text) == arr
+    assert loads_design(text)[0] == arr
+
+
+def test_parse_returns_the_stored_transversal():
+    arr, transversal, _ = build_2k(2)
+    data = design_to_dict(arr, {"transversal": [list(c) for c in transversal.cells]})
+    assert loads_design(json.dumps(data)) == (arr, transversal)
+    data["meta"] = {"provenance": "test"}
+    assert loads_design(json.dumps(data)) == (arr, None)
+    data["meta"] = [1]
+    assert loads_design(json.dumps(data)) == (arr, None)
 
 
 @pytest.mark.parametrize("arr", _samples(), ids=lambda a: f"n{a.n}k{a.k}")
@@ -217,7 +227,7 @@ def test_parse_accepts_int_subclasses_in_cells(field):
 
 def test_round_trip_identity_at_scale():
     arr = build_room(122)[0]
-    assert loads_design(dumps_design(arr)) == arr
+    assert loads_design(dumps_design(arr))[0] == arr
 
 
 def test_cell_that_is_no_matching_parses_and_fails_verify():

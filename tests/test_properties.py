@@ -93,6 +93,6 @@ def test_swap_changing_support_is_rejected(swap):
 def test_json_round_trip_keeps_every_cell(pair):
     original, moved = pair
     for arr in (original, moved):
-        back = loads_design(dumps_design(arr))
+        back = loads_design(dumps_design(arr))[0]
         assert back.cells == arr.cells
         assert (back.side, back.n, back.k, back.host) == (arr.side, arr.n, arr.k, arr.host)

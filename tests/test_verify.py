@@ -352,6 +352,33 @@ def test_transversal_bad_permutation():
     assert not checks["one-per-row-and-column"].passed
 
 
+@pytest.mark.parametrize(
+    "cells,detail",
+    [
+        (((0, 0), (1, 1), (7, 2)), "row 7 is outside 0..2"),
+        (((0, 2), (1, 1)), "row 2 is not chosen"),
+        (((0, 0), (0, 1), (0, 0)), "row 0 is chosen 3 times"),
+        (((0, 0), (1, 0), (2, 2)), "column 0 is chosen 2 times"),
+        (((0, 0), (1, 1), (2, -1)), "column -1 is outside 0..2"),
+    ],
+)
+def test_transversal_names_one_line(cells, detail):
+    arr, _, _ = build_2k(2)
+    report = verify_transversal(arr, Transversal(cells))
+    assert report.checks[0].detail == detail
+
+
+def test_transversal_names_the_first_repeated_row_at_scale():
+    arr, transversal = build_room(122)
+    cells = [(6, c) if r == 7 else (r, c) for r, c in transversal.cells]
+    report = verify_transversal(arr, Transversal(tuple(cells)))
+    assert report.checks[0].detail == "row 6 is chosen 2 times"
+    # the work follows the transversal, not the side a header claims
+    huge = DesignArray(10**9, 8, 1, Complete(8), {})
+    report = verify_transversal(huge, Transversal(()))
+    assert report.checks[0].detail == "row 0 is not chosen"
+
+
 def test_hole_of_diagonal_design():
     arr, _, hole = build_2k(3)
     assert verify_hole(arr, hole).passed
