@@ -29,7 +29,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import itemgetter
 
-Point = int
 Edge = tuple[int, int]
 Cell = tuple[int, int]
 

@@ -8,15 +8,18 @@ The JSON layout is a stable wire contract:
 The host is {"type": "complete", "n": ..} or {"type":
 "complete_multipartite", "parts": [..]}; any other type fails to parse.
 
-Cells are sorted by (row, col) and every edge is written as [min, max],
-so serializing the same design always yields identical bytes. An optional
-top-level "meta" object carries provenance and certificates; parsing reads
-only its "transversal", a list of [row, col] cells, and ignores a meta
-that is not an object. Parsing is strict about structure (exit path for
-malformed files): types, cell range, duplicate cells, edge shape. It reads
-each cell into its canonical block and leaves semantic validity to the
-verifier, so a structurally fine file describing a broken design, a cell
-that is not a matching included, parses and then fails verification.
+A file is one line, laid out as json.dumps writes it with its default
+separators. Cells are sorted by (row, col) and every edge is written as
+[min, max], so serializing the same design always yields identical bytes.
+The reader accepts any JSON whitespace, so a file spread over many lines
+parses the same. An optional top-level "meta" object carries provenance
+and certificates; parsing reads only its "transversal", a list of
+[row, col] cells, and ignores a meta that is not an object. Parsing is
+strict about structure (exit path for malformed files): types, cell
+range, duplicate cells, edge shape. It reads each cell into its canonical
+block and leaves semantic validity to the verifier, so a structurally
+fine file describing a broken design, a cell that is not a matching
+included, parses and then fails verification.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Any
 
@@ -140,73 +142,23 @@ def design_from_dict(data: Any) -> DesignArray:
     return DesignArray(side, n, k, host, cells)
 
 
-# a cell and an edge as json.dumps(..., indent=2) lays them out in a design
-_CELL = '    {\n      "row": %%d,\n      "col": %%d,\n      "edges": %s\n    }'
-_EDGE = "        [\n          %d,\n          %d\n        ]"
-
-
-def _cell_template(size: int) -> str:
-    """The % template of a cell whose block holds size edges."""
-    if not size:
-        return _CELL % "[]"
-    return _CELL % ("[\n" + ",\n".join([_EDGE] * size) + "\n      ]")
-
-
-# looked up only for None and bools: 1 and 1.0 would find True's entry
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _indented(value: Any, depth: int) -> str:
-    """json.dumps(value, indent=2) laid out at nesting depth. Strings, ints,
-    None, bools, dicts with str keys and lists are written here, int lists
-    by one join and int-pair lists by one % format; anything else goes
-    through json.dumps."""
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return str(value)
-    if value is None or type(value) is bool:
-        return _CONSTANTS[value]
-    pad = "\n" + "  " * (depth + 1)
-    if type(value) is dict and value and all(type(key) is str for key in value):
-        items = [
-            encode_basestring_ascii(key) + ": " + _indented(item, depth + 1)
-            for key, item in value.items()
-        ]
-        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-    if type(value) is list and value:
-        if all(
-            type(item) is list and len(item) == 2
-            and type(item[0]) is int and type(item[1]) is int
-            for item in value
-        ):
-            pair = "[" + pad + "  %d," + pad + "  %d" + pad + "]"
-            values = tuple(chain.from_iterable(value))
-            items = [("," + pad).join([pair] * len(value)) % values]
-        elif all(type(item) is int for item in value):
-            items = map(str, value)
-        else:
-            items = [_indented(item, depth + 1) for item in value]
-        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
-    return json.dumps(value, indent=2).replace("\n", pad[:-2])
-
-
 def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
-    """json.dumps(design_to_dict(arr, meta), indent=2) + "\\n", byte for byte.
-    The header, host and meta are laid out by _indented; the cells are one
-    % format over (row, col, u, v, ...) in cell order."""
-    text = _indented(design_to_dict(replace(arr, cells={}), meta), 0)
+    """json.dumps(design_to_dict(arr, meta)) + "\\n", byte for byte: one line
+    with the default separators, which loads_design reads back along with
+    any other JSON whitespace. The header, host and meta go through
+    json.dumps; the cells are one % format over (row, col, u, v, ...) in
+    cell order."""
+    text = json.dumps(design_to_dict(replace(arr, cells={}), meta))
     occupied = arr.occupied()
     blocks = list(map(itemgetter(1), occupied))
     sizes = list(map(len, blocks))
-    templates = {size: _cell_template(size) for size in set(sizes)}
+    cell = '{"row": %%d, "col": %%d, "edges": [%s]}'
+    templates = {size: cell % ", ".join(["[%d, %d]"] * size) for size in set(sizes)}
     # sum(block, (row, col)) is the tuple (row, col, u, v, ...)
     values = chain.from_iterable(map(sum, blocks, map(itemgetter(0), occupied)))
-    cells = ",\n".join(map(templates.__getitem__, sizes)) % tuple(values)
-    if cells:
-        # host comes first and cannot hold this text, so it is the cells key
-        text = text.replace('"cells": []', '"cells": [\n' + cells + "\n  ]", 1)
-    return text + "\n"
+    cells = ", ".join(map(templates.__getitem__, sizes)) % tuple(values)
+    # host comes first and cannot hold this text, so it is the cells key
+    return text.replace('"cells": []', '"cells": [' + cells + "]", 1) + "\n"
 
 
 def loads_design(text: str) -> tuple[DesignArray, Transversal | None]:

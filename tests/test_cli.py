@@ -79,6 +79,22 @@ def test_round_trip_verify_passes(tmp_path, capsys):
     assert "[PASS] transversal exact-point-coverage" in out
 
 
+def test_verify_reads_the_old_indented_layout(tmp_path, capsys):
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    assert main(["generate", "--n", "16", "--k", "2", "--out", str(compact)]) == 0
+    data = json.loads(compact.read_text())
+    indented.write_text(json.dumps(data, indent=2))
+    capsys.readouterr()
+    assert main(["verify", str(compact)]) == 0
+    expected, _ = capsys.readouterr()
+    assert main(["verify", str(indented)]) == 0
+    assert capsys.readouterr()[0] == expected
+    del data["cells"][len(data["cells"]) // 2]
+    indented.write_text(json.dumps(data, indent=2))
+    assert main(["verify", str(indented)]) == 1
+    assert "verdict: INVALID" in capsys.readouterr()[0]
+
+
 def test_verify_corrupted_design_exits_one(tmp_path, capsys):
     path = tmp_path / "d.json"
     main(["generate", "--n", "12", "--k", "2", "--out", str(path)])
@@ -289,10 +305,12 @@ def test_generate_is_byte_identical(n, k, tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-# SHA-256 of `omd generate` stdout, one case per construction path (room,
-# order 10's fixed square, diagonal, quad-split, hex-split, products over
-# room(8), room(10), room(12), room(40) and room(56)); any change in output
-# bytes shows here
+# SHA-256 of `omd generate` stdout re-serialised with indent 2, one case
+# per construction path (room, order 10's fixed square, diagonal,
+# quad-split, hex-split, products over room(8), room(10), room(12),
+# room(40) and room(56)). The digest fixes the parsed content, and stdout
+# being json.dumps of that content fixes its layout, so together they
+# pin every output byte
 GOLDEN_DIGESTS = {
     (2, 1, 0): "e55a5807525b3041ff5353d589b8584565dcb92c7d2a169a04a18189bdfb7532",
     (8, 1, 0): "31159029ae7f3d0cfb30675ceb5f50222945ce678e72cb12c72b37d602f71cbe",
@@ -333,7 +351,9 @@ def test_generate_matches_golden_digest(n, k, seed, capsys):
     args = ["generate", "--n", str(n), "--k", str(k), "--seed", str(seed)]
     assert main(args) == 0
     out, _ = capsys.readouterr()
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[(n, k, seed)]
+    assert out == json.dumps(json.loads(out)) + "\n"
+    text = json.dumps(json.loads(out), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[(n, k, seed)]
 
 
 # SHA-256 of the same outputs with meta.transversal removed, re-serialised

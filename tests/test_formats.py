@@ -59,9 +59,9 @@ def _writer_samples():
     ]
 
 
-# one value for each way the header writer lays a value out, and the same
-# again one level deeper: empty values, int lists ([True, 1] prints true),
-# int pairs and near-pairs, dicts in a list, a float, escaped strings
+# meta values of every JSON kind, and the same again one level deeper:
+# empty values, int lists ([True, 1] prints true), int pairs and
+# near-pairs, dicts in a list, int keys, a float, escaped strings
 _EVERY_LAYOUT = {
     "list": [],
     "dict": {},
@@ -78,18 +78,28 @@ _EVERY_LAYOUT = {
 }
 
 
-@pytest.mark.parametrize(
-    "arr",
-    _writer_samples(),
-    ids=lambda a: f"n{a.n}k{a.k}c{len(a.cells)}",
-)
-@pytest.mark.parametrize(
-    "meta",
-    [None, {"t": [[0, 1]], "m": {}, "s": "\n"}, {**_EVERY_LAYOUT, "in": _EVERY_LAYOUT}],
-)
-def test_dumps_writes_the_indenting_encoders_bytes(arr, meta):
-    reference = json.dumps(design_to_dict(arr, meta), indent=2) + "\n"
+def _every_writer_case(test):
+    test = pytest.mark.parametrize(
+        "meta",
+        [None, {"t": [[0, 1]], "m": {}, "s": "\n"}, {**_EVERY_LAYOUT, "in": _EVERY_LAYOUT}],
+    )(test)
+    return pytest.mark.parametrize(
+        "arr", _writer_samples(), ids=lambda a: f"n{a.n}k{a.k}c{len(a.cells)}"
+    )(test)
+
+
+@_every_writer_case
+def test_dumps_writes_the_encoders_bytes(arr, meta):
+    reference = json.dumps(design_to_dict(arr, meta)) + "\n"
     assert dumps_design(arr, meta) == reference
+
+
+@_every_writer_case
+def test_dumps_writes_the_indenting_encoders_bytes(arr, meta):
+    # the content is what the indenting encoder wrote: files of either
+    # layout re-indent to the same bytes
+    reindented = json.dumps(json.loads(dumps_design(arr, meta)), indent=2) + "\n"
+    assert reindented == json.dumps(design_to_dict(arr, meta), indent=2) + "\n"
 
 
 def test_meta_is_carried_but_not_parsed():
