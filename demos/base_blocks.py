@@ -6,7 +6,7 @@ The block counts are forced: a design of order n with k-edge blocks has
 exactly n(n-1)/(2k) blocks, n/(2k) in every row and column.
 """
 
-from omd import build_2k, build_4k, build_6k, render_grid, six_point_square, verify
+from omd import build_2k, build_4k, build_6k, render_grid, verify
 
 print("Order 2k: one factor of the complete graph per diagonal cell.")
 arr, transversal, hole = build_2k(3)
@@ -15,8 +15,10 @@ print(f"  verified: {verify(arr).passed}")
 print(f"  back-diagonal transversal: {transversal.cells}")
 print(f"  empty hole rows {hole.rows} x cols {hole.cols}\n")
 
-print("Order 6k grows from a 4x4 seed on six points in three groups:")
-print(render_grid(six_point_square()))
+print("Order 6k grows from a 4x4 seed on six points in three groups: at k=2")
+print("each seed cell becomes a 2x2 band (rows 0-7), and the last three rows")
+print("hold the edges within each group:")
+print(render_grid(build_6k(2)[0]))
 
 for label, (arr, _) in (("4k, k=2", build_4k(2)), ("6k, k=2", build_6k(2))):
     report = verify(arr)

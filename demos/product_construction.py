@@ -6,15 +6,17 @@ absorb the hole of the larger ingredient. The side comes out as
 s(n-1) + s - 1 = sn - 1, exactly the side a design of order sn needs.
 """
 
-from omd import build_2k, build_m1k, build_room, construct
+from omd import build_2k, build_room, construct
+from omd.factorizations import ofact_bipartite
 
 s = 2
 outer, _ = build_room(8)
-cell_ingredient = build_m1k(s)
+cell_ingredient = ofact_bipartite(s)
 t_design, _, t_hole = build_2k(s)
 
 print(f"outer: order {outer.n}, side {outer.side}, single-edge blocks")
-print(f"cell ingredient: side {cell_ingredient.side} on the doubled edge")
+print(f"cell ingredient: {len(cell_ingredient)} factors of the doubled edge K_{{{s},{s}}}, "
+      f"factor t at (t, t) of each {s}x{s} block: {cell_ingredient}")
 print(f"transversal ingredient: side {t_design.side} with a hole of size {t_hole.size}\n")
 
 # construct builds the outer square and both ingredients itself

@@ -15,7 +15,7 @@ its submodule (omd.core, omd.errors, omd.room, omd.verify, ...).
 
 from .core import DesignArray
 from .errors import NonExistent
-from .bases import build_2k, build_4k, build_6k, build_m1k, six_point_square
+from .bases import build_2k, build_4k, build_6k
 from .room import (
     StarterAdder,
     build_room,
@@ -34,11 +34,9 @@ __all__ = [
     "build_2k",
     "build_4k",
     "build_6k",
-    "build_m1k",
     "build_room",
     "construct",
     "render_grid",
-    "six_point_square",
     "strong_starter_search",
     "validate_starter_adder",
     "verify",

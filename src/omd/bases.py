@@ -1,35 +1,16 @@
 """Direct constructions for the small parameter families.
 
-Four builders cover the orders n = 2k, 4k, 6k plus the bipartite blowup
-ingredient, each by arranging one-factorization factors in a fixed
-pattern. Every builder documents its point flattening, because those
-bijections are what make serialized output reproducible.
+Three builders cover the orders n = 2k, 4k and 6k, each by arranging
+one-factorization factors in a fixed pattern. Every builder documents its
+point flattening, because those bijections are what make serialized output
+reproducible.
 """
 
 from __future__ import annotations
 
-from .core import (
-    Complete,
-    CompleteMultipartite,
-    DesignArray,
-    Hole,
-    Transversal,
-    canonical_block,
-)
+from .core import Complete, DesignArray, Hole, Transversal, canonical_block
 from .errors import KTooSmall
 from .factorizations import ofact_bipartite, ofact_complete
-
-
-def build_m1k(k: int) -> DesignArray:
-    """Design of matching size k on the blown-up single edge (side k).
-
-    The host is CompleteMultipartite((k, k)), i.e. K_{k,k} with sides
-    0..k-1 and k..2k-1. Factor i of the cyclic bipartite one-factorization
-    goes to cell (i, i); rows and columns then resolve because each factor
-    is a perfect matching.
-    """
-    cells = {(i, i): factor for i, factor in enumerate(ofact_bipartite(k))}
-    return DesignArray(k, 2 * k, k, CompleteMultipartite((k, k)), cells)
 
 
 def build_2k(k: int) -> tuple[DesignArray, Transversal, Hole]:
@@ -103,9 +84,10 @@ def build_4k(k: int) -> tuple[DesignArray, Transversal]:
     return DesignArray(n - 1, n, k, Complete(n), cells), Transversal(tuple(chosen))
 
 
-# One-edge cells (row, col, u, v), u < v, of the order-6 pattern underlying
-# build_6k, a pattern row to a line. Rows and columns each cover all six
-# points and the twelve cross-part pairs appear once.
+# One-edge cells (row, col, u, v), u < v, of the 4 x 4 order-6 pattern
+# underlying build_6k, a pattern row to a line, over the parts {0,1}, {2,3},
+# {4,5} of K_{2,2,2}. Rows and columns each cover all six points and the
+# twelve cross-part pairs appear once.
 _SIX_PATTERN = (
     (0, 0, 0, 2), (0, 1, 1, 4), (0, 3, 3, 5),
     (1, 0, 1, 5), (1, 1, 0, 3), (1, 2, 2, 4),
@@ -114,27 +96,17 @@ _SIX_PATTERN = (
 )
 
 
-def six_point_square() -> DesignArray:
-    """The 4 x 4 single-edge design on the complete tripartite graph K_{2,2,2}.
-
-    Parts are {0,1}, {2,3}, {4,5}. This is the pattern build_6k expands;
-    it is exported so it can be checked and shown on its own.
-    """
-    cells = {(r, c): ((u, v),) for r, c, u, v in _SIX_PATTERN}
-    return DesignArray(4, 6, 1, CompleteMultipartite((2, 2, 2)), cells)
-
-
 def build_6k(k: int) -> tuple[DesignArray, Transversal]:
     """Design of order n = 6k for k > 1, side 6k - 1, with a transversal.
 
-    Points are (q, z) with q a point 0..5 of six_point_square and level z
-    in Z_k, flattened to k*q + z, so part q // 2 occupies a contiguous run
-    of 2k points.
+    Points are (q, z) with q a point 0..5 of _SIX_PATTERN and level z in
+    Z_k, flattened to k*q + z, so part q // 2 occupies a contiguous run of
+    2k points.
 
-    Rows 0..4k-1 expand the 4 x 4 pattern of six_point_square: each
-    one-edge cell {u, v}, u < v, becomes a k x k diagonal band holding the
-    bipartite factors between u's and v's k levels (u's levels take the
-    0..k-1 side). Expanded rows inherit the pattern row's full coverage,
+    Rows 0..4k-1 expand the 4 x 4 pattern _SIX_PATTERN: each one-edge
+    cell {u, v}, u < v, becomes a k x k diagonal band holding the bipartite
+    factors between u's and v's k levels (u's levels take the 0..k-1
+    side). Expanded rows inherit the pattern row's full coverage,
     and together the bands cover every cross-part edge once.
 
     Rows 4k..6k-2 are a side 2k-1 circulant whose diagonals at offsets

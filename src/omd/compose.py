@@ -3,12 +3,13 @@
 Given a single-edge design on m points (a Room square) with a certified
 transversal, every point is split into s copies. Each outer cell grows
 into an s x s block, and s - 1 extra rows and columns are appended, for a
-side of s(m-1) + s - 1 = sm - 1. The ingredients are always build_m1k(s),
-on the doubled edge K_{s,s}, and build_2k(s), on K_{2s} with its hole of
-size s - 1. Cells on the outer transversal receive a copy of build_2k(s)
-with its hole rows and columns laid onto the extra rows and columns; all
-other filled cells receive a copy of build_m1k(s). The copies tile the new
-edge set exactly once, which the verifier confirms on every output.
+side of s(m-1) + s - 1 = sm - 1. The ingredients are always the s factors
+of ofact_bipartite(s), which partition the doubled edge K_{s,s}, and
+build_2k(s), on K_{2s} with its hole of size s - 1. Cells on the outer
+transversal receive a copy of build_2k(s) with its hole rows and columns
+laid onto the extra rows and columns; every other filled cell grows into
+an s x s block with factor t at its diagonal cell (t, t). The copies tile
+the new edge set exactly once, which the verifier confirms on every output.
 The product's transversal is the image of build_2k(s)'s back diagonal in
 every outer transversal cell; no transversal is searched for here.
 """
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 from .core import Complete, DesignArray, Transversal
 from .errors import NonExistent, VerificationFailed
 from .room import DEFAULT_BUDGET, build_room
-from .bases import build_2k, build_4k, build_6k, build_m1k
+from .bases import build_2k, build_4k, build_6k
+from .factorizations import ofact_bipartite
 from .verify import VerificationReport, verify, verify_transversal
 
 
@@ -28,9 +30,10 @@ def _expand(
     outer: DesignArray, outer_transversal: Transversal, s: int
 ) -> tuple[DesignArray, Transversal]:
     """Blow up a single-edge outer design by s; no checks.
-    The transversal is the union of build_2k(s)'s back diagonal images in
-    every outer transversal cell, empty or not (hole images coincide)."""
-    small = build_m1k(s)
+    A cell off the outer transversal takes factor t of ofact_bipartite(s)
+    at (t, t); one on it takes build_2k(s). The transversal is the union of
+    build_2k(s)'s back diagonal images in every outer transversal cell,
+    empty or not (hole images coincide)."""
     big, big_transversal, hole = build_2k(s)
     # build_2k's rows and columns in the order they are laid out: first
     # those outside the hole, then the hole's, which go to the extra lines
@@ -40,7 +43,7 @@ def _expand(
     col_at = {c: p for p, c in enumerate(col_order)}
     big_cells = [(row_at[r], col_at[c], b) for (r, c), b in big.cells.items()]
     big_chosen = [(row_at[r], col_at[c]) for r, c in big_transversal.cells]
-    small_cells = [(r, c, b) for (r, c), b in small.cells.items()]
+    small_cells = [(t, t, factor) for t, factor in enumerate(ofact_bipartite(s))]
     extras = range(s * outer.side, s * outer.side + s - 1)
 
     def lines(x: int) -> list[int]:

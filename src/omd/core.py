@@ -6,8 +6,8 @@ design every row and every column is a resolution class (it covers each
 point of the host graph exactly once) and every host edge lies in exactly
 one block across the whole array.
 
-Hosts are Complete(n), K_n, where the paper's designs live, and
-CompleteMultipartite, for the K_{s,s} ingredient and the six-point square.
+The host is Complete(n), K_n, where the paper's designs live; a design's
+edges are all pairs of its n points.
 
 A block is a plain tuple of edges in canonical form (each edge as
 (min, max), the tuple sorted), made by canonical_block. Nothing here checks
@@ -23,8 +23,6 @@ array, which the caller owns.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import itemgetter
@@ -56,47 +54,6 @@ class Complete:
         if self.n < 0:
             raise ValueError("host order must not be negative")
 
-    def vertex_count(self) -> int:
-        return self.n
-
-    def edge_count(self) -> int:
-        return self.n * (self.n - 1) // 2
-
-    def above(self, u: int) -> range:
-        return range(u + 1, self.n)
-
-
-@dataclass(frozen=True)
-class CompleteMultipartite:
-    """Complete multipartite graph; parts occupy consecutive point ranges."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        if any(p < 1 for p in self.parts):
-            raise ValueError("part sizes must be positive")
-        # part i ends before _ends[i], and u < v are adjacent when v lies
-        # past the end of u's part; not a field, so eq and repr skip it
-        object.__setattr__(self, "_ends", tuple(itertools.accumulate(self.parts)))
-
-    def vertex_count(self) -> int:
-        return sum(self.parts)
-
-    def edge_count(self) -> int:
-        total = sum(self.parts)
-        return (total * total - sum(p * p for p in self.parts)) // 2
-
-    def above(self, u: int) -> range:
-        ends = self._ends
-        return range(ends[bisect.bisect_right(ends, u)], ends[-1])
-
-
-# A host is K_n or complete multipartite; above(u) is the range of u's
-# neighbours past u, contiguous in both. No host enumerates its edges; the
-# verifier asks about the points it meets.
-HostGraph = Complete | CompleteMultipartite
-
 
 @dataclass
 class DesignArray:
@@ -110,7 +67,7 @@ class DesignArray:
     side: int
     n: int
     k: int
-    host: HostGraph
+    host: Complete
     cells: dict[Cell, Block]
 
     def block_at(self, row: int, col: int) -> Block | None:
@@ -132,11 +89,6 @@ class Transversal:
 
     cells: tuple[Cell, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "cells", tuple((int(r), int(c)) for r, c in self.cells)
-        )
-
 
 @dataclass(frozen=True)
 class Hole:
@@ -146,8 +98,7 @@ class Hole:
     cols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(sorted(int(r) for r in self.rows))
-        cols = tuple(sorted(int(c) for c in self.cols))
+        rows, cols = tuple(sorted(self.rows)), tuple(sorted(self.cols))
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise ValueError("hole indices repeat")
         if len(rows) != len(cols):

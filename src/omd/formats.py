@@ -5,8 +5,8 @@ The JSON layout is a stable wire contract:
     {"n": .., "k": .., "side": .., "host": {"type": .., ..},
      "cells": [{"row": .., "col": .., "edges": [[u, v], ..]}, ..]}
 
-The host is {"type": "complete", "n": ..} or {"type":
-"complete_multipartite", "parts": [..]}; any other type fails to parse.
+The host is {"type": "complete", "n": ..}, K_n; any other type fails to
+parse.
 
 A file is one line, laid out as json.dumps writes it with its default
 separators. Cells are sorted by (row, col) and every edge is written as
@@ -37,12 +37,8 @@ from .errors import FormatError
 GRID_EMPTY = "."
 
 
-def host_to_dict(host: core.HostGraph) -> dict:
-    if isinstance(host, core.Complete):
-        return {"type": "complete", "n": host.n}
-    if isinstance(host, core.CompleteMultipartite):
-        return {"type": "complete_multipartite", "parts": list(host.parts)}
-    raise TypeError(f"unknown host graph {host!r}")
+def host_to_dict(host: core.Complete) -> dict:
+    return {"type": "complete", "n": host.n}
 
 
 def _require_int(value: Any, where: str) -> int:
@@ -51,25 +47,18 @@ def _require_int(value: Any, where: str) -> int:
     return value
 
 
-def host_from_dict(data: Any) -> core.HostGraph:
+def host_from_dict(data: Any) -> core.Complete:
     if not isinstance(data, dict):
         raise FormatError("host must be an object")
     kind = data.get("type")
+    if kind != "complete":
+        raise FormatError(f"unknown host type {kind!r}")
     try:
-        if kind == "complete":
-            return core.Complete(_require_int(data["n"], "host.n"))
-        if kind == "complete_multipartite":
-            parts = data["parts"]
-            if not isinstance(parts, list) or not parts:
-                raise FormatError("host.parts must be a non-empty list")
-            return core.CompleteMultipartite(
-                tuple(_require_int(p, "host.parts[]") for p in parts)
-            )
+        return core.Complete(_require_int(data["n"], "host.n"))
     except KeyError as exc:
         raise FormatError(f"host is missing field {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    raise FormatError(f"unknown host type {kind!r}")
 
 
 def design_to_dict(arr: DesignArray, meta: dict | None = None) -> dict:

@@ -1,9 +1,8 @@
 """Construction-agnostic checking of designs, transversals, and holes.
 
 Everything here recomputes from raw cell contents: counting from the
-cells plus each host's neighbour ranges (above) shares no logic with the
-constructors, so agreement between the two is evidence rather than
-tautology. A block is a plain edge tuple and nothing else checks it, so
+cells shares no logic with the constructors, so agreement between the two
+is evidence rather than tautology. A block is a plain edge tuple and nothing else checks it, so
 verify is the one place a cell is found to be a k-matching over 0..n-1.
 Work follows the cells, not what the header claims. Reports carry one
 entry per condition with the first counterexample found.
@@ -69,24 +68,6 @@ class VerificationReport:
         }
 
 
-def expected_side(host: core.HostGraph) -> int | None:
-    """Side a design over this host must have, or None if none can exist.
-
-    Each block uses exactly one edge at every point it covers and each row
-    covers every point once, so the side equals the replication number,
-    which for a regular host is its degree. Irregular hosts admit no
-    design at all.
-    """
-    if isinstance(host, core.Complete):
-        return host.n - 1
-    if isinstance(host, core.CompleteMultipartite):
-        sizes = set(host.parts)
-        if len(sizes) != 1:
-            return None
-        return (len(host.parts) - 1) * host.parts[0]
-    raise TypeError(f"unknown host graph {host!r}")
-
-
 def _first_miscount(points: list[int], n: int) -> tuple[int, int] | None:
     """(point, count) for the first point of 0..n-1 not covered once, or None."""
     counts = Counter(points)
@@ -149,26 +130,24 @@ def _resolution(lines: dict, side: int, n: int, label: str) -> tuple[str | None,
     return None, unresolved
 
 
-def _pair_detail(host: core.HostGraph, edges: list) -> str | None:
+def _pair_detail(n: int, edges: list) -> str | None:
     """First placed pair that is foreign or repeated, else the first gap.
-    If each u's placed ends v are distinct and inside above(u), they cover
-    the host when they number edge_count(), else the first u short of
-    len(above(u)) holds the gap; otherwise the pairs are walked."""
-    n = host.vertex_count()
+    If each u's placed ends v are distinct and inside u+1..n-1, they cover
+    K_n when they number n(n-1)/2, else the first u with fewer than
+    n-1-u ends holds the gap; otherwise the pairs are walked."""
     ends = _group(map(itemgetter(0), edges), map(itemgetter(1), edges))
-    spans = {u: host.above(u) for u in ends if 0 <= u < n}
-    if len(spans) == len(ends) and all(
-        span.start <= min(vs) and max(vs) < span.stop and len(set(vs)) == len(vs)
-        for span, vs in zip(spans.values(), ends.values())
+    if all(
+        0 <= u < min(vs) and max(vs) < n and len(set(vs)) == len(vs)
+        for u, vs in ends.items()
     ):
-        if len(edges) == host.edge_count():
+        if len(edges) == n * (n - 1) // 2:
             return None
-        u = next(u for u in range(n) if len(ends.get(u, ())) < len(host.above(u)))
+        u = next(u for u in range(n) if len(ends.get(u, ())) < n - 1 - u)
         vs = set(ends.get(u, ()))
-        v = next(v for v in host.above(u) if v not in vs)
+        v = next(v for v in range(u + 1, n) if v not in vs)
         return f"host edge {(u, v)} is uncovered"
     placed = Counter(edges)
-    foreign = {(u, v) for u, v in placed if not (u < v < n and v in spans.get(u, ()))}
+    foreign = {(u, v) for u, v in placed if not 0 <= u < v < n}
     repeated = [e for e, times in placed.items() if times > 1]
     edge = min([*foreign, *repeated])
     if edge in foreign:
@@ -196,19 +175,14 @@ def verify(arr: DesignArray) -> VerificationReport:
     n, side, k = arr.n, arr.side, arr.k
     checks = []
 
-    want_side = expected_side(arr.host)
-    if arr.host.vertex_count() != n:
+    # each row covers every point once and each block uses one edge at each
+    # point it covers, so the side is the degree of K_n, n - 1
+    if arr.host.n != n:
         shape = Check(
-            "host-shape",
-            False,
-            f"array says n={n} but host has {arr.host.vertex_count()} points",
+            "host-shape", False, f"array says n={n} but host has {arr.host.n} points"
         )
-    elif want_side is None:
-        shape = Check("host-shape", False, "irregular host admits no design")
-    elif side != want_side:
-        shape = Check(
-            "host-shape", False, f"side is {side}, host requires {want_side}"
-        )
+    elif side != n - 1:
+        shape = Check("host-shape", False, f"side is {side}, host requires {n - 1}")
     else:
         shape = Check("host-shape", True)
     checks.append(shape)
@@ -239,7 +213,7 @@ def verify(arr: DesignArray) -> VerificationReport:
     checks.append(Check("row-resolution", row_detail is None, row_detail))
     checks.append(Check("column-resolution", col_detail is None, col_detail))
 
-    pair_detail = _pair_detail(arr.host, edges)
+    pair_detail = _pair_detail(arr.host.n, edges)
     checks.append(Check("pair-coverage", pair_detail is None, pair_detail))
 
     # fewer cells than lines leaves a line empty, which fails resolution; the

@@ -5,33 +5,17 @@ import json
 
 import pytest
 
-from omd.bases import build_2k, build_m1k, six_point_square
+from omd.bases import build_2k
 from omd.compose import construct
-from omd.core import (
-    Complete,
-    CompleteMultipartite,
-    DesignArray,
-    Hole,
-    Transversal,
-    canonical_block,
-)
+from omd.core import Complete, DesignArray, Hole, Transversal, canonical_block
 from omd.room import build_room
 from omd.verify import (
     Existence,
     brute_force_exists,
-    expected_side,
     verify,
     verify_hole,
     verify_transversal,
 )
-
-
-def test_expected_side_per_host():
-    assert expected_side(Complete(8)) == 7
-    assert expected_side(CompleteMultipartite((3, 3))) == 3
-    assert expected_side(CompleteMultipartite((2, 3))) is None
-    assert expected_side(CompleteMultipartite((2, 2, 2))) == 4
-    assert expected_side(CompleteMultipartite((1, 2))) is None
 
 
 def test_verify_diagonal_design():
@@ -75,25 +59,9 @@ def test_deleted_block_fails_resolution_and_coverage():
     assert "uncovered" in checks["pair-coverage"].detail
 
 
-def test_foreign_pair_fails_coverage():
-    arr = build_m1k(2)
-    # k=1 host edge (0,1) is within one side of the bipartition
-    cells = dict(arr.cells)
-    cells[(0, 0)] = canonical_block(((0, 1), (2, 3)))
-    report = verify(DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
-    checks = {c.name: c for c in report.checks}
-    assert not checks["pair-coverage"].passed
-    assert "not a host edge" in checks["pair-coverage"].detail
-
-
 def test_host_shape_failures():
     report = verify(DesignArray(3, 6, 1, Complete(4), {}))
     assert "host-shape: array says n=6" in report.failure()
-
-    report = verify(DesignArray(2, 5, 1, CompleteMultipartite((2, 3)), {}))
-    checks = {c.name: c for c in report.checks}
-    assert not checks["host-shape"].passed
-    assert "irregular" in checks["host-shape"].detail
 
     report = verify(DesignArray(4, 6, 1, Complete(6), {}))
     checks = {c.name: c for c in report.checks}
@@ -125,10 +93,10 @@ def test_block_shape_failures():
 
 
 def test_report_serializes():
-    report = verify(build_m1k(2))
+    report = verify(build_2k(2)[0])
     data = report.to_dict()
     assert data["passed"] is True
-    assert data["total_blocks"] == 2
+    assert data["total_blocks"] == 3
     assert {c["name"] for c in data["checks"]} >= {"row-resolution", "pair-coverage"}
     assert report.failure() is None
 
@@ -146,10 +114,8 @@ def _two_k(k):
 
 
 # (design, first failure, detail of host-shape, block-shape, row-resolution,
-# column-resolution, pair-coverage). The lex-matching-complete case leaves
-# (2, 5) and (0, 1) uncovered, the multipartite case (1, 2) and (0, 4); a
-# walk over groups or parts meets the first of each pair first, but the
-# report names the lexicographically smaller.
+# column-resolution, pair-coverage), every design on K_n; a pair that is not
+# a host edge is named by out-of-range-point.
 PINNED = {
     "deletion": (
         lambda: _edit(_two_k(3), drop=[(0, 0)]),
@@ -163,11 +129,6 @@ PINNED = {
         (None, None, "row 0 covers point 0 2 times",
          "column 1 covers point 0 2 times", "pair (0, 3) covered 2 times"),
     ),
-    "foreign-pair": (
-        lambda: _edit(build_m1k(2), put={(0, 0): canonical_block(((0, 1), (2, 3)))}),
-        "pair-coverage: pair (0, 1) is not a host edge",
-        (None, None, None, None, "pair (0, 1) is not a host edge"),
-    ),
     "out-of-range-cell": (
         lambda: _edit(_two_k(2), drop=[(0, 0)], put={(5, 0): _two_k(2).cells[(0, 0)]}),
         "block-shape: cell (5, 0) outside side-3 array",
@@ -179,19 +140,6 @@ PINNED = {
         "block-shape: cell (0, 0) uses a point outside 0..3",
         (None, "cell (0, 0) uses a point outside 0..3", "row 0 covers point 3 0 times",
          "column 0 covers point 3 0 times", "pair (0, 9) is not a host edge"),
-    ),
-    "uncovered-bipartite": (
-        # build_m1k(4) is on CompleteMultipartite((4, 4)), i.e. K_{4,4}
-        lambda: _edit(build_m1k(4), drop=[(1, 1)]),
-        "row-resolution: row 1 covers point 0 0 times",
-        (None, None, "row 1 covers point 0 0 times",
-         "column 1 covers point 0 0 times", "host edge (0, 5) is uncovered"),
-    ),
-    "uncovered-multipartite": (
-        lambda: _edit(six_point_square(), drop=[(2, 3), (3, 3)]),
-        "row-resolution: row 2 covers point 1 0 times",
-        (None, None, "row 2 covers point 1 0 times",
-         "column 3 covers point 0 0 times", "host edge (0, 4) is uncovered"),
     ),
     "product-deletion": (
         lambda: _edit(construct(16, 2).design, drop=[(7, 7)]),
@@ -360,6 +308,9 @@ def test_transversal_bad_permutation():
         (((0, 0), (0, 1), (0, 0)), "row 0 is chosen 3 times"),
         (((0, 0), (1, 0), (2, 2)), "column 0 is chosen 2 times"),
         (((0, 0), (1, 1), (2, -1)), "column -1 is outside 0..2"),
+        # build_2k(2)'s own transversal with (2, 0) given as (2.5, 0), which
+        # is no cell and is not read as (2, 0)
+        (((2.5, 0), (1, 1), (0, 2)), "row 2 is not chosen"),
     ],
 )
 def test_transversal_names_one_line(cells, detail):
