@@ -1,13 +1,47 @@
-"""Direct constructions for orders 2k, 4k and 6k."""
+"""Direct constructions for orders 2k, 4k and 6k, and the product's cell
+ingredient M(1, k)."""
 
 import hashlib
+from itertools import chain
 
 import pytest
 
 from omd.bases import build_2k, build_4k, build_6k
-from omd.core import canonical_block
+from omd.compose import _expand
+from omd.core import Complete, DesignArray, Transversal, canonical_block
 from omd.errors import KTooSmall
 from omd.verify import verify, verify_hole, verify_transversal
+
+
+def _m1k(k):
+    """M(1, k), the product's cell ingredient: the cells one outer edge off
+    the transversal grows into, as _expand lays them."""
+    edge = DesignArray(1, 2, 1, Complete(2), {(0, 0): canonical_block([(0, 1)])})
+    return _expand(edge, Transversal(()), k)[0].cells
+
+
+def test_m1k_single_edge():
+    assert _m1k(1) == {(0, 0): canonical_block([(0, 1)])}
+
+
+def test_m1k_two_follows_factor_convention():
+    cells = _m1k(2)
+    assert cells[(0, 0)] == canonical_block(((0, 2), (1, 3)))
+    assert cells[(1, 1)] == canonical_block(((0, 3), (1, 2)))
+    assert len(cells) == 2
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_m1k_verifies(k):
+    # k diagonal cells, each covering all 2k points, that together place
+    # every edge of K_{k,k} (sides 0..k-1 and k..2k-1) once
+    cells = _m1k(k)
+    assert sorted(cells) == [(t, t) for t in range(k)]
+    for block in cells.values():
+        assert len(block) == k
+        assert sorted(chain.from_iterable(block)) == list(range(2 * k))
+    placed = sorted(chain.from_iterable(cells.values()))
+    assert placed == [(u, v) for u in range(k) for v in range(k, 2 * k)]
 
 
 def test_2k_single_edge():

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from omd.bases import build_2k
+from omd.compose import _expand
 from omd.core import Complete, DesignArray, Hole, Transversal, canonical_block
 from omd.verify import verify
 
@@ -58,9 +59,30 @@ def test_occupied_is_sorted():
     assert [cell for cell, _ in arr.occupied()] == [(0, 0), (1, 1)]
 
 
+HOSTS_UP_TO_12 = [Complete(n) for n in range(2, 13)]
+
+
 def _edge_set(host):
     """Every pair u < v of the host's points."""
     return set(itertools.combinations(range(host.n), 2))
+
+
+def _coverage(host, edges):
+    """verify's pair-coverage check on the given edges, one to a cell."""
+    cells = {(i, i): (edge,) for i, edge in enumerate(edges)}
+    report = verify(DesignArray(max(len(edges), 1), host.n, 1, host, cells))
+    return next(c for c in report.checks if c.name == "pair-coverage")
+
+
+@pytest.mark.parametrize("host", HOSTS_UP_TO_12, ids=repr)
+def test_host_edge_count_matches_enumeration(host):
+    # verify asks for exactly the enumerated pairs, n(n-1)/2 of them, and
+    # names the first one left out
+    edges = sorted(_edge_set(host))
+    assert len(edges) == host.n * (host.n - 1) // 2
+    assert _coverage(host, edges).passed
+    assert _coverage(host, edges[1:]).detail == f"host edge {edges[0]} is uncovered"
+    assert _coverage(host, edges[:-1]).detail == f"host edge {edges[-1]} is uncovered"
 
 
 def _one_edge_blowup(s, copies_joined):
@@ -75,6 +97,25 @@ def test_clique_blowup_of_one_edge_is_complete(s):
     # the host of the product's transversal ingredient
     assert build_2k(s)[0].host == Complete(2 * s)
     assert _one_edge_blowup(s, True) == _edge_set(Complete(2 * s))
+
+
+@pytest.mark.parametrize("s", range(1, 11))
+def test_matching_blowup_of_one_edge_is_bipartite(s):
+    # the edges of the product's cell ingredient: one outer edge off the
+    # transversal, expanded by s
+    edge = DesignArray(1, 2, 1, Complete(2), {(0, 0): canonical_block([(0, 1)])})
+    cells = _expand(edge, Transversal(()), s)[0].cells
+    placed = [e for block in cells.values() for e in block]
+    assert len(placed) == s * s
+    assert set(placed) == _one_edge_blowup(s, False)
+
+
+def test_complete_edge_count_closed_form():
+    # a design on K_n places each of the n(n-1)/2 edges once
+    for k in range(1, 7):
+        arr = build_2k(k)[0]
+        assert verify(arr).passed
+        assert sum(map(len, arr.cells.values())) == arr.n * (arr.n - 1) // 2
 
 
 def test_complete_rejects_negative_order():

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from omd.bases import build_2k, build_4k, build_6k
-from omd.compose import construct
-from omd.core import Complete, DesignArray, canonical_block
+from omd.bases import _SIX_PATTERN, build_2k, build_4k, build_6k
+from omd.compose import _expand, construct
+from omd.core import Complete, DesignArray, Transversal, canonical_block
 from omd.errors import FormatError
 from omd.formats import (
     design_from_dict,
@@ -25,9 +25,16 @@ from omd.verify import verify
 
 
 def _samples():
+    # besides designs, two partial arrays on K_6: the product's cell
+    # ingredient for s = 3 (one outer edge off the transversal) and the
+    # 4 x 4 one-edge pattern build_6k expands
+    edge = DesignArray(1, 2, 1, Complete(2), {(0, 0): canonical_block([(0, 1)])})
+    pattern = {(r, c): ((u, v),) for r, c, u, v in _SIX_PATTERN}
     return [
         build_2k(3)[0],
         build_4k(2)[0],
+        _expand(edge, Transversal(()), 3)[0],
+        DesignArray(4, 6, 1, Complete(6), pattern),
         build_6k(2)[0],
         construct(24, 3).design,
         build_room(8)[0],

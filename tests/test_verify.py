@@ -59,6 +59,17 @@ def test_deleted_block_fails_resolution_and_coverage():
     assert "uncovered" in checks["pair-coverage"].detail
 
 
+def test_foreign_pair_fails_coverage():
+    arr = build_2k(2)[0]
+    # point 9 is outside K_4, so (0, 9) is no host edge
+    cells = dict(arr.cells)
+    cells[(0, 0)] = canonical_block(((0, 9), (1, 2)))
+    report = verify(DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
+    checks = {c.name: c for c in report.checks}
+    assert not checks["pair-coverage"].passed
+    assert checks["pair-coverage"].detail == "pair (0, 9) is not a host edge"
+
+
 def test_host_shape_failures():
     report = verify(DesignArray(3, 6, 1, Complete(4), {}))
     assert "host-shape: array says n=6" in report.failure()
