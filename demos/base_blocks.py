@@ -12,7 +12,7 @@ print("Order 2k: one factor of the complete graph per diagonal cell.")
 arr, transversal, hole = build_2k(3)
 print(render_grid(arr))
 print(f"  verified: {verify(arr).passed}")
-print(f"  back-diagonal transversal: {transversal.cells}")
+print(f"  back-diagonal transversal: {transversal}")
 print(f"  empty hole rows {hole.rows} x cols {hole.cols}\n")
 
 print("Order 6k grows from a 4x4 seed on six points in three groups: at k=2")

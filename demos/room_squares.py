@@ -31,7 +31,7 @@ print(render_grid(arr))
 print("Its transversal (one cell per row and column, covering all 8 points)")
 print("is the anti-diagonal (j, -j mod 7), as in every square whose offsets")
 print("are the pair sums:")
-print(f"  {transversal.cells}\n")
+print(f"  {transversal}\n")
 
 print("The search finds starters for any odd side from 7 up, except 9:")
 for r in (7, 11, 13, 9):

@@ -2,7 +2,9 @@
 
 The checker recomputes everything from raw cells: block shape, row and
 column resolution, exact pair coverage. Each report entry carries the
-first counterexample, so a broken array names its own defect.
+first counterexample, so a broken array names its own defect. A design
+is plain data, DesignArray(side, n, k, cells) on K_n, so each corruption
+below is an edited copy of the cells wrapped with the same side, n and k.
 """
 
 from omd import DesignArray, build_2k, verify
@@ -23,16 +25,16 @@ def show(title, mutant):
 
 cells = dict(arr.cells)
 del cells[(2, 2)]
-show("drop the block at (2, 2):", DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
+show("drop the block at (2, 2):", DesignArray(arr.side, arr.n, arr.k, cells))
 
 cells = dict(arr.cells)
 cells[(0, 1)] = cells[(0, 0)]
-dup = DesignArray(arr.side, arr.n, arr.k, arr.host, cells)
+dup = DesignArray(arr.side, arr.n, arr.k, cells)
 show("copy the block at (0, 0) into (0, 1):", dup)
 
 cells = dict(arr.cells)
 cells[(0, 0)], cells[(1, 1)] = cells[(1, 1)], cells[(0, 0)]
-swapped = DesignArray(arr.side, arr.n, arr.k, arr.host, cells)
+swapped = DesignArray(arr.side, arr.n, arr.k, cells)
 print("swap the blocks at (0, 0) and (1, 1):")
 print(f"  still verified = {verify(swapped).passed}")
 print("  both blocks cover all six points, so every row and column")

@@ -8,7 +8,7 @@ reproducible.
 
 from __future__ import annotations
 
-from .core import Complete, DesignArray, Hole, Transversal, canonical_block
+from .core import DesignArray, Hole, Transversal, canonical_block
 from .errors import KTooSmall
 from .factorizations import ofact_bipartite, ofact_complete
 
@@ -26,8 +26,8 @@ def build_2k(k: int) -> tuple[DesignArray, Transversal, Hole]:
     n = 2 * k
     side = n - 1
     cells = {(i, i): factor for i, factor in enumerate(ofact_complete(n))}
-    arr = DesignArray(side, n, k, Complete(n), cells)
-    transversal = Transversal(tuple((side - 1 - i, i) for i in range(side)))
+    arr = DesignArray(side, n, k, cells)
+    transversal = tuple((side - 1 - i, i) for i in range(side))
     hole = Hole(tuple(range(k - 1)), tuple(range(k, side)))
     return arr, transversal, hole
 
@@ -81,7 +81,7 @@ def build_4k(k: int) -> tuple[DesignArray, Transversal]:
     ring = 2 * k - 1
     chosen = [(i, 2 * k - 1 - i) for i in range(2 * k)]
     chosen += [(2 * k + r, 2 * k + -r % ring) for r in range(ring)]
-    return DesignArray(n - 1, n, k, Complete(n), cells), Transversal(tuple(chosen))
+    return DesignArray(n - 1, n, k, cells), tuple(chosen)
 
 
 # One-edge cells (row, col, u, v), u < v, of the 4 x 4 order-6 pattern
@@ -131,4 +131,4 @@ def build_6k(k: int) -> tuple[DesignArray, Transversal]:
     empty = enumerate((2, 3, 1, 0))
     chosen = [(r * k + t, c * k + t) for r, c in empty for t in range(k)]
     chosen += [(4 * k + r, 4 * k + -r % ring) for r in range(ring)]
-    return DesignArray(n - 1, n, k, Complete(n), cells), Transversal(tuple(chosen))
+    return DesignArray(n - 1, n, k, cells), tuple(chosen)

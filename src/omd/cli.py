@@ -64,7 +64,7 @@ def _result_meta(res: ConstructionResult, seed: int, budget: int) -> dict:
         "seed": seed,
         "budget": budget,
         "verification": res.report.to_dict(),
-        "transversal": [list(cell) for cell in res.transversal.cells],
+        "transversal": [list(cell) for cell in res.transversal],
         "transversal_verification": res.transversal_report.to_dict(),
     }
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Complete, DesignArray, Transversal
+from .core import DesignArray, Transversal
 from .errors import NonExistent, VerificationFailed
 from .room import DEFAULT_BUDGET, build_room
 from .bases import build_2k, build_4k, build_6k
@@ -42,7 +42,7 @@ def _expand(
     row_at = {r: p for p, r in enumerate(row_order)}
     col_at = {c: p for p, c in enumerate(col_order)}
     big_cells = [(row_at[r], col_at[c], b) for (r, c), b in big.cells.items()]
-    big_chosen = [(row_at[r], col_at[c]) for r, c in big_transversal.cells]
+    big_chosen = [(row_at[r], col_at[c]) for r, c in big_transversal]
     small_cells = [(t, t, factor) for t, factor in enumerate(ofact_bipartite(s))]
     extras = range(s * outer.side, s * outer.side + s - 1)
 
@@ -51,10 +51,10 @@ def _expand(
         return [*range(x * s, x * s + s), *extras]
 
     chosen = set()
-    for i, j in outer_transversal.cells:
+    for i, j in outer_transversal:
         rows, cols = lines(i), lines(j)
         chosen.update((rows[r], cols[c]) for r, c in big_chosen)
-    on_transversal = set(outer_transversal.cells)
+    on_transversal = set(outer_transversal)
     cells = {}
     for (i, j), ((u, v),) in outer.cells.items():
         rows, cols = lines(i), lines(j)
@@ -64,9 +64,8 @@ def _expand(
         source = big_cells if (i, j) in on_transversal else small_cells
         for r, c, block in source:
             cells[rows[r], cols[c]] = tuple([(pmap[a], pmap[b]) for a, b in block])
-    n = s * outer.n
-    design = DesignArray(s * outer.side + s - 1, n, s, Complete(n), cells)
-    return design, Transversal(tuple(sorted(chosen)))
+    design = DesignArray(s * outer.side + s - 1, s * outer.n, s, cells)
+    return design, tuple(sorted(chosen))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ design every row and every column is a resolution class (it covers each
 point of the host graph exactly once) and every host edge lies in exactly
 one block across the whole array.
 
-The host is Complete(n), K_n, where the paper's designs live; a design's
-edges are all pairs of its n points.
+The host is K_n, where the paper's designs live: a design's edges are all
+pairs of its n points, so n alone names it.
 
 A block is a plain tuple of edges in canonical form (each edge as
 (min, max), the tuple sorted), made by canonical_block. Nothing here checks
@@ -34,6 +34,11 @@ Cell = tuple[int, int]
 # kept canonical, so equal matchings compare and hash equal
 Block = tuple[Edge, ...]
 
+# one chosen cell per row and per column; chosen cells may be empty. A
+# valid transversal's non-empty chosen cells jointly cover every point of
+# the design exactly once; the verifier decides that, nothing here assumes it
+Transversal = tuple[Cell, ...]
+
 
 def canonical_block(pairs: Iterable[tuple[int, int]]) -> Block:
     """The block of these pairs in canonical form; checks nothing.
@@ -42,17 +47,6 @@ def canonical_block(pairs: Iterable[tuple[int, int]]) -> Block:
     question, not this helper's.
     """
     return tuple(sorted([(u, v) if u < v else (v, u) for u, v in pairs]))
-
-
-@dataclass(frozen=True)
-class Complete:
-    """Complete graph on points 0..n-1."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("host order must not be negative")
 
 
 @dataclass
@@ -67,7 +61,6 @@ class DesignArray:
     side: int
     n: int
     k: int
-    host: Complete
     cells: dict[Cell, Block]
 
     def block_at(self, row: int, col: int) -> Block | None:
@@ -76,18 +69,6 @@ class DesignArray:
     def occupied(self) -> list[tuple[Cell, Block]]:
         """Occupied cells and their blocks in (row, col) order."""
         return sorted(self.cells.items(), key=itemgetter(0))
-
-
-@dataclass(frozen=True)
-class Transversal:
-    """One chosen cell per row and per column; chosen cells may be empty.
-
-    A valid transversal's non-empty chosen cells jointly cover every point
-    of the design exactly once; validity is established by the verifier,
-    not assumed here.
-    """
-
-    cells: tuple[Cell, ...]
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ The JSON layout is a stable wire contract:
     {"n": .., "k": .., "side": .., "host": {"type": .., ..},
      "cells": [{"row": .., "col": .., "edges": [[u, v], ..]}, ..]}
 
-The host is {"type": "complete", "n": ..}, K_n; any other type fails to
-parse.
+The host is {"type": "complete", "n": ..}, K_n, and its n must equal the
+design's n; any other host fails to parse. This module is the only one
+that names the host: a DesignArray holds n alone.
 
 A file is one line, laid out as json.dumps writes it with its default
 separators. Cells are sorted by (row, col) and every edge is written as
@@ -30,35 +31,16 @@ from itertools import chain
 from operator import itemgetter
 from typing import Any
 
-from . import core
-from .core import Block, DesignArray, Transversal
+from .core import Block, Cell, DesignArray, Transversal
 from .errors import FormatError
 
 GRID_EMPTY = "."
-
-
-def host_to_dict(host: core.Complete) -> dict:
-    return {"type": "complete", "n": host.n}
 
 
 def _require_int(value: Any, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise FormatError(f"{where} must be an integer, got {value!r}")
     return value
-
-
-def host_from_dict(data: Any) -> core.Complete:
-    if not isinstance(data, dict):
-        raise FormatError("host must be an object")
-    kind = data.get("type")
-    if kind != "complete":
-        raise FormatError(f"unknown host type {kind!r}")
-    try:
-        return core.Complete(_require_int(data["n"], "host.n"))
-    except KeyError as exc:
-        raise FormatError(f"host is missing field {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
 
 
 def design_to_dict(arr: DesignArray, meta: dict | None = None) -> dict:
@@ -71,7 +53,7 @@ def design_to_dict(arr: DesignArray, meta: dict | None = None) -> dict:
         "n": arr.n,
         "k": arr.k,
         "side": arr.side,
-        "host": host_to_dict(arr.host),
+        "host": {"type": "complete", "n": arr.n},
         "cells": cells,
     }
     if meta is not None:
@@ -90,13 +72,21 @@ def design_from_dict(data: Any) -> DesignArray:
     side = _require_int(data["side"], "side")
     if side < 0 or n < 2 or k < 1:
         raise FormatError(f"bad design parameters n={n}, k={k}, side={side}")
-    host = host_from_dict(data["host"])
+    host = data["host"]
+    if not isinstance(host, dict):
+        raise FormatError("host must be an object")
+    if host.get("type") != "complete":
+        raise FormatError(f"unknown host type {host.get('type')!r}")
+    if "n" not in host:
+        raise FormatError("host is missing field 'n'")
+    if _require_int(host["n"], "host.n") != n:
+        raise FormatError(f"host has {host['n']} points but the design says n={n}")
     raw_cells = data["cells"]
     if not isinstance(raw_cells, list):
         raise FormatError("cells must be a list")
 
     # exact ints skip _require_int, which keeps its verdict on all else
-    cells: dict[core.Cell, Block] = {}
+    cells: dict[Cell, Block] = {}
     for entry in raw_cells:
         if not isinstance(entry, dict):
             raise FormatError("each cell must be an object")
@@ -128,7 +118,7 @@ def design_from_dict(data: Any) -> DesignArray:
         edges.sort()
         cells[cell] = tuple(edges)
 
-    return DesignArray(side, n, k, host, cells)
+    return DesignArray(side, n, k, cells)
 
 
 def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
@@ -172,7 +162,7 @@ def loads_design(text: str) -> tuple[DesignArray, Transversal | None]:
             isinstance(x, int) and not isinstance(x, bool) for x in entry
         ):
             raise FormatError(f"meta.transversal entry {entry!r} is not a cell")
-    return arr, Transversal(tuple(map(tuple, raw)))
+    return arr, tuple(map(tuple, raw))
 
 
 def _cell_text(block: Block | None) -> str:

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Complete, DesignArray, Transversal, canonical_block
+from .core import DesignArray, Transversal, canonical_block
 from .errors import InvalidStarter, NonExistent, SearchExhausted
 from .verify import verify_transversal
 
@@ -78,9 +78,7 @@ def validate_starter_adder(sa: StarterAdder) -> None:
 # no strong starter on Z_9, but twelve starter-adders (by enumeration)
 _NINE = StarterAdder(9, ((1, 2), (3, 7), (4, 6), (5, 8)), (5, 4, 2, 7))
 # a transversal of _NINE's square, fixed so that order 10 keeps its output
-_NINE_TRANSVERSAL = Transversal(
-    ((0, 0), (1, 7), (2, 4), (3, 2), (4, 8), (5, 3), (6, 5), (7, 6), (8, 1))
-)
+_NINE_TRANSVERSAL = ((0, 0), (1, 7), (2, 4), (3, 2), (4, 8), (5, 3), (6, 5), (7, 6), (8, 1))
 
 
 def _strong_starter(r: int, budget: int, seed: int, tally: dict) -> StarterAdder | None:
@@ -208,7 +206,7 @@ def _starter_array(sa: StarterAdder) -> DesignArray:
         for a, (x, y) in starts[:split]:
             u, v = (x + j) % r, (y + j) % r
             cells[(j, j + a)] = ((u, v),) if u < v else ((v, u),)
-    return DesignArray(r, r + 1, 1, Complete(r + 1), cells)
+    return DesignArray(r, r + 1, 1, cells)
 
 
 def _transversal(sa: StarterAdder) -> Transversal:
@@ -219,7 +217,7 @@ def _transversal(sa: StarterAdder) -> Transversal:
         raise InvalidStarter(
             "the adder is not the sum adder, so no transversal rule applies"
         )
-    return Transversal(tuple((j, -j % sa.r) for j in range(sa.r)))
+    return tuple((j, -j % sa.r) for j in range(sa.r))
 
 
 def room_from_starter(sa: StarterAdder) -> tuple[DesignArray, Transversal]:
@@ -256,8 +254,7 @@ def build_room(
             "orders 4 and 6 are the two exclusions"
         )
     if n == 2:
-        arr = DesignArray(1, 2, 1, Complete(2), {(0, 0): canonical_block([(0, 1)])})
-        return arr, Transversal(((0, 0),))
+        return DesignArray(1, 2, 1, {(0, 0): canonical_block([(0, 1)])}), ((0, 0),)
     sa = _cached_room(n, seed, budget)
     return _starter_array(sa), _transversal(sa)
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat, starmap
 from operator import itemgetter, lt
 
-from . import core
-from .core import Block, DesignArray, Hole, Transversal, canonical_block
+from .core import Block, Cell, DesignArray, Hole, Transversal, canonical_block
 
 
 @dataclass(frozen=True)
@@ -177,11 +176,7 @@ def verify(arr: DesignArray) -> VerificationReport:
 
     # each row covers every point once and each block uses one edge at each
     # point it covers, so the side is the degree of K_n, n - 1
-    if arr.host.n != n:
-        shape = Check(
-            "host-shape", False, f"array says n={n} but host has {arr.host.n} points"
-        )
-    elif side != n - 1:
+    if side != n - 1:
         shape = Check("host-shape", False, f"side is {side}, host requires {n - 1}")
     else:
         shape = Check("host-shape", True)
@@ -213,7 +208,7 @@ def verify(arr: DesignArray) -> VerificationReport:
     checks.append(Check("row-resolution", row_detail is None, row_detail))
     checks.append(Check("column-resolution", col_detail is None, col_detail))
 
-    pair_detail = _pair_detail(arr.host.n, edges)
+    pair_detail = _pair_detail(n, edges)
     checks.append(Check("pair-coverage", pair_detail is None, pair_detail))
 
     # fewer cells than lines leaves a line empty, which fails resolution; the
@@ -251,12 +246,14 @@ def _permutation_fault(cells, axis: int, side: int) -> str | None:
 def verify_transversal(arr: DesignArray, transversal: Transversal) -> VerificationReport:
     """Check one-cell-per-row/column and exact point coverage."""
     checks = []
-    cells = transversal.cells
 
-    perm_detail = _permutation_fault(cells, 0, arr.side) or _permutation_fault(cells, 1, arr.side)
+    perm_detail = (
+        _permutation_fault(transversal, 0, arr.side)
+        or _permutation_fault(transversal, 1, arr.side)
+    )
     checks.append(Check("one-per-row-and-column", perm_detail is None, perm_detail))
 
-    chosen = [b for b in (arr.block_at(r, c) for r, c in cells) if b is not None]
+    chosen = [b for b in (arr.block_at(r, c) for r, c in transversal) if b is not None]
     miss = _first_miscount([p for b in chosen for e in b for p in e], arr.n)
     cover_detail = None
     if miss is not None:
@@ -271,17 +268,19 @@ def verify_transversal(arr: DesignArray, transversal: Transversal) -> Verificati
 
 
 def verify_hole(arr: DesignArray, hole: Hole) -> VerificationReport:
-    """Check that every cell of rows x cols is inside the array and empty."""
+    """Check that every index of rows x cols is an int inside the array (a
+    bool is not one, as the file reader has it) and every cell empty."""
     checks = []
 
-    range_detail = None
-    for label, indices in (("row", hole.rows), ("column", hole.cols)):
-        for i in indices:
-            if i < 0 or i >= arr.side:
-                range_detail = f"hole {label} {i} outside side-{arr.side} array"
-                break
-        if range_detail:
-            break
+    faults = (
+        f"hole {label} {i} is not an integer"
+        if type(i) is not int
+        else f"hole {label} {i} outside side-{arr.side} array"
+        for label, indices in (("row", hole.rows), ("column", hole.cols))
+        for i in indices
+        if type(i) is not int or not 0 <= i < arr.side
+    )
+    range_detail = next(faults, None)
     checks.append(Check("indices-in-range", range_detail is None, range_detail))
 
     empty_detail = None
@@ -339,9 +338,8 @@ def brute_force_exists(n: int, k: int, budget: int = 10_000_000) -> BruteForceRe
     if n < 2 or k < 1:
         raise ValueError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
     side = n - 1
-    host = core.Complete(n)
 
-    grid: dict[core.Cell, tuple] = {}
+    grid: dict[Cell, tuple] = {}
     row_pts = [0] * side
     col_pts = [0] * side
     full = (1 << n) - 1
@@ -439,5 +437,5 @@ def brute_force_exists(n: int, k: int, budget: int = 10_000_000) -> BruteForceRe
         return BruteForceResult(Existence.NOT_EXISTS, nodes=nodes)
 
     cells = {cell: canonical_block(pairs) for cell, pairs in grid.items()}
-    arr = DesignArray(side, n, k, host, cells)
+    arr = DesignArray(side, n, k, cells)
     return BruteForceResult(Existence.EXISTS, design=arr, nodes=nodes)

@@ -150,7 +150,7 @@ def _points(block) -> set[int]:
 def _swap(arr: DesignArray, a, b) -> DesignArray:
     cells = dict(arr.cells)
     cells[a], cells[b] = cells[b], cells[a]
-    return DesignArray(arr.side, arr.n, arr.k, arr.host, cells)
+    return DesignArray(arr.side, arr.n, arr.k, cells)
 
 
 def test_criterion_6_mutation_sensitivity():
@@ -162,7 +162,7 @@ def test_criterion_6_mutation_sensitivity():
         for cell in arr.cells:
             cells = dict(arr.cells)
             del cells[cell]
-            mutant = DesignArray(arr.side, arr.n, arr.k, arr.host, cells)
+            mutant = DesignArray(arr.side, arr.n, arr.k, cells)
             deletions += 1
             deletions_killed += not verify(mutant).passed
 

@@ -153,13 +153,14 @@ def _with_host(host):
         b"[" * 200_000 + b"]" * 200_000,
         b'{"n": ' + b"9" * 5000 + b"}",
         _with_host({"type": "complete", "n": -5}),
+        _with_host({"type": "complete", "n": 6}),
         _with_host({"type": "complete_bipartite", "a": 4, "b": 4}),
         _with_host({"type": "lex_matching", "l": 1, "s": 4}),
         _with_host({"type": "lex_matching_complete", "l": 1, "s": 4}),
         _with_host({"type": "complete_multipartite", "parts": [4, 4]}),
     ],
     ids=["not-utf8", "nested-200000-deep", "int-past-digit-limit", "host-n-minus-5",
-         "host-complete_bipartite", "host-lex_matching", "host-lex_matching_complete",
+         "host-n-6-under-n-8", "host-complete_bipartite", "host-lex_matching", "host-lex_matching_complete",
          "host-complete_multipartite"],
 )
 def test_verify_undecodable_file_exits_four(tmp_path, capsys, content):

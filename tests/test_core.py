@@ -1,4 +1,4 @@
-"""Array plumbing: blocks, the K_n host, arrays, transversals and holes."""
+"""Array plumbing: blocks, the K_n host, arrays and holes."""
 
 import itertools
 
@@ -6,7 +6,7 @@ import pytest
 
 from omd.bases import build_2k
 from omd.compose import _expand
-from omd.core import Complete, DesignArray, Hole, Transversal, canonical_block
+from omd.core import DesignArray, Hole, canonical_block
 from omd.verify import verify
 
 
@@ -25,7 +25,7 @@ def test_block_shape_rejects_loops_and_negatives():
         (((3, 1),), "has a non-canonical edge"),
     ]
     for block, detail in cases:
-        report = verify(DesignArray(3, 4, 1, Complete(4), {(0, 0): block}))
+        report = verify(DesignArray(3, 4, 1, {(0, 0): block}))
         assert report.failure() == f"block-shape: cell (0, 0) {detail}"
         assert report.checks[-1].detail == f"pair {block[0]} is not a host edge"
 
@@ -40,49 +40,46 @@ def test_block_canonicalizes_assembly_order():
 
 def test_block_rejects_shared_endpoint():
     # the block builds; verify is what refuses it
-    arr = DesignArray(3, 4, 2, Complete(4), {(0, 0): canonical_block(((0, 1), (1, 2)))})
+    arr = DesignArray(3, 4, 2, {(0, 0): canonical_block(((0, 1), (1, 2)))})
     assert verify(arr).failure() == "block-shape: cell (0, 0) repeats an endpoint"
 
 
 def test_place_range_checks():
     # a block placed past the array's edge or on a point outside 0..n-1
     # is named by verify rather than raising from the array itself
-    report = verify(DesignArray(1, 2, 1, Complete(2), {(1, 0): canonical_block([(0, 1)])}))
+    report = verify(DesignArray(1, 2, 1, {(1, 0): canonical_block([(0, 1)])}))
     assert report.failure() == "block-shape: cell (1, 0) outside side-1 array"
-    report = verify(DesignArray(1, 2, 1, Complete(2), {(0, 0): canonical_block([(0, 2)])}))
+    report = verify(DesignArray(1, 2, 1, {(0, 0): canonical_block([(0, 2)])}))
     assert report.failure() == "block-shape: cell (0, 0) uses a point outside 0..1"
 
 
 def test_occupied_is_sorted():
     cells = {(1, 1): canonical_block([(2, 3)]), (0, 0): canonical_block([(0, 1)])}
-    arr = DesignArray(2, 4, 1, Complete(4), cells)
+    arr = DesignArray(2, 4, 1, cells)
     assert [cell for cell, _ in arr.occupied()] == [(0, 0), (1, 1)]
 
 
-HOSTS_UP_TO_12 = [Complete(n) for n in range(2, 13)]
+def _edge_set(n):
+    """Every pair u < v of K_n's points."""
+    return set(itertools.combinations(range(n), 2))
 
 
-def _edge_set(host):
-    """Every pair u < v of the host's points."""
-    return set(itertools.combinations(range(host.n), 2))
-
-
-def _coverage(host, edges):
+def _coverage(n, edges):
     """verify's pair-coverage check on the given edges, one to a cell."""
     cells = {(i, i): (edge,) for i, edge in enumerate(edges)}
-    report = verify(DesignArray(max(len(edges), 1), host.n, 1, host, cells))
+    report = verify(DesignArray(max(len(edges), 1), n, 1, cells))
     return next(c for c in report.checks if c.name == "pair-coverage")
 
 
-@pytest.mark.parametrize("host", HOSTS_UP_TO_12, ids=repr)
-def test_host_edge_count_matches_enumeration(host):
-    # verify asks for exactly the enumerated pairs, n(n-1)/2 of them, and
-    # names the first one left out
-    edges = sorted(_edge_set(host))
-    assert len(edges) == host.n * (host.n - 1) // 2
-    assert _coverage(host, edges).passed
-    assert _coverage(host, edges[1:]).detail == f"host edge {edges[0]} is uncovered"
-    assert _coverage(host, edges[:-1]).detail == f"host edge {edges[-1]} is uncovered"
+@pytest.mark.parametrize("n", range(2, 13), ids=lambda n: f"Complete(n={n})")
+def test_host_edge_count_matches_enumeration(n):
+    # verify asks for exactly the enumerated pairs of K_n, n(n-1)/2 of
+    # them, and names the first one left out
+    edges = sorted(_edge_set(n))
+    assert len(edges) == n * (n - 1) // 2
+    assert _coverage(n, edges).passed
+    assert _coverage(n, edges[1:]).detail == f"host edge {edges[0]} is uncovered"
+    assert _coverage(n, edges[:-1]).detail == f"host edge {edges[-1]} is uncovered"
 
 
 def _one_edge_blowup(s, copies_joined):
@@ -95,16 +92,16 @@ def _one_edge_blowup(s, copies_joined):
 @pytest.mark.parametrize("s", range(1, 11))
 def test_clique_blowup_of_one_edge_is_complete(s):
     # the host of the product's transversal ingredient
-    assert build_2k(s)[0].host == Complete(2 * s)
-    assert _one_edge_blowup(s, True) == _edge_set(Complete(2 * s))
+    assert build_2k(s)[0].n == 2 * s
+    assert _one_edge_blowup(s, True) == _edge_set(2 * s)
 
 
 @pytest.mark.parametrize("s", range(1, 11))
 def test_matching_blowup_of_one_edge_is_bipartite(s):
     # the edges of the product's cell ingredient: one outer edge off the
     # transversal, expanded by s
-    edge = DesignArray(1, 2, 1, Complete(2), {(0, 0): canonical_block([(0, 1)])})
-    cells = _expand(edge, Transversal(()), s)[0].cells
+    edge = DesignArray(1, 2, 1, {(0, 0): canonical_block([(0, 1)])})
+    cells = _expand(edge, (), s)[0].cells
     placed = [e for block in cells.values() for e in block]
     assert len(placed) == s * s
     assert set(placed) == _one_edge_blowup(s, False)
@@ -116,17 +113,6 @@ def test_complete_edge_count_closed_form():
         arr = build_2k(k)[0]
         assert verify(arr).passed
         assert sum(map(len, arr.cells.values())) == arr.n * (arr.n - 1) // 2
-
-
-def test_complete_rejects_negative_order():
-    assert Complete(0).n == 0
-    with pytest.raises(ValueError, match="negative"):
-        Complete(-5)
-
-
-def test_transversal_normalizes_cells():
-    t = Transversal(((1, 0), (0, 1)))
-    assert t.cells == ((1, 0), (0, 1))
 
 
 def test_hole_sorts_and_validates():

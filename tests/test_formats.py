@@ -8,14 +8,12 @@ import pytest
 
 from omd.bases import _SIX_PATTERN, build_2k, build_4k, build_6k
 from omd.compose import _expand, construct
-from omd.core import Complete, DesignArray, Transversal, canonical_block
+from omd.core import DesignArray, canonical_block
 from omd.errors import FormatError
 from omd.formats import (
     design_from_dict,
     design_to_dict,
     dumps_design,
-    host_from_dict,
-    host_to_dict,
     loads_design,
     render_grid,
     render_latex,
@@ -28,13 +26,13 @@ def _samples():
     # besides designs, two partial arrays on K_6: the product's cell
     # ingredient for s = 3 (one outer edge off the transversal) and the
     # 4 x 4 one-edge pattern build_6k expands
-    edge = DesignArray(1, 2, 1, Complete(2), {(0, 0): canonical_block([(0, 1)])})
+    edge = DesignArray(1, 2, 1, {(0, 0): canonical_block([(0, 1)])})
     pattern = {(r, c): ((u, v),) for r, c, u, v in _SIX_PATTERN}
     return [
         build_2k(3)[0],
         build_4k(2)[0],
-        _expand(edge, Transversal(()), 3)[0],
-        DesignArray(4, 6, 1, Complete(6), pattern),
+        _expand(edge, (), 3)[0],
+        DesignArray(4, 6, 1, pattern),
         build_6k(2)[0],
         construct(24, 3).design,
         build_room(8)[0],
@@ -48,7 +46,7 @@ def test_round_trip_identity(arr):
 
 def test_dumps_is_deterministic_and_sorted():
     cells = {(1, 1): canonical_block([(2, 3)]), (0, 0): canonical_block([(0, 1)])}
-    arr = DesignArray(2, 4, 1, Complete(4), cells)
+    arr = DesignArray(2, 4, 1, cells)
     text = dumps_design(arr)
     assert text == dumps_design(arr)
     data = json.loads(text)
@@ -59,11 +57,11 @@ def test_dumps_is_deterministic_and_sorted():
 def _writer_samples():
     mixed = {(0, 0): ((0, 1),), (0, 1): ((2, 3), (4, 5)), (1, 2): ((1, 4),)}
     return _samples() + [
-        DesignArray(3, 4, 1, Complete(4), {}),
+        DesignArray(3, 4, 1, {}),
         construct(16, 2).design,
         build_room(122)[0],
-        DesignArray(3, 6, 1, Complete(6), mixed),
-        DesignArray(3, 6, 1, Complete(6), {**mixed, (2, 1): ()}),
+        DesignArray(3, 6, 1, mixed),
+        DesignArray(3, 6, 1, {**mixed, (2, 1): ()}),
     ]
 
 
@@ -140,7 +138,7 @@ def test_meta_is_carried_but_not_parsed():
 
 def test_parse_returns_the_stored_transversal():
     arr, transversal, _ = build_2k(2)
-    data = design_to_dict(arr, {"transversal": [list(c) for c in transversal.cells]})
+    data = design_to_dict(arr, {"transversal": [list(c) for c in transversal]})
     assert loads_design(json.dumps(data)) == (arr, transversal)
     data["meta"] = {"provenance": "test"}
     assert loads_design(json.dumps(data)) == (arr, None)
@@ -150,7 +148,10 @@ def test_parse_returns_the_stored_transversal():
 
 @pytest.mark.parametrize("arr", _samples(), ids=lambda a: f"n{a.n}k{a.k}")
 def test_host_round_trip(arr):
-    assert host_from_dict(host_to_dict(arr.host)) == arr.host
+    # the host is K_n, on the wire only: written from n, read back as n
+    data = design_to_dict(arr)
+    assert data["host"] == {"type": "complete", "n": arr.n}
+    assert design_from_dict(data).n == arr.n
 
 
 def test_parse_rejects_non_json():
@@ -186,6 +187,7 @@ def test_parse_rejects_bool_as_int():
 
 
 def test_parse_rejects_unknown_host():
+    data = design_to_dict(build_2k(2)[0])
     for host in [
         {"type": "moebius", "n": 5},
         {"type": "complete_bipartite", "a": 2, "b": 2},
@@ -194,11 +196,12 @@ def test_parse_rejects_unknown_host():
         {"type": "complete_multipartite", "parts": [2, 2]},
     ]:
         with pytest.raises(FormatError, match=f"unknown host type {host['type']!r}"):
-            host_from_dict(host)
+            design_from_dict({**data, "host": host})
     with pytest.raises(FormatError, match="missing"):
-        host_from_dict({"type": "complete"})
-    with pytest.raises(FormatError, match="negative"):
-        host_from_dict({"type": "complete", "n": -5})
+        design_from_dict({**data, "host": {"type": "complete"}})
+    for n in (-5, 6):
+        with pytest.raises(FormatError, match=f"host has {n} points but the design says n=4"):
+            design_from_dict({**data, "host": {"type": "complete", "n": n}})
 
 
 def test_parse_rejects_cell_problems():
@@ -322,11 +325,11 @@ def test_latex_render_frozen():
 
 
 def test_latex_refuses_large_sides():
-    big = DesignArray(16, 18, 1, Complete(18), {})
+    big = DesignArray(16, 18, 1, {})
     with pytest.raises(ValueError, match="exceeds 15"):
         render_latex(big)
 
 
 def test_latex_accepts_side_fifteen():
-    arr = DesignArray(15, 16, 1, Complete(16), {})
+    arr = DesignArray(15, 16, 1, {})
     assert "\\begin{array}" in render_latex(arr)

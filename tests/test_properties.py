@@ -43,7 +43,7 @@ def relabelled(draw):
         (rows[r], cols[c]): canonical_block((points[u], points[v]) for u, v in block)
         for (r, c), block in arr.cells.items()
     }
-    return arr, DesignArray(arr.side, arr.n, arr.k, arr.host, cells)
+    return arr, DesignArray(arr.side, arr.n, arr.k, cells)
 
 
 @PROPERTY
@@ -77,7 +77,7 @@ def support_swapped(draw):
     b = draw(st.sampled_from(others))
     cells = dict(arr.cells)
     cells[a], cells[b] = cells[b], cells[a]
-    return a, b, DesignArray(arr.side, arr.n, arr.k, arr.host, cells)
+    return a, b, DesignArray(arr.side, arr.n, arr.k, cells)
 
 
 @PROPERTY
@@ -95,4 +95,4 @@ def test_json_round_trip_keeps_every_cell(pair):
     for arr in (original, moved):
         back = loads_design(dumps_design(arr))[0]
         assert back.cells == arr.cells
-        assert (back.side, back.n, back.k, back.host) == (arr.side, arr.n, arr.k, arr.host)
+        assert (back.side, back.n, back.k) == (arr.side, arr.n, arr.k)

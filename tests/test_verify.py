@@ -7,7 +7,7 @@ import pytest
 
 from omd.bases import build_2k
 from omd.compose import construct
-from omd.core import Complete, DesignArray, Hole, Transversal, canonical_block
+from omd.core import DesignArray, Hole, canonical_block
 from omd.room import build_room
 from omd.verify import (
     Existence,
@@ -40,7 +40,7 @@ def test_duplicated_block_fails_pair_coverage():
     arr, _, _ = build_2k(2)
     cells = dict(arr.cells)
     cells[(0, 1)] = arr.block_at(0, 0)
-    report = verify(DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
+    report = verify(DesignArray(arr.side, arr.n, arr.k, cells))
     assert not report.passed
     checks = {c.name: c for c in report.checks}
     assert not checks["pair-coverage"].passed
@@ -51,7 +51,7 @@ def test_deleted_block_fails_resolution_and_coverage():
     arr, _, _ = build_2k(3)
     cells = dict(arr.cells)
     del cells[(0, 0)]
-    broken = DesignArray(arr.side, arr.n, arr.k, arr.host, cells)
+    broken = DesignArray(arr.side, arr.n, arr.k, cells)
     report = verify(broken)
     checks = {c.name: c for c in report.checks}
     assert not checks["row-resolution"].passed
@@ -64,17 +64,14 @@ def test_foreign_pair_fails_coverage():
     # point 9 is outside K_4, so (0, 9) is no host edge
     cells = dict(arr.cells)
     cells[(0, 0)] = canonical_block(((0, 9), (1, 2)))
-    report = verify(DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
+    report = verify(DesignArray(arr.side, arr.n, arr.k, cells))
     checks = {c.name: c for c in report.checks}
     assert not checks["pair-coverage"].passed
     assert checks["pair-coverage"].detail == "pair (0, 9) is not a host edge"
 
 
 def test_host_shape_failures():
-    report = verify(DesignArray(3, 6, 1, Complete(4), {}))
-    assert "host-shape: array says n=6" in report.failure()
-
-    report = verify(DesignArray(4, 6, 1, Complete(6), {}))
+    report = verify(DesignArray(4, 6, 1, {}))
     checks = {c.name: c for c in report.checks}
     assert "side is 4" in checks["host-shape"].detail
 
@@ -83,13 +80,13 @@ def test_block_shape_failures():
     arr, _, _ = build_2k(2)
     cells = dict(arr.cells)
     cells[(0, 0)] = canonical_block(((0, 1),))
-    report = verify(DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
+    report = verify(DesignArray(arr.side, arr.n, arr.k, cells))
     checks = {c.name: c for c in report.checks}
     assert "holds 1 edges" in checks["block-shape"].detail
 
     cells = dict(arr.cells)
     cells[(0, 0)] = canonical_block(((0, 9), (1, 2)))
-    report = verify(DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
+    report = verify(DesignArray(arr.side, arr.n, arr.k, cells))
     checks = {c.name: c for c in report.checks}
     assert "outside" in checks["block-shape"].detail
 
@@ -97,7 +94,7 @@ def test_block_shape_failures():
     for cell in ((5, 0), (0, 5), (-1, 0), (0, -1)):
         cells = dict(arr.cells)
         cells[cell] = cells.pop((0, 0))
-        report = verify(DesignArray(arr.side, arr.n, arr.k, arr.host, cells))
+        report = verify(DesignArray(arr.side, arr.n, arr.k, cells))
         checks = {c.name: c for c in report.checks}
         assert not report.passed
         assert checks["block-shape"].detail == f"cell {cell} outside side-3 array"
@@ -117,7 +114,7 @@ def _edit(arr, drop=(), put=()):
     for cell in drop:
         del cells[cell]
     cells.update(put)
-    return DesignArray(arr.side, arr.n, arr.k, arr.host, cells)
+    return DesignArray(arr.side, arr.n, arr.k, cells)
 
 
 def _two_k(k):
@@ -292,7 +289,7 @@ def test_transversal_back_diagonal_passes():
 
 def test_transversal_main_diagonal_fails_coverage():
     arr, _, _ = build_2k(2)
-    diag = Transversal(tuple((i, i) for i in range(arr.side)))
+    diag = tuple((i, i) for i in range(arr.side))
     report = verify_transversal(arr, diag)
     checks = {c.name: c for c in report.checks}
     assert checks["one-per-row-and-column"].passed
@@ -301,12 +298,12 @@ def test_transversal_main_diagonal_fails_coverage():
 
 def test_transversal_single_cell_passes():
     arr, _ = build_room(2)
-    assert verify_transversal(arr, Transversal(((0, 0),))).passed
+    assert verify_transversal(arr, ((0, 0),)).passed
 
 
 def test_transversal_bad_permutation():
     arr, _, _ = build_2k(2)
-    report = verify_transversal(arr, Transversal(((0, 0), (0, 1), (2, 2))))
+    report = verify_transversal(arr, ((0, 0), (0, 1), (2, 2)))
     checks = {c.name: c for c in report.checks}
     assert not checks["one-per-row-and-column"].passed
 
@@ -326,18 +323,18 @@ def test_transversal_bad_permutation():
 )
 def test_transversal_names_one_line(cells, detail):
     arr, _, _ = build_2k(2)
-    report = verify_transversal(arr, Transversal(cells))
+    report = verify_transversal(arr, cells)
     assert report.checks[0].detail == detail
 
 
 def test_transversal_names_the_first_repeated_row_at_scale():
     arr, transversal = build_room(122)
-    cells = [(6, c) if r == 7 else (r, c) for r, c in transversal.cells]
-    report = verify_transversal(arr, Transversal(tuple(cells)))
+    cells = [(6, c) if r == 7 else (r, c) for r, c in transversal]
+    report = verify_transversal(arr, tuple(cells))
     assert report.checks[0].detail == "row 6 is chosen 2 times"
     # the work follows the transversal, not the side a header claims
-    huge = DesignArray(10**9, 8, 1, Complete(8), {})
-    report = verify_transversal(huge, Transversal(()))
+    huge = DesignArray(10**9, 8, 1, {})
+    report = verify_transversal(huge, ())
     assert report.checks[0].detail == "row 0 is not chosen"
 
 
@@ -354,6 +351,22 @@ def test_hole_range_check():
     arr, _, _ = build_2k(2)
     report = verify_hole(arr, Hole((9,), (0,)))
     assert "outside" in report.failure()
+
+
+@pytest.mark.parametrize(
+    "hole,detail",
+    [
+        (Hole((0.9,), (2.7,)), "hole row 0.9 is not an integer"),
+        (Hole((0,), (2.0,)), "hole column 2.0 is not an integer"),
+        (Hole((True,), (2,)), "hole row True is not an integer"),
+    ],
+    ids=["float-row", "float-column", "bool-row"],
+)
+def test_hole_indices_must_be_integers(hole, detail):
+    # as the file reader has it, a float or a bool is no index, even one
+    # that lies in range or compares equal to one that does
+    report = verify_hole(build_2k(2)[0], hole)
+    assert report.failure() == f"indices-in-range: {detail}"
 
 
 def test_brute_force_trivial_exists():
