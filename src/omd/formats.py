@@ -21,13 +21,21 @@ range, duplicate cells, edge shape. It reads each cell into its canonical
 block and leaves semantic validity to the verifier, so a structurally
 fine file describing a broken design, a cell that is not a matching
 included, parses and then fails verification.
+
+A well-formed text is read with its cells list parsed a slice of about a
+KiB at a time, so the parsed JSON of the whole list is never alive at
+once; the cells dict it fills is most of what reading holds. Any other
+input, bytes or a text with a repeated top-level key, a syntax error or a
+bad cell, is parsed whole, and that parse words every error.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 from itertools import chain
+from json.decoder import WHITESPACE, scanstring
 from operator import itemgetter
 from typing import Any
 
@@ -85,9 +93,16 @@ def design_from_dict(data: Any) -> DesignArray:
     if not isinstance(raw_cells, list):
         raise FormatError("cells must be a list")
 
-    # exact ints skip _require_int, which keeps its verdict on all else
     cells: dict[Cell, Block] = {}
-    for entry in raw_cells:
+    _read_cells(raw_cells, side, cells)
+    return DesignArray(side, n, k, cells)
+
+
+def _read_cells(entries: list, side: int, cells: dict[Cell, Block]) -> None:
+    """Check parsed cell entries against a side-`side` array and add each
+    one's canonical block to cells; FormatError names the first bad one."""
+    # exact ints skip _require_int, which keeps its verdict on all else
+    for entry in entries:
         if not isinstance(entry, dict):
             raise FormatError("each cell must be an object")
         try:
@@ -118,8 +133,6 @@ def design_from_dict(data: Any) -> DesignArray:
         edges.sort()
         cells[cell] = tuple(edges)
 
-    return DesignArray(side, n, k, cells)
-
 
 def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
     """json.dumps(design_to_dict(arr, meta)) + "\\n", byte for byte: one line
@@ -140,9 +153,18 @@ def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
     return text.replace('"cells": []', '"cells": [' + cells + "]", 1) + "\n"
 
 
-def loads_design(text: str) -> tuple[DesignArray, Transversal | None]:
+def loads_design(text: str | bytes) -> tuple[DesignArray, Transversal | None]:
     """The design a JSON text holds, and the transversal its meta stores,
-    or None when meta is not an object or has no "transversal" field."""
+    or None when meta is not an object or has no "transversal" field.
+
+    A str is first read by _read_sliced, which parses the cells list a
+    slice at a time. Bytes, and any str that _read_sliced finds irregular,
+    are parsed whole; that parse alone words every error, so a text gives
+    the same result or the same FormatError either way."""
+    read = _read_sliced(text) if isinstance(text, str) else None
+    if read is not None:
+        arr, meta = read
+        return arr, _stored_transversal(meta)
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -152,8 +174,12 @@ def loads_design(text: str) -> tuple[DesignArray, Transversal | None]:
     arr = design_from_dict(data)
     meta = data.get("meta")
     del data
+    return arr, _stored_transversal(meta)
+
+
+def _stored_transversal(meta: Any) -> Transversal | None:
     if not isinstance(meta, dict) or "transversal" not in meta:
-        return arr, None
+        return None
     raw = meta["transversal"]
     if not isinstance(raw, list):
         raise FormatError("meta.transversal must be a list of cells")
@@ -162,7 +188,96 @@ def loads_design(text: str) -> tuple[DesignArray, Transversal | None]:
             isinstance(x, int) and not isinstance(x, bool) for x in entry
         ):
             raise FormatError(f"meta.transversal entry {entry!r} is not a cell")
-    return arr, tuple(map(tuple, raw))
+    return tuple(map(tuple, raw))
+
+
+# characters of cells text parsed at once. A KiB parses to about 70 dicts
+# and lists, well below the 700 allocations that start a young collection
+# of the cyclic GC, so few slices are caught mid-parse and promoted to the
+# old generation. Each full collection walks the growing cells dict: at
+# 8 KiB, reading the (2000, 2) file made 58 of them, at 1 KiB 34, and took
+# about a quarter less time.
+_SLICE_CHARS = 1024
+_CUT = re.compile(r"\}[ \t\n\r]*,")
+_LIST_END = re.compile(r"\}[ \t\n\r]*\]")
+
+
+def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
+    """The design and the meta value of a regular text, or None.
+
+    The top-level object is walked with the stdlib's C scanner, and the
+    cells list is parsed in slices that each end just after a "}" followed
+    by "," (or by "]", at the list's end). A slice that starts on an
+    element boundary and parses as array content also ends on one, since
+    the lexer sees the same characters as in the whole-text parse; so the
+    slices' elements are exactly the list's. None means irregular: a
+    repeated top-level key, "cells" before an integer "side", a slice that
+    does not parse, a cell that _read_cells rejects, bad JSON or trailing
+    data. Header errors are raised here, through design_from_dict, only
+    once the whole text has parsed and every cell passed."""
+    ws = WHITESPACE.match
+    scan = json.JSONDecoder().scan_once
+    fields: dict[str, Any] = {}
+    cells: dict[Cell, Block] = {}
+    try:
+        at = ws(text).end()
+        if text[at:at + 1] != "{":
+            return None
+        at = ws(text, at + 1).end()
+        while text[at:at + 1] == '"':
+            key, at = scanstring(text, at + 1)
+            if key in fields:
+                return None
+            at = ws(text, at).end()
+            if text[at:at + 1] != ":":
+                return None
+            at = ws(text, at + 1).end()
+            if key == "cells":
+                if type(fields.get("side")) is not int:
+                    return None
+                at = _read_cell_slices(text, at, fields["side"], cells)
+                if at is None:
+                    return None
+                fields[key] = []
+            else:
+                fields[key], at = scan(text, at)
+            at = ws(text, at).end()
+            delimiter = text[at:at + 1]
+            at = ws(text, at + 1).end()
+            if delimiter == "}":
+                break
+            if delimiter != ",":
+                return None
+        else:
+            return None
+    except (ValueError, RecursionError, StopIteration, FormatError):
+        # ValueError covers JSONDecodeError; StopIteration is scan_once's "no value"
+        return None
+    if at != len(text) or "cells" not in fields:
+        return None
+    return replace(design_from_dict(fields), cells=cells), fields.get("meta")
+
+
+def _read_cell_slices(text: str, at: int, side: int, cells: dict[Cell, Block]) -> int | None:
+    """Read the cells list starting at text[at] into cells, slice by slice;
+    the index just past the list. An irregular list gives None or raises
+    one of the errors _read_sliced catches."""
+    if text[at:at + 1] != "[":
+        return None
+    at = WHITESPACE.match(text, at + 1).end()
+    if text[at:at + 1] == "]":
+        return at + 1
+    last = _LIST_END.search(text, at)
+    if last is None:
+        return None
+    stop = last.start() + 1
+    while True:
+        cut = _CUT.search(text, at + _SLICE_CHARS, stop)
+        end = stop if cut is None else cut.start() + 1
+        _read_cells(json.loads("[" + text[at:end] + "]"), side, cells)
+        if cut is None:
+            return last.end()
+        at = WHITESPACE.match(text, cut.end()).end()
 
 
 def _cell_text(block: Block | None) -> str:

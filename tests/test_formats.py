@@ -3,12 +3,15 @@
 import enum
 import hashlib
 import json
+import random
+import tracemalloc
 
 import pytest
 
 from omd.bases import _SIX_PATTERN, build_2k, build_4k, build_6k
 from omd.compose import _expand, construct
 from omd.core import DesignArray, canonical_block
+from omd import formats
 from omd.errors import FormatError
 from omd.formats import (
     design_from_dict,
@@ -269,6 +272,113 @@ def test_parse_accepts_int_subclasses_in_cells(field):
 def test_round_trip_identity_at_scale():
     arr = build_room(122)[0]
     assert loads_design(dumps_design(arr))[0] == arr
+
+
+def _read_whole(text):
+    """The reference reader: the whole text through json.loads and
+    design_from_dict, then the stored transversal, if any, as a cell tuple."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"not valid JSON: {exc}") from exc
+    arr = design_from_dict(data)
+    meta = data.get("meta")
+    if not isinstance(meta, dict) or "transversal" not in meta:
+        return arr, None
+    raw = meta["transversal"]
+    if not isinstance(raw, list):
+        raise FormatError("meta.transversal must be a list of cells")
+    for entry in raw:
+        if not isinstance(entry, list) or len(entry) != 2 or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in entry
+        ):
+            raise FormatError(f"meta.transversal entry {entry!r} is not a cell")
+    return arr, tuple(map(tuple, raw))
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def _differential_corpus():
+    """Design texts in three layouts, then truncations, seeded one-character
+    edits and a few hand-made irregular texts derived from them."""
+    product = construct(24, 3)
+    designs = [
+        build_2k(3)[:2],
+        build_4k(2),
+        build_room(8),
+        (product.design, product.transversal),
+        (DesignArray(3, 4, 1, {}), ()),
+    ]
+    bases = []
+    for arr, transversal in designs:
+        meta = {"provenance": "test", "transversal": [list(c) for c in transversal]}
+        text = dumps_design(arr, meta)
+        data = json.loads(text)
+        bases += [text, json.dumps(data, indent=2), json.dumps(data, separators=(",", ":"))]
+    rng = random.Random(22)
+    alphabet = '{}[],:" \n0123456789-abcnrow'
+    corpus = list(bases)
+    for text in bases:
+        corpus += [text[:i] for i in range(0, len(text), max(len(text) // 40, 1))]
+        for _ in range(60):
+            i = rng.randrange(len(text))
+            ch = rng.choice(alphabet)
+            corpus.append(rng.choice([
+                text[:i] + ch + text[i + 1:],
+                text[:i] + ch + text[i:],
+                text[:i] + text[i + 1:],
+            ]))
+    text = bases[0]
+    head, cells = text.split(', "cells": ', 1)
+    cells_list = cells[:cells.index("]]}]") + 4]
+    corpus += [
+        text.replace('"cells": ', '"cells": [], "cells": ', 1),
+        text.replace('"side": ', '"side": 9, "side": ', 1),
+        text.rstrip()[:-1] + ', "side": 2}',
+        '{"cells": ' + cells_list + ", " + head[1:] + "}",
+        "\ufeff" + text,
+        text.encode(),
+        text + "x",
+        text.replace('"side": 5', '"side": -1', 1),
+        text.replace('"side": 5', '"side": "5"', 1),
+        text.replace('"side": 5', '"side": null', 1),
+        text.replace('"n": 6', '"n": 1', 1),
+        text.replace('"type": "complete"', '"type": "lex_matching"', 1),
+        text.replace('"transversal": [', '"transversal": [true, ', 1),
+    ]
+    return bases, corpus
+
+
+def test_sliced_read_matches_the_whole_text_read(monkeypatch):
+    # one-character slices cut the cells list at every cell boundary
+    monkeypatch.setattr(formats, "_SLICE_CHARS", 1)
+    bases, corpus = _differential_corpus()
+    assert all(formats._read_sliced(text) is not None for text in bases)
+    sliced = 0
+    for text in corpus:
+        assert _outcome(loads_design, text) == _outcome(_read_whole, text), text
+        sliced += isinstance(text, str) and _outcome(formats._read_sliced, text) is not None
+    assert sliced > len(bases)
+
+
+def test_sliced_read_never_holds_the_whole_parsed_json():
+    res = construct(320, 4)
+    text = dumps_design(res.design, {"transversal": [list(c) for c in res.transversal]})
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(loads_design) <= peak(_read_whole) / 2
 
 
 def test_cell_that_is_no_matching_parses_and_fails_verify():
