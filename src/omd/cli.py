@@ -5,11 +5,15 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 or an unwritable --out. With the same arguments and seed the written
 output is byte-identical across runs; progress notes go to stderr so
 stdout stays clean when it carries the design itself.
+
+The argument parser is built on the first main() call and reused for the
+life of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .compose import ConstructionResult, construct
@@ -201,7 +205,11 @@ def _at_least(low: int):
     return integer
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process. A one-shot omd process builds it once
+    either way; the saving goes to callers that run main() many times in
+    one process. parse_args returns a fresh Namespace per call."""
     parser = argparse.ArgumentParser(
         prog="omd",
         description=(

@@ -28,7 +28,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .core import DesignArray, Transversal, canonical_block
 from .errors import InvalidStarter, NonExistent, SearchExhausted
@@ -242,9 +242,10 @@ def build_room(
     array. Order 10 comes from _NINE, since Z_9 has no strong starter.
     Every other order takes the first starter of the hill climb at seed
     and its square's anti-diagonal; SearchExhausted says what the starter
-    phase spent when it finds none. Only the starter is memoised: every
-    call builds its own array, which the caller owns. construct certifies
-    the transversal.
+    phase spent when it finds none. Only the starter is memoised, for the
+    life of the process and without a bound, since a starter is about n/2
+    ints: every call builds its own array, which the caller owns, and a
+    sweep climbs each order once. construct certifies the transversal.
     """
     if n < 2 or n % 2:
         raise ValueError(f"single-edge designs need even n >= 2, got {n}")
@@ -259,8 +260,11 @@ def build_room(
     return _starter_array(sa), _transversal(sa)
 
 
-# bench/common.py clears this memo by name to keep its timed ops cold
-@lru_cache(maxsize=64)
+# Unbounded: one sweep asks for an order again after passing many others
+# (the k = 2 products reuse orders m <= n_max / 2), and a bounded memo
+# evicts them first. bench/common.py clears it by name to keep its timed
+# ops cold.
+@cache
 def _cached_room(n: int, seed: int, budget: int) -> StarterAdder:
     """The starter behind build_room(n): _NINE for n = 10, else the climb's
     first at seed."""

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from omd.cli import main
+from omd.cli import _parser, main
 from omd.formats import loads_design
 from omd.room import _cached_room
 from omd.verify import verify
@@ -287,6 +288,64 @@ def test_verify_header_only_file_is_refuted_promptly(case, tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# usage errors, help, each subcommand and exit codes 0, 2 and 4
+REUSE_SEQUENCE = [
+    ["generate", "--n", "8", "--k", "1", "--bogus"],
+    ["generate", "--n", "x", "--k", "1"],
+    ["generate", "--n", "8", "--k", "1", "--budget", "0"],
+    ["frobnicate"],
+    ["--help"],
+    ["generate", "--help"],
+    ["generate", "--n", "12", "--k", "2", "--seed", "1"],
+    ["generate", "--n", "6", "--k", "1"],
+    ["verify", "no-such-file.json"],
+    ["sweep", "--n-max", "12", "--k-max", "2"],
+    ["generate", "--n", "8", "--k", "2", "--format", "grid"],
+    [],
+]
+
+
+def _run_sequence(capsys, rebuild):
+    results = []
+    for argv in REUSE_SEQUENCE:
+        if rebuild:
+            _parser.cache_clear()
+        rc = main(argv)
+        results.append((rc, *capsys.readouterr()))
+    return results
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys):
+    fresh = _run_sequence(capsys, rebuild=True)
+    reused = _run_sequence(capsys, rebuild=False)
+    assert [rc for rc, _, _ in fresh] == [4, 4, 4, 4, 0, 0, 0, 2, 4, 0, 0, 4]
+    for argv, a, b in zip(REUSE_SEQUENCE, fresh, reused):
+        assert a == b, argv
+
+
+def test_parser_is_built_once_per_process(capsys):
+    _parser.cache_clear()
+    for argv in REUSE_SEQUENCE[:7]:
+        main(argv)
+    capsys.readouterr()
+    info = _parser.cache_info()
+    assert (info.misses, info.hits) == (1, 6)
+
+
+def test_sweep_climbs_each_room_order_once(capsys):
+    # k = 1 builds every order up to 140; the k = 2 products ask again
+    # for orders up to 70, long after a 64-entry memo would drop them;
+    # order 2 is built without the memo
+    _cached_room.cache_clear()
+    assert main(["sweep", "--n-max", "140", "--k-max", "2"]) == 0
+    out = capsys.readouterr()[0]
+    asked = [int(n) for n in re.findall(r"^(\d+) +1 +room ", out, re.M) if n != "2"]
+    asked += [int(m) for m in re.findall(r"product\(room\((\d+)\)", out)]
+    info = _cached_room.cache_info()
+    assert info.misses == len(set(asked)) == 67
+    assert info.hits == len(asked) - len(set(asked)) > 0
 
 
 @pytest.mark.parametrize("n,k", [(16, 2), (10, 1)])
