@@ -22,11 +22,12 @@ block and leaves semantic validity to the verifier, so a structurally
 fine file describing a broken design, a cell that is not a matching
 included, parses and then fails verification.
 
-A well-formed text is read with its cells list parsed a slice of about a
-KiB at a time, so the parsed JSON of the whole list is never alive at
-once; the cells dict it fills is most of what reading holds. Any other
-input, bytes or a text with a repeated top-level key, a syntax error or a
-bad cell, is parsed whole, and that parse words every error.
+A well-formed text, its keys in any order, is read with its cells list
+parsed a slice of about a KiB at a time, so the parsed JSON of the whole
+list is never alive at once; the cells dict it fills is most of what
+reading holds. Any other input is parsed whole, and that parse words every
+error: bytes, a syntax error, a bad cell, a NaN, the "cells" key written
+with escapes, or a "cells" list nested in a value written before it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import json
 import re
 from dataclasses import replace
 from itertools import chain
-from json.decoder import WHITESPACE, scanstring
 from operator import itemgetter
 from typing import Any
 
@@ -157,10 +157,11 @@ def loads_design(text: str | bytes) -> tuple[DesignArray, Transversal | None]:
     """The design a JSON text holds, and the transversal its meta stores,
     or None when meta is not an object or has no "transversal" field.
 
-    A str is first read by _read_sliced, which parses the cells list a
-    slice at a time. Bytes, and any str that _read_sliced finds irregular,
-    are parsed whole; that parse alone words every error, so a text gives
-    the same result or the same FormatError either way."""
+    A str is first read by _read_sliced, which parses the top-level cells
+    list a slice at a time and the rest of the text whole. Bytes, and any
+    str that _read_sliced finds irregular, are parsed whole; that parse
+    alone words every error, so a text gives the same result or the same
+    FormatError either way."""
     read = _read_sliced(text) if isinstance(text, str) else None
     if read is not None:
         arr, meta = read
@@ -198,86 +199,60 @@ def _stored_transversal(meta: Any) -> Transversal | None:
 # 8 KiB, reading the (2000, 2) file made 58 of them, at 1 KiB 34, and took
 # about a quarter less time.
 _SLICE_CHARS = 1024
-_CUT = re.compile(r"\}[ \t\n\r]*,")
+_CELLS = re.compile(r'"cells"[ \t\n\r]*:[ \t\n\r]*\[[ \t\n\r]*')
+_CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*")
 _LIST_END = re.compile(r"\}[ \t\n\r]*\]")
 
 
 def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
     """The design and the meta value of a regular text, or None.
 
-    The top-level object is walked with the stdlib's C scanner, and the
-    cells list is parsed in slices that each end just after a "}" followed
-    by "," (or by "]", at the list's end). A slice that starts on an
-    element boundary and parses as array content also ends on one, since
-    the lexer sees the same characters as in the whole-text parse; so the
-    slices' elements are exactly the list's. None means irregular: a
-    repeated top-level key, "cells" before an integer "side", a slice that
-    does not parse, a cell that _read_cells rejects, bad JSON or trailing
-    data. Header errors are raised here, through design_from_dict, only
-    once the whole text has parsed and every cell passed."""
-    ws = WHITESPACE.match
-    scan = json.JSONDecoder().scan_once
-    fields: dict[str, Any] = {}
+    The first "cells" key whose value is a list has that list parsed in
+    slices that each end just after a "}" followed by "," (or by "]", at
+    the list's end). A slice that starts on an element boundary and parses
+    as array content also ends on one, since the lexer sees the same
+    characters as in the whole-text parse; so the slices' elements are
+    exactly the list's. The rest of the text, with NaN in the list's place,
+    is parsed whole. NaN, a token json accepts, has one spelling: when the
+    rest holds it once and json keeps it as the top-level "cells", a
+    whole-text parse keeps the sliced list. None means irregular: any
+    other NaN, a list not kept, "side" not an integer, a slice that does
+    not parse, a cell that _read_cells rejects, bad JSON. Header errors are
+    raised through design_from_dict, once every cell has passed."""
+    found = _CELLS.search(text)
+    if found is None:
+        return None
+    at = found.end()
+    if text[at:at + 1] == "]":
+        stop, end = at, at + 1
+    else:
+        last = _LIST_END.search(text, at)
+        if last is None:
+            return None
+        stop, end = last.start() + 1, last.end()
+    rest = text[:found.start()] + '"cells": NaN' + text[end:]
+    if rest.count("NaN") != 1:
+        return None
     cells: dict[Cell, Block] = {}
     try:
-        at = ws(text).end()
-        if text[at:at + 1] != "{":
+        # parsed here for its checks and side only, and again below, so the
+        # header and meta objects are made after the cells dict
+        data = json.loads(rest)
+        hole = data.get("cells") if isinstance(data, dict) else None
+        side = data.get("side") if type(hole) is float and hole != hole else None
+        del data, hole
+        if type(side) is not int:
             return None
-        at = ws(text, at + 1).end()
-        while text[at:at + 1] == '"':
-            key, at = scanstring(text, at + 1)
-            if key in fields:
-                return None
-            at = ws(text, at).end()
-            if text[at:at + 1] != ":":
-                return None
-            at = ws(text, at + 1).end()
-            if key == "cells":
-                if type(fields.get("side")) is not int:
-                    return None
-                at = _read_cell_slices(text, at, fields["side"], cells)
-                if at is None:
-                    return None
-                fields[key] = []
-            else:
-                fields[key], at = scan(text, at)
-            at = ws(text, at).end()
-            delimiter = text[at:at + 1]
-            at = ws(text, at + 1).end()
-            if delimiter == "}":
-                break
-            if delimiter != ",":
-                return None
-        else:
-            return None
-    except (ValueError, RecursionError, StopIteration, FormatError):
-        # ValueError covers JSONDecodeError; StopIteration is scan_once's "no value"
+        while at < stop:
+            cut = _CUT.search(text, at + _SLICE_CHARS, stop)
+            to = stop if cut is None else cut.start() + 1
+            _read_cells(json.loads("[" + text[at:to] + "]"), side, cells)
+            at = stop if cut is None else cut.end()
+    except (ValueError, RecursionError, FormatError):
         return None
-    if at != len(text) or "cells" not in fields:
-        return None
-    return replace(design_from_dict(fields), cells=cells), fields.get("meta")
-
-
-def _read_cell_slices(text: str, at: int, side: int, cells: dict[Cell, Block]) -> int | None:
-    """Read the cells list starting at text[at] into cells, slice by slice;
-    the index just past the list. An irregular list gives None or raises
-    one of the errors _read_sliced catches."""
-    if text[at:at + 1] != "[":
-        return None
-    at = WHITESPACE.match(text, at + 1).end()
-    if text[at:at + 1] == "]":
-        return at + 1
-    last = _LIST_END.search(text, at)
-    if last is None:
-        return None
-    stop = last.start() + 1
-    while True:
-        cut = _CUT.search(text, at + _SLICE_CHARS, stop)
-        end = stop if cut is None else cut.start() + 1
-        _read_cells(json.loads("[" + text[at:end] + "]"), side, cells)
-        if cut is None:
-            return last.end()
-        at = WHITESPACE.match(text, cut.end()).end()
+    data = json.loads(rest)
+    data["cells"] = []
+    return replace(design_from_dict(data), cells=cells), data.get("meta")
 
 
 def _cell_text(block: Block | None) -> str:

@@ -350,6 +350,21 @@ def _differential_corpus():
         text.replace('"n": 6', '"n": 1', 1),
         text.replace('"type": "complete"', '"type": "lex_matching"', 1),
         text.replace('"transversal": [', '"transversal": [true, ', 1),
+        # a "cells" list before the design's own, in meta or in host
+        head + ', "meta": {"cells": [{"row": 0}], "transversal": []}, "cells": ' + cells_list + "}",
+        head + ', "meta": {"cells": [1, 2]}, "cells": ' + cells_list + "}",
+        text.replace('"type": ', '"cells": [{"row": 0, "col": 0, "edges": [[0, 1]]}], "type": ', 1),
+        text.replace('"provenance": "test"', '"provenance": NaN', 1),
+        text.replace('"provenance": "test"', '"provenance": "NaN"', 1),
+        text.replace('"row": 2', '"row": NaN', 1),
+        text.replace('"cells"', '"c\\u0065lls"', 1),
+        "[" + text + "]",
+        text.replace('"cells": ', '"cells": 5, "cells": ', 1),
+        text.rstrip()[:-1] + ', "cells": []}',
+        text.replace('"row": 2,', '"x": "},]", "row": 2,', 1),
+        text.replace('"row": 2,', '"x": "}]", "row": 2,', 1),
+        text.replace('"row": 2,', '"x": {"a": [{}]}, "row": 2,', 1),
+        bases[-3].replace('"provenance": "test"', '"provenance": [{"a": 1}]', 1),
     ]
     return bases, corpus
 
@@ -369,8 +384,16 @@ def test_sliced_read_matches_the_whole_text_read(monkeypatch):
 def test_sliced_read_never_holds_the_whole_parsed_json():
     res = construct(320, 4)
     text = dumps_design(res.design, {"transversal": [list(c) for c in res.transversal]})
+    head, cells = text.split(', "cells": ', 1)
+    cells_list = cells[:cells.index("]]}]") + 4]
+    # the writer's layout, cells first, and a repeated top-level key
+    texts = [
+        text,
+        '{"cells": ' + cells_list + ", " + head[1:] + cells[len(cells_list):],
+        text.replace('"side": ', '"side": 0, "side": ', 1),
+    ]
 
-    def peak(read):
+    def peak(read, text):
         tracemalloc.start()
         try:
             read(text)
@@ -378,7 +401,9 @@ def test_sliced_read_never_holds_the_whole_parsed_json():
         finally:
             tracemalloc.stop()
 
-    assert peak(loads_design) <= peak(_read_whole) / 2
+    for text in texts:
+        assert formats._read_sliced(text)[0] == res.design
+        assert peak(loads_design, text) <= peak(_read_whole, text) / 2
 
 
 def test_cell_that_is_no_matching_parses_and_fails_verify():
