@@ -25,9 +25,11 @@ included, parses and then fails verification.
 A well-formed text, its keys in any order, is read with its cells list
 parsed a slice of about a KiB at a time, so the parsed JSON of the whole
 list is never alive at once; the cells dict it fills is most of what
-reading holds. Any other input is parsed whole, and that parse words every
-error: bytes, a syntax error, a bad cell, a NaN, the "cells" key written
-with escapes, or a "cells" list nested in a value written before it.
+reading holds. Its errors are worded as a whole-text parse words them: a
+header error, then the first bad cell, once the rest of the text has
+parsed. Any other input is parsed whole, and that parse words every error:
+bytes, a syntax error, a NaN, the "cells" key written with escapes, or a
+"cells" list nested in a value written before it.
 """
 
 from __future__ import annotations
@@ -158,10 +160,11 @@ def loads_design(text: str | bytes) -> tuple[DesignArray, Transversal | None]:
     or None when meta is not an object or has no "transversal" field.
 
     A str is first read by _read_sliced, which parses the top-level cells
-    list a slice at a time and the rest of the text whole. Bytes, and any
-    str that _read_sliced finds irregular, are parsed whole; that parse
-    alone words every error, so a text gives the same result or the same
-    FormatError either way."""
+    list a slice at a time and the rest of the text whole, and raises a
+    header's or a cell's FormatError only once all of it has parsed. Bytes,
+    and any str that _read_sliced finds irregular, are parsed whole, and
+    that parse words every error; so a text gives the same result or the
+    same FormatError either way."""
     read = _read_sliced(text) if isinstance(text, str) else None
     if read is not None:
         arr, meta = read
@@ -217,8 +220,10 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
     rest holds it once and json keeps it as the top-level "cells", a
     whole-text parse keeps the sliced list. None means irregular: any
     other NaN, a list not kept, "side" not an integer, a slice that does
-    not parse, a cell that _read_cells rejects, bad JSON. Header errors are
-    raised through design_from_dict, once every cell has passed."""
+    not parse, bad JSON. The first cell that _read_cells rejects is kept
+    and the cells dict cleared; the later slices are still parsed, then
+    header errors are raised through design_from_dict, and only then the
+    cell's."""
     found = _CELLS.search(text)
     if found is None:
         return None
@@ -234,6 +239,7 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
     if rest.count("NaN") != 1:
         return None
     cells: dict[Cell, Block] = {}
+    fault = None
     try:
         # parsed here for its checks and side only, and again below, so the
         # header and meta objects are made after the cells dict
@@ -246,13 +252,22 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
         while at < stop:
             cut = _CUT.search(text, at + _SLICE_CHARS, stop)
             to = stop if cut is None else cut.start() + 1
-            _read_cells(json.loads("[" + text[at:to] + "]"), side, cells)
+            entries = json.loads("[" + text[at:to] + "]")
             at = stop if cut is None else cut.end()
-    except (ValueError, RecursionError, FormatError):
+            if fault is None:
+                try:
+                    _read_cells(entries, side, cells)
+                except FormatError as exc:
+                    fault = exc
+                    cells.clear()
+    except (ValueError, RecursionError):
         return None
     data = json.loads(rest)
     data["cells"] = []
-    return replace(design_from_dict(data), cells=cells), data.get("meta")
+    arr = design_from_dict(data)
+    if fault is not None:
+        raise fault
+    return replace(arr, cells=cells), data.get("meta")
 
 
 def _cell_text(block: Block | None) -> str:

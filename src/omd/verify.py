@@ -25,6 +25,7 @@ from itertools import chain, repeat, starmap
 from operator import itemgetter, lt
 
 from .core import Block, Cell, DesignArray, Hole, Transversal, canonical_block
+from .errors import SearchExhausted
 
 
 @dataclass(frozen=True)
@@ -285,13 +286,9 @@ def verify_hole(arr: DesignArray, hole: Hole) -> VerificationReport:
 
     empty_detail = None
     if range_detail is None:
-        for r in hole.rows:
-            for c in hole.cols:
-                if (r, c) in arr.cells:
-                    empty_detail = f"cell ({r}, {c}) inside the hole holds a block"
-                    break
-            if empty_detail:
-                break
+        held = ((r, c) for r in hole.rows for c in hole.cols if (r, c) in arr.cells)
+        cell = next(held, None)
+        empty_detail = cell and f"cell {cell} inside the hole holds a block"
     checks.append(Check("hole-cells-empty", empty_detail is None, empty_detail))
 
     return VerificationReport(
@@ -311,10 +308,6 @@ class BruteForceResult:
     status: Existence
     design: DesignArray | None = None
     nodes: int = 0
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 def brute_force_exists(n: int, k: int, budget: int = 10_000_000) -> BruteForceResult:
@@ -337,73 +330,44 @@ def brute_force_exists(n: int, k: int, budget: int = 10_000_000) -> BruteForceRe
     """
     if n < 2 or k < 1:
         raise ValueError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
-    side = n - 1
-
+    side, full = n - 1, (1 << n) - 1
     grid: dict[Cell, tuple] = {}
-    row_pts = [0] * side
-    col_pts = [0] * side
-    full = (1 << n) - 1
+    row_pts, col_pts = [0] * side, [0] * side
     pair_used = set()
     nodes = 0
 
-    def place(row, col, pairs, mask):
-        grid[(row, col)] = pairs
-        row_pts[row] |= mask
-        col_pts[col] |= mask
-        pair_used.update(pairs)
-
-    def unplace(row, col, pairs, mask):
-        del grid[(row, col)]
-        row_pts[row] &= ~mask
-        col_pts[col] &= ~mask
-        pair_used.difference_update(pairs)
+    def flip(row, col, pairs, mask):
+        """Place pairs at (row, col), or take them back if they are there."""
+        row_pts[row] ^= mask
+        col_pts[col] ^= mask
+        pair_used.symmetric_difference_update(pairs)
+        if grid.pop((row, col), None) is None:
+            grid[row, col] = pairs
 
     if 2 * k <= n:
-        pinned = n // (2 * k) if n % (2 * k) == 0 else 1
-        for t in range(pinned):
-            block = tuple(
-                (2 * k * t + 2 * i, 2 * k * t + 2 * i + 1) for i in range(k)
-            )
-            mask = ((1 << (2 * k)) - 1) << (2 * k * t)
-            place(0, t, block, mask)
+        for t in range(n // (2 * k) if n % (2 * k) == 0 else 1):
+            block = tuple((2 * k * t + 2 * i, 2 * k * t + 2 * i + 1) for i in range(k))
+            flip(0, t, block, ((1 << (2 * k)) - 1) << (2 * k * t))
 
-    def blocks_through(lowest, avail):
-        """All k-matchings on avail containing lowest, pair minima increasing."""
-        found = []
-        chosen = []
-
-        def extend(from_points, last_min):
-            if len(chosen) == k:
-                found.append(tuple(chosen))
-                return
-            if len(chosen) == 0:
-                first_options = [lowest]
-            else:
-                first_options = [p for p in from_points if p > last_min]
-            for a in first_options:
-                rest = [p for p in from_points if p != a]
-                for b in rest:
-                    if b < a:
-                        continue
-                    pair = (a, b)
-                    if pair in pair_used:
-                        continue
-                    chosen.append(pair)
-                    extend([p for p in rest if p != b], a)
-                    chosen.pop()
-
-        extend(sorted(avail), -1)
-        return found
+    def matchings(points, size):
+        """Matchings of size unused pairs on the sorted points, the first
+        pair through points[0] and the pair minima increasing."""
+        a = points[0]
+        for b in points[1:]:
+            if (a, b) in pair_used:
+                continue
+            if size == 1:
+                yield ((a, b),)
+                continue
+            rest = [p for p in points[1:] if p != b]
+            for i in range(len(rest)):
+                for tail in matchings(rest[i:], size - 1):
+                    yield ((a, b), *tail)
 
     def solve() -> bool:
         nonlocal nodes
-        row = None
-        best_filled = None
-        for i in range(side):
-            if row_pts[i] != full:
-                filled = row_pts[i].bit_count()
-                if best_filled is None or filled < best_filled:
-                    row, best_filled = i, filled
+        open_rows = ((pts.bit_count(), i) for i, pts in enumerate(row_pts) if pts != full)
+        _, row = min(open_rows, default=(0, None))
         if row is None:
             return True
         missing = [p for p in range(n) if not (row_pts[row] >> p) & 1]
@@ -411,31 +375,27 @@ def brute_force_exists(n: int, k: int, budget: int = 10_000_000) -> BruteForceRe
         # a row whose deficit is not a multiple of 2k can never complete
         if len(missing) % (2 * k) != 0:
             return False
-        lowest = missing[0]
-        for pairs in blocks_through(lowest, missing):
-            mask = 0
-            for u, v in pairs:
-                mask |= (1 << u) | (1 << v)
+        # the generator is resumed only once every placement below is taken
+        # back, so it sees the pairs in use as they were when it started
+        for pairs in matchings(missing, k):
+            mask = sum((1 << u) | (1 << v) for u, v in pairs)
             for col in range(side):
                 if (row, col) in grid or col_pts[col] & mask:
                     continue
                 nodes += 1
                 if nodes > budget:
-                    raise _BudgetExceeded
-                place(row, col, pairs, mask)
+                    raise SearchExhausted
+                flip(row, col, pairs, mask)
                 if solve():
                     return True
-                unplace(row, col, pairs, mask)
+                flip(row, col, pairs, mask)
         return False
 
     try:
         found = solve()
-    except _BudgetExceeded:
+    except SearchExhausted:
         return BruteForceResult(Existence.EXHAUSTED, nodes=nodes)
-
     if not found:
         return BruteForceResult(Existence.NOT_EXISTS, nodes=nodes)
-
     cells = {cell: canonical_block(pairs) for cell, pairs in grid.items()}
-    arr = DesignArray(side, n, k, cells)
-    return BruteForceResult(Existence.EXISTS, design=arr, nodes=nodes)
+    return BruteForceResult(Existence.EXISTS, DesignArray(side, n, k, cells), nodes)

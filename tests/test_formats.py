@@ -365,6 +365,10 @@ def _differential_corpus():
         text.replace('"row": 2,', '"x": "}]", "row": 2,', 1),
         text.replace('"row": 2,', '"x": {"a": [{}]}, "row": 2,', 1),
         bases[-3].replace('"provenance": "test"', '"provenance": [{"a": 1}]', 1),
+        # a bad cell: the last, one before a syntax error, one with a bad header
+        text.replace('"row": 4', '"row": 5000', 1),
+        text.replace('"row": 1', '"row": 5000', 1).replace('"col": 4', '"col" 4', 1),
+        text.replace('"row": 2', '"row": 5000', 1).replace('"n": 6', '"n": 1', 1),
     ]
     return bases, corpus
 
@@ -379,6 +383,19 @@ def test_sliced_read_matches_the_whole_text_read(monkeypatch):
         assert _outcome(loads_design, text) == _outcome(_read_whole, text), text
         sliced += isinstance(text, str) and _outcome(formats._read_sliced, text) is not None
     assert sliced > len(bases)
+
+
+def test_sliced_read_names_a_bad_last_cell():
+    # the sliced read words the cell's error itself, with no second parse
+    text = dumps_design(build_room(8)[0])
+    head, _, tail = text.rpartition('"row": ')
+    text = head + '"row": 5000' + tail[tail.index(","):]
+    with pytest.raises(FormatError) as whole:
+        _read_whole(text)
+    with pytest.raises(FormatError) as sliced:
+        formats._read_sliced(text)
+    assert str(sliced.value) == str(whole.value)
+    assert str(sliced.value).startswith("cell (5000, ")
 
 
 def test_sliced_read_never_holds_the_whole_parsed_json():

@@ -406,3 +406,19 @@ def test_brute_force_witness_is_verified():
     res = brute_force_exists(8, 2)
     assert res.status is Existence.EXISTS
     assert verify(res.design).passed
+
+
+def test_brute_force_search_is_pinned():
+    # verdicts, node counts and witnesses over small parameters, at budgets
+    # that stop the search early, midway and never; (10, 1) is too slow to
+    # run to its end here
+    digest = hashlib.sha256()
+    for n in range(2, 11):
+        for k in range(1, 5):
+            for budget in (10, 1000, 10**7):
+                if (n, k, budget) == (10, 1, 10**7):
+                    continue
+                res = brute_force_exists(n, k, budget=budget)
+                cells = sorted(res.design.cells.items()) if res.design else None
+                digest.update(repr((n, k, budget, res.status.value, res.nodes, cells)).encode())
+    assert digest.hexdigest() == "01de7cdb2129ec01997182d299567f9e1e02fa6a91d235ef4b4c3394140719df"
