@@ -101,7 +101,7 @@ def cmd_generate(args) -> int:
 
     _note(
         f"built ({args.n}, {args.k}): side {res.design.side}, "
-        f"{len(res.design.cells)} blocks via {res.path}; "
+        f"{len(res.design.rows)} blocks via {res.path}; "
         "verification passed; transversal certified",
         args.out,
     )
@@ -171,7 +171,7 @@ def cmd_sweep(args) -> int:
                     k,
                     res.path,
                     res.design.side,
-                    len(res.design.cells),
+                    len(res.design.rows),
                     "verified",
                 )
             )

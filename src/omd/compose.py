@@ -16,7 +16,9 @@ every outer transversal cell; no transversal is searched for here.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import DesignArray, Transversal
 from .errors import NonExistent, VerificationFailed
@@ -33,7 +35,8 @@ def _expand(
     A cell off the outer transversal takes factor t of ofact_bipartite(s)
     at (t, t); one on it takes build_2k(s). The transversal is the union of
     build_2k(s)'s back diagonal images in every outer transversal cell,
-    empty or not (hole images coincide)."""
+    empty or not (hole images coincide). The cells are written in (row,
+    col) order: each outer row's s rows, then the s - 1 extra rows."""
     big, big_transversal, hole = build_2k(s)
     # build_2k's rows and columns in the order they are laid out: first
     # those outside the hole, then the hole's, which go to the extra lines
@@ -41,30 +44,68 @@ def _expand(
     col_order = [c for c in range(big.side) if c not in hole.cols] + list(hole.cols)
     row_at = {r: p for p, r in enumerate(row_order)}
     col_at = {c: p for p, c in enumerate(col_order)}
-    big_cells = [(row_at[r], col_at[c], b) for (r, c), b in big.cells.items()]
+    # build_2k's cells by laid-out row, each as (column, endpoints) in order
+    big_rows: list[list] = [[] for _ in range(big.side)]
+    for (r, c), block in big.cells.items():
+        big_rows[row_at[r]].append((col_at[c], [p for e in block for p in e]))
+    for line in big_rows:
+        line.sort()
     big_chosen = [(row_at[r], col_at[c]) for r, c in big_transversal]
-    small_cells = [(t, t, factor) for t, factor in enumerate(ofact_bipartite(s))]
-    extras = range(s * outer.side, s * outer.side + s - 1)
+    factors = [[p for e in factor for p in e] for factor in ofact_bipartite(s)]
+    extra = s * outer.side
 
     def lines(x: int) -> list[int]:
         """Outer line x's s rows (or columns), then the s - 1 extra ones."""
-        return [*range(x * s, x * s + s), *extras]
+        return [*range(x * s, x * s + s), *range(extra, extra + s - 1)]
 
     chosen = set()
     for i, j in outer_transversal:
         rows, cols = lines(i), lines(j)
         chosen.update((rows[r], cols[c]) for r, c in big_chosen)
     on_transversal = set(outer_transversal)
-    cells = {}
-    for (i, j), ((u, v),) in outer.cells.items():
-        rows, cols = lines(i), lines(j)
-        # point a of the ingredient goes to u's copies for a < s, else to
-        # v's; u < v keeps every edge canonical and the block in order
-        pmap = [*range(u * s, u * s + s), *range(v * s, v * s + s)]
-        source = big_cells if (i, j) in on_transversal else small_cells
-        for r, c, block in source:
-            cells[rows[r], cols[c]] = tuple([(pmap[a], pmap[b]) for a, b in block])
-    design = DesignArray(s * outer.side + s - 1, s * outer.n, s, cells)
+    outer = outer.row_major()
+    orows, ocols, opoints = outer.rows, outer.cols, outer.points
+    bounds = list(map(bisect_left, repeat(orows), range(outer.side + 1)))
+    rows, cols, points = [], [], []
+    placed = []
+    for i in range(outer.side):
+        row_cells = []
+        for q in range(bounds[i], bounds[i + 1]):
+            # point a of the ingredient goes to u's copies for a < s, else to
+            # v's; u < v keeps every edge canonical and the block in order
+            u, v = opoints[2 * q], opoints[2 * q + 1]
+            pmap = [*range(u * s, u * s + s), *range(v * s, v * s + s)]
+            row_cells.append((ocols[q] * s, pmap, (i, ocols[q]) in on_transversal))
+        placed += [(base, pmap) for base, pmap, on in row_cells if on]
+        for t in range(s):
+            before, tail = len(cols), []
+            for base, pmap, on in row_cells:
+                if not on:
+                    cols.append(base + t)
+                    points += map(pmap.__getitem__, factors[t])
+                    continue
+                for c, block in big_rows[t]:
+                    if c < s:
+                        cols.append(base + c)
+                        points += map(pmap.__getitem__, block)
+                    else:
+                        tail.append((extra + c - s, [*map(pmap.__getitem__, block)]))
+            for c, block in sorted(tail):
+                cols.append(c)
+                points += block
+            rows += repeat(i * s + t, len(cols) - before)
+    # the hole leaves build_2k's extra rows no cell in the extra columns
+    placed.sort()
+    for e in range(s - 1):
+        before = len(cols)
+        for base, pmap in placed:
+            for c, block in big_rows[s + e]:
+                cols.append(base + c)
+                points += map(pmap.__getitem__, block)
+        rows += repeat(extra + e, len(cols) - before)
+    design = DesignArray.of_arrays(
+        extra + s - 1, s * outer.n, s, rows, cols, [s] * len(cols), points
+    )
     return design, tuple(sorted(chosen))
 
 

@@ -9,23 +9,28 @@ one block across the whole array.
 The host is K_n, where the paper's designs live: a design's edges are all
 pairs of its n points, so n alone names it.
 
-A block is a plain tuple of edges in canonical form (each edge as
-(min, max), the tuple sorted), made by canonical_block. Nothing here checks
-that a block is a matching; the verifier is the one place that does.
+A DesignArray holds its occupied cells as flat int lists: rows, cols, the
+number of edges of each cell's block, and the blocks' endpoints, two per
+edge, one block after another. A builder writes them in (row, col) order
+with each edge as (min, max) and a block's edges sorted, the canonical
+form canonical_block makes. Nothing here checks that a block is a
+matching, or that the cells are in order or distinct; the verifier is the
+one place that does. The cells property is a dict of (row, col) to block,
+built on demand for renderers, tests and small designs.
 
 Constructors that think in structured coordinates (group elements, side
 labels, part indices) flatten them to 0..n-1 through bijections documented
 where they are used, so this layer only ever sees plain integers.
 
-Builders fill one cell dict and wrap it once; every call builds its own
-array, which the caller owns.
+Every builder call writes its own lists, which the caller owns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, eq, itemgetter, lt, mul
 
 Edge = tuple[int, int]
 Cell = tuple[int, int]
@@ -49,21 +54,122 @@ def canonical_block(pairs: Iterable[tuple[int, int]]) -> Block:
     return tuple(sorted([(u, v) if u < v else (v, u) for u, v in pairs]))
 
 
-@dataclass
 class DesignArray:
     """Square array of optional blocks plus design metadata.
 
-    cells maps (row, col) to the block stored there; absent keys are empty
-    cells. Nothing here checks the cells against side, n or k; that is the
-    verifier's job.
+    DesignArray(side, n, k, cells) copies a dict of (row, col) to block
+    into the lists once, in the dict's order; of_arrays wraps lists that a
+    builder wrote. Cell i is (rows[i], cols[i]) and holds sizes[i] edges,
+    whose endpoints follow those of the cells before it in points. Nothing
+    here checks the cells against side, n or k; that is the verifier's job.
     """
 
-    side: int
-    n: int
-    k: int
-    cells: dict[Cell, Block]
+    __slots__ = ("side", "n", "k", "rows", "cols", "sizes", "points")
+
+    def __init__(self, side: int, n: int, k: int, cells: dict[Cell, Block]) -> None:
+        blocks = cells.values()
+        self.side, self.n, self.k = side, n, k
+        self.rows = list(map(itemgetter(0), cells))
+        self.cols = list(map(itemgetter(1), cells))
+        self.sizes = list(map(len, blocks))
+        self.points = list(chain.from_iterable(chain.from_iterable(blocks)))
+        if len(self.points) != 2 * sum(self.sizes):
+            raise ValueError("every edge must be a pair of points")
+
+    @classmethod
+    def of_arrays(
+        cls, side: int, n: int, k: int, rows: list, cols: list, sizes: list, points: list
+    ) -> DesignArray:
+        """The array of these lists, which it keeps, not copies."""
+        arr = cls.__new__(cls)
+        arr.side, arr.n, arr.k = side, n, k
+        arr.rows, arr.cols, arr.sizes, arr.points = rows, cols, sizes, points
+        return arr
+
+    def __repr__(self) -> str:
+        return (
+            f"DesignArray(side={self.side}, n={self.n}, k={self.k}, "
+            f"{len(self.rows)} cells)"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        """Equal side, n, k and cells, in whatever order they are held."""
+        if not isinstance(other, DesignArray):
+            return NotImplemented
+        mine, theirs = (self.side, self.n, self.k), (other.side, other.n, other.k)
+        return mine == theirs and self.cells == other.cells
+
+    def _size(self) -> int:
+        """The edges of each cell when every cell holds as many, else 0."""
+        sizes = self.sizes
+        return sizes[0] if sizes and sizes.count(sizes[0]) == len(sizes) else 0
+
+    def ends(self) -> Sequence[int]:
+        """Where each cell's endpoints start in points, then len(points)."""
+        size = self._size()
+        if size:
+            return range(0, 2 * size * len(self.sizes) + 1, 2 * size)
+        return list(accumulate(map(mul, self.sizes, repeat(2)), initial=0))
+
+    def strides(self, order: list[int] | None = None) -> list[list[int]] | None:
+        """When every cell holds as many edges, one list per endpoint
+        position j, holding each cell's j-th endpoint in array order, or
+        cell order[i]'s at i when order is given; else None."""
+        size = self._size()
+        if not size:
+            return None
+        step, points = 2 * size, self.points
+        if order is None:
+            return [points[j::step] for j in range(step)]
+        return [list(map(points[j::step].__getitem__, order)) for j in range(step)]
+
+    def blocks(self) -> Iterator[Block]:
+        """Each cell's block, as stored, in array order."""
+        points = iter(self.points)
+        edges = zip(points, points)
+        size = self._size()
+        if size:
+            return zip(*[edges] * size)
+        return (tuple(islice(edges, each)) for each in self.sizes)
+
+    @property
+    def cells(self) -> dict[Cell, Block]:
+        """A new dict of (row, col) to block, in array order; changing it
+        leaves the array as it is. ValueError when a cell is held twice."""
+        cells = dict(zip(zip(self.rows, self.cols), self.blocks()))
+        if len(cells) < len(self.rows):
+            self.row_major()
+        return cells
+
+    def row_major(self) -> DesignArray:
+        """This array when its cells run in (row, col) order, each once, else
+        a copy sorted into that order. ValueError names a cell held twice."""
+        rows, cols = self.rows, self.cols
+        after = zip(islice(rows, 1, None), islice(cols, 1, None))
+        if all(map(lt, zip(rows, cols), after)):
+            return self
+        keys = list(zip(rows, cols))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        ordered = list(map(keys.__getitem__, order))
+        twice = next(compress(ordered, map(eq, ordered, islice(ordered, 1, None))), None)
+        if twice is not None:
+            raise ValueError(f"cell {twice} is held twice")
+        ends = self.ends()
+        after = map(ends.__getitem__, map(add, order, repeat(1)))
+        spans = map(slice, map(ends.__getitem__, order), after)
+        return DesignArray.of_arrays(
+            self.side,
+            self.n,
+            self.k,
+            list(map(rows.__getitem__, order)),
+            list(map(cols.__getitem__, order)),
+            list(map(self.sizes.__getitem__, order)),
+            list(chain.from_iterable(map(self.points.__getitem__, spans))),
+        )
 
     def block_at(self, row: int, col: int) -> Block | None:
+        """The block at (row, col), or None; builds the cells view, so a
+        caller looking up many cells takes the view once instead."""
         return self.cells.get((row, col))
 
     def occupied(self) -> list[tuple[Cell, Block]]:

@@ -17,10 +17,12 @@ parses the same. An optional top-level "meta" object carries provenance
 and certificates; parsing reads only its "transversal", a list of
 [row, col] cells, and ignores a meta that is not an object. Parsing is
 strict about structure (exit path for malformed files): types, cell
-range, duplicate cells, edge shape. It reads each cell into its canonical
-block and leaves semantic validity to the verifier, so a structurally
-fine file describing a broken design, a cell that is not a matching
-included, parses and then fails verification.
+range, duplicate cells, edge shape. It reads each cell's canonical block
+into a dict of (row, col) to the block's endpoints, a flat tuple, copied
+into the design's lists once every cell has passed. It leaves semantic
+validity to the verifier, so a structurally fine file describing a
+broken design, a cell that is not a matching included, parses and then
+fails verification.
 
 A well-formed text, its keys in any order, is read with its cells list
 parsed a slice of about a KiB at a time, so the parsed JSON of the whole
@@ -36,9 +38,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import itemgetter, rshift
 from typing import Any
 
 from .core import Block, Cell, DesignArray, Transversal
@@ -54,11 +55,14 @@ def _require_int(value: Any, where: str) -> int:
 
 
 def design_to_dict(arr: DesignArray, meta: dict | None = None) -> dict:
-    cells = []
-    for (r, c), block in arr.occupied():
-        cells.append(
-            {"row": r, "col": c, "edges": [[u, v] for u, v in block]}
-        )
+    cells = [
+        {"row": r, "col": c, "edges": [[u, v] for u, v in block]}
+        for (r, c), block in arr.occupied()
+    ]
+    return _design_dict(arr, cells, meta)
+
+
+def _design_dict(arr: DesignArray, cells: list, meta: dict | None) -> dict:
     data = {
         "n": arr.n,
         "k": arr.k,
@@ -95,14 +99,30 @@ def design_from_dict(data: Any) -> DesignArray:
     if not isinstance(raw_cells, list):
         raise FormatError("cells must be a list")
 
-    cells: dict[Cell, Block] = {}
+    cells: dict[Cell, tuple[int, ...]] = {}
     _read_cells(raw_cells, side, cells)
-    return DesignArray(side, n, k, cells)
+    return _design(side, n, k, cells)
 
 
-def _read_cells(entries: list, side: int, cells: dict[Cell, Block]) -> None:
-    """Check parsed cell entries against a side-`side` array and add each
-    one's canonical block to cells; FormatError names the first bad one."""
+def _design(side: int, n: int, k: int, cells: dict[Cell, tuple]) -> DesignArray:
+    """The design whose cells map (row, col) to their blocks' endpoints,
+    copied into its lists once, in the dict's order."""
+    blocks = cells.values()
+    return DesignArray.of_arrays(
+        side,
+        n,
+        k,
+        list(map(itemgetter(0), cells)),
+        list(map(itemgetter(1), cells)),
+        list(map(rshift, map(len, blocks), repeat(1))),
+        list(chain.from_iterable(blocks)),
+    )
+
+
+def _read_cells(entries: list, side: int, cells: dict[Cell, tuple[int, ...]]) -> None:
+    """Check parsed cell entries against a side-`side` array and map each
+    one's (row, col) to the endpoints of its canonical block, a flat tuple
+    that costs no tuple per edge; FormatError names the first bad one."""
     # exact ints skip _require_int, which keeps its verdict on all else
     for entry in entries:
         if not isinstance(entry, dict):
@@ -133,7 +153,7 @@ def _read_cells(entries: list, side: int, cells: dict[Cell, Block]) -> None:
                 u, v = _require_int(u, "edge point"), _require_int(v, "edge point")
             edges.append((u, v) if u < v else (v, u))
         edges.sort()
-        cells[cell] = tuple(edges)
+        cells[cell] = sum(edges, ())
 
 
 def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
@@ -141,15 +161,19 @@ def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
     with the default separators, which loads_design reads back along with
     any other JSON whitespace. The header, host and meta go through
     json.dumps; the cells are one % format over (row, col, u, v, ...) in
-    cell order."""
-    text = json.dumps(design_to_dict(replace(arr, cells={}), meta))
-    occupied = arr.occupied()
-    blocks = list(map(itemgetter(1), occupied))
-    sizes = list(map(len, blocks))
+    (row, col) order, which arrays not already in it are sorted into."""
+    arr = arr.row_major()
+    text = json.dumps(_design_dict(arr, [], meta))
+    sizes = arr.sizes
     cell = '{"row": %%d, "col": %%d, "edges": [%s]}'
     templates = {size: cell % ", ".join(["[%d, %d]"] * size) for size in set(sizes)}
-    # sum(block, (row, col)) is the tuple (row, col, u, v, ...)
-    values = chain.from_iterable(map(sum, blocks, map(itemgetter(0), occupied)))
+    strides = arr.strides()
+    if strides is not None:
+        values = chain.from_iterable(zip(arr.rows, arr.cols, *strides))
+    else:
+        ends = arr.ends()
+        blocks = map(arr.points.__getitem__, map(slice, ends, islice(ends, 1, None)))
+        values = chain.from_iterable(map(chain, zip(arr.rows, arr.cols), blocks))
     cells = ", ".join(map(templates.__getitem__, sizes)) % tuple(values)
     # host comes first and cannot hold this text, so it is the cells key
     return text.replace('"cells": []', '"cells": [' + cells + "]", 1) + "\n"
@@ -238,7 +262,7 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
     rest = text[:found.start()] + '"cells": NaN' + text[end:]
     if rest.count("NaN") != 1:
         return None
-    cells: dict[Cell, Block] = {}
+    cells: dict[Cell, tuple[int, ...]] = {}
     fault = None
     try:
         # parsed here for its checks and side only, and again below, so the
@@ -267,7 +291,7 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
     arr = design_from_dict(data)
     if fault is not None:
         raise fault
-    return replace(arr, cells=cells), data.get("meta")
+    return _design(arr.side, arr.n, arr.k, cells), data.get("meta")
 
 
 def _cell_text(block: Block | None) -> str:
@@ -278,9 +302,9 @@ def _cell_text(block: Block | None) -> str:
 
 def render_grid(arr: DesignArray) -> str:
     """One line per row, cells separated by '|', empty cells as '.'."""
-    lines = []
+    cells, lines = arr.cells, []
     for r in range(arr.side):
-        lines.append("|".join(_cell_text(arr.block_at(r, c)) for c in range(arr.side)))
+        lines.append("|".join(_cell_text(cells.get((r, c))) for c in range(arr.side)))
     return "\n".join(lines) + "\n"
 
 
@@ -293,12 +317,13 @@ def render_latex(arr: DesignArray) -> str:
         raise ValueError(
             f"side {arr.side} exceeds {LATEX_MAX_SIDE}; LaTeX output is for small arrays"
         )
+    blocks = arr.cells
     header = "|" + "c|" * max(arr.side, 1)
     lines = [f"\\begin{{array}}{{{header}}}", "\\hline"]
     for r in range(arr.side):
         cells = []
         for c in range(arr.side):
-            block = arr.block_at(r, c)
+            block = blocks.get((r, c))
             if block is None:
                 cells.append("")
             else:

@@ -29,6 +29,7 @@ import bisect
 import random
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain, repeat
 
 from .core import DesignArray, Transversal, canonical_block
 from .errors import InvalidStarter, NonExistent, SearchExhausted
@@ -185,28 +186,31 @@ def strong_starter_search(
 
 
 def _starter_array(sa: StarterAdder) -> DesignArray:
-    """The starter square, its cells inserted in (row, col) order.
+    """The starter square, its cells written in (row, col) order.
 
     Row j holds the diagonal at column j and each pair at column j + a
     mod r. With the offsets sorted, those at least r - j wrap around and
-    come first, so occupied() sorts one presorted run in linear time.
+    come first.
     """
     r = sa.r
     starts = sorted(zip(sa.adder, sa.pairs))
     offsets = [a for a, _ in starts]
-    cells = {}
+    cols: list[int] = []
+    points: list[int] = []
     for j in range(r):
         split = bisect.bisect_left(offsets, r - j)
-        # canonical one-edge blocks written inline: a canonical_block call
-        # per cell made this function about 1.7 times slower at side 999
         for a, (x, y) in starts[split:]:
             u, v = (x + j) % r, (y + j) % r
-            cells[(j, j + a - r)] = ((u, v),) if u < v else ((v, u),)
-        cells[(j, j)] = ((j, r),)
+            cols.append(j + a - r)
+            points += (u, v) if u < v else (v, u)
+        cols.append(j)
+        points += (j, r)
         for a, (x, y) in starts[:split]:
             u, v = (x + j) % r, (y + j) % r
-            cells[(j, j + a)] = ((u, v),) if u < v else ((v, u),)
-    return DesignArray(r, r + 1, 1, cells)
+            cols.append(j + a)
+            points += (u, v) if u < v else (v, u)
+    rows = list(chain.from_iterable(map(repeat, range(r), repeat(len(starts) + 1))))
+    return DesignArray.of_arrays(r, r + 1, 1, rows, cols, [1] * len(cols), points)
 
 
 def _transversal(sa: StarterAdder) -> Transversal:

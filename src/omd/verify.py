@@ -2,14 +2,16 @@
 
 Everything here recomputes from raw cell contents: counting from the
 cells shares no logic with the constructors, so agreement between the two
-is evidence rather than tautology. A block is a plain edge tuple and nothing else checks it, so
-verify is the one place a cell is found to be a k-matching over 0..n-1.
-Work follows the cells, not what the header claims. Reports carry one
-entry per condition with the first counterexample found.
+is evidence rather than tautology. Nothing else checks a block, so verify
+is the one place a cell is found to be a k-matching over 0..n-1. Work
+follows the cells, not what the header claims. Reports carry one entry
+per condition with the first counterexample found.
 
-verify settles whether each condition holds with bulk passes run in C
-(map, set, min, max, blocks grouped by line unsorted); only a condition
-that fails is walked cell, line or pair in order to say where it fails.
+verify reads a DesignArray's flat lists in (row, col) order, so each row
+is one run of cells, and settles whether each condition holds with bulk
+passes run in C (map, set, slices, a bytearray of pair marks); only a
+condition that fails is walked cell, line or pair in order to say where
+it fails.
 
 brute_force_exists settles existence for small parameters by exhaustive
 backtracking and is the independent ground truth the constructors are
@@ -19,10 +21,12 @@ compared against in the tests.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
-from operator import itemgetter, lt
+from itertools import chain, compress, count, islice, repeat
+from operator import add, itemgetter, lt, mul, sub
 
 from .core import Block, Cell, DesignArray, Hole, Transversal, canonical_block
 from .errors import SearchExhausted
@@ -106,30 +110,6 @@ def _group(keys, values) -> defaultdict:
     return groups
 
 
-def _resolution(lines: dict, side: int, n: int, label: str) -> tuple[str | None, list]:
-    """The first line of 0..side-1 that is not a resolution class, named, and
-    the blocks of the lines failing the bulk test: n points whose set is
-    0..n-1, built only once a line has n points. Those lines and the first
-    empty one are counted exactly, in order, as one may still cover 0..n-1
-    once; a later empty line cannot come first, so it is not listed."""
-    ordered = sorted(lines)
-    empty = next((p for p, i in enumerate(ordered) if p != i), len(ordered))
-    full, suspects = None, [empty] if empty < side else []
-    for i, blocks in lines.items():
-        if 2 * sum(map(len, blocks)) == n:
-            full = full or set(range(n))
-            if full == set(chain.from_iterable(chain.from_iterable(blocks))):
-                continue
-        suspects.append(i)
-    unresolved = [b for i in suspects for b in lines.get(i, ())]
-    for i in sorted(suspects):
-        points = list(chain.from_iterable(chain.from_iterable(lines.get(i, ()))))
-        miss = _first_miscount(points, n)
-        if miss is not None:
-            return f"{label} {i} covers point {miss[0]} {miss[1]} times", unresolved
-    return None, unresolved
-
-
 def _pair_detail(n: int, edges: list) -> str | None:
     """First placed pair that is foreign or repeated, else the first gap.
     If each u's placed ends v are distinct and inside u+1..n-1, they cover
@@ -155,11 +135,86 @@ def _pair_detail(n: int, edges: list) -> str | None:
     return f"pair {edge} covered {placed[edge]} times"
 
 
-def _matchings_hold(blocks: list, n: int, k: int) -> bool:
-    """Whether every block has 2k distinct points, all in 0..n-1."""
-    points = list(chain.from_iterable(chain.from_iterable(blocks)))
-    sizes = set(map(len, map(set, map(chain.from_iterable, blocks))))
-    return sizes <= {2 * k} and (not points or 0 <= min(points) and max(points) < n)
+def _inside(arr: DesignArray) -> DesignArray:
+    """The cells of arr inside the array, in arr's order."""
+    side, ends = arr.side, arr.ends()
+    keep = [0 <= r < side and 0 <= c < side for r, c in zip(arr.rows, arr.cols)]
+    blocks = map(arr.points.__getitem__, map(slice, ends, islice(ends, 1, None)))
+    return DesignArray.of_arrays(
+        side,
+        arr.n,
+        arr.k,
+        list(compress(arr.rows, keep)),
+        list(compress(arr.cols, keep)),
+        list(compress(arr.sizes, keep)),
+        list(chain.from_iterable(compress(blocks, keep))),
+    )
+
+
+def _bounds(keys: list, count: int) -> list[int]:
+    """Where each of 0..count starts in the sorted keys."""
+    return list(map(bisect_left, repeat(keys), range(count + 1)))
+
+
+def _rows(arr: DesignArray, count: int) -> tuple:
+    """Where each of rows 0..count-1 of row-major arr starts, and last
+    where the rows before count end; and a function from a row to its
+    points, which its cells hold in one run."""
+    row_at, ends, points = _bounds(arr.rows, count), arr.ends(), arr.points
+
+    def row_points(i: int) -> list[int]:
+        return points[ends[row_at[i]]:ends[row_at[i + 1]]]
+
+    return row_at, row_points
+
+
+def _columns(arr: DesignArray, count: int) -> tuple:
+    """_rows for columns, the cells grouped by column once."""
+    cols = arr.cols
+    order = sorted(range(len(cols)), key=cols.__getitem__)
+    col_at = _bounds(list(map(cols.__getitem__, order)), count)
+    # as many edges to every cell: each stride is put in column order once
+    strides = arr.strides(order)
+    if strides is not None:
+
+        def col_points(c: int) -> list[int]:
+            a, b = col_at[c], col_at[c + 1]
+            return list(chain.from_iterable(stride[a:b] for stride in strides))
+
+    else:
+        ends, points = arr.ends(), arr.points
+        starts = list(map(ends.__getitem__, order))
+        stops = list(map(ends.__getitem__, map(add, order, repeat(1))))
+
+        def col_points(c: int) -> list[int]:
+            a, b = col_at[c], col_at[c + 1]
+            blocks = map(points.__getitem__, map(slice, starts[a:b], stops[a:b]))
+            return list(chain.from_iterable(blocks))
+
+    return col_at, col_points
+
+
+def _unresolved(lines: Iterable[list], n: int) -> list[int]:
+    """Indices of the lines that are not n points making up 0..n-1. The set
+    of 0..n-1 is built at the first line of n points, so the work follows
+    the lines, not n."""
+    full, bad = None, []
+    for i, line in enumerate(lines):
+        if len(line) == n:
+            full = full or set(range(n))
+            if full == set(line):
+                continue
+        bad.append(i)
+    return bad
+
+
+def _line_detail(label: str, suspects: list[int], points_of, n: int) -> str | None:
+    """The first suspect line that does not cover 0..n-1 once, named."""
+    for i in suspects:
+        miss = _first_miscount(points_of(i), n)
+        if miss is not None:
+            return f"{label} {i} covers point {miss[0]} {miss[1]} times"
+    return None
 
 
 def verify(arr: DesignArray) -> VerificationReport:
@@ -168,61 +223,82 @@ def verify(arr: DesignArray) -> VerificationReport:
     Conditions: every cell inside the array and empty or a k-matching,
     every row and column a resolution class, every host edge covered
     exactly once and nothing else. All checks run even after a failure so
-    the report is complete. Bulk passes over all cells settle whether a
-    condition holds; only one that fails is scanned cell by cell, line by
-    line or pair by pair, to name its first counterexample.
+    the report is complete. The cells are read in (row, col) order, as
+    the builders write them; others are sorted first. Bulk passes over
+    the lists settle whether each condition holds: each row is one run of
+    cells, the cells are grouped by column once, and the pairs mark one
+    byte each. Only a condition that fails is walked cell by cell, line by
+    line or pair by pair, to name its first counterexample. ValueError
+    when a cell is held twice.
     """
     n, side, k = arr.n, arr.side, arr.k
-    checks = []
-
     # each row covers every point once and each block uses one edge at each
     # point it covers, so the side is the degree of K_n, n - 1
     if side != n - 1:
         shape = Check("host-shape", False, f"side is {side}, host requires {n - 1}")
     else:
         shape = Check("host-shape", True)
-    checks.append(shape)
 
-    cells = arr.cells
-    rows, cols = list(map(itemgetter(0), cells)), list(map(itemgetter(1), cells))
-    inside = not cells or 0 <= min(rows + cols) and max(rows + cols) < side
-    if not inside:
-        cells = {rc: b for rc, b in cells.items() if 0 <= min(rc) and max(rc) < side}
-        rows, cols = list(map(itemgetter(0), cells)), list(map(itemgetter(1), cells))
-    by_row, by_col = _group(rows, cells.values()), _group(cols, cells.values())
-    row_detail, unresolved = _resolution(by_row, side, n, "row")
-    col_detail, _ = _resolution(by_col, side, n, "column")
+    arr = arr.row_major()
+    rows, cols, points, ends = arr.rows, arr.cols, arr.points, arr.ends()
+    m = len(rows)
+    inside = not m or 0 <= rows[0] and rows[-1] < side
+    inside = inside and (not m or 0 <= min(cols) and max(cols) < side)
+    held = arr if inside else _inside(arr)
+    # with fewer cells than lines, one of lines 0..cells is empty and no
+    # later line can hold the first fault, so the work follows the cells
+    count = side if m >= side else len(held.rows) + 1
+    row_at, row_points = _rows(held, count)
+    col_at, col_points = _columns(held, count)
+    bad_rows = _unresolved(map(row_points, range(count)), n)
+    bad_cols = _unresolved(map(col_points, range(count)), n)
 
-    # a row passing the bulk test holds 0..n-1 once, so its blocks repeat no
-    # point and leave no point outside: only the other rows' are looked at
-    edges = list(chain.from_iterable(arr.cells.values()))
-    block_detail = None
-    if not (
+    # a row holding 0..n-1 once holds no block with a point repeated or
+    # outside 0..n-1, so only the blocks of the other rows are tested for it
+    unchecked = chain(
+        *(range(row_at[i], row_at[i + 1]) for i in bad_rows), range(row_at[count], m)
+    )
+    shaped = (
         inside
-        and set(map(len, cells.values())) <= {k}
-        and all(starmap(lt, edges))
-        and _matchings_hold(unresolved, n, k)
-    ):
-        faults = (_block_fault(r, c, b, side, n, k) for (r, c), b in arr.occupied())
+        and arr.sizes.count(k) == m
+        and all(map(lt, islice(points, 0, None, 2), islice(points, 1, None, 2)))
+        and all(
+            len(set(block)) == 2 * k and 0 <= min(block) and max(block) < n
+            for block in (points[ends[q]:ends[q + 1]] for q in unchecked)
+        )
+    )
+    block_detail = None
+    if not shaped:
+        shape_of = repeat(side), repeat(n), repeat(k)
+        faults = map(_block_fault, rows, cols, arr.blocks(), *shape_of)
         block_detail = next(filter(None, faults), None)
-    checks.append(Check("block-shape", block_detail is None, block_detail))
-    checks.append(Check("row-resolution", row_detail is None, row_detail))
-    checks.append(Check("column-resolution", col_detail is None, col_detail))
 
-    pair_detail = _pair_detail(n, edges)
-    checks.append(Check("pair-coverage", pair_detail is None, pair_detail))
+    # n(n-1)/2 canonical edges on 0..n-1 make up K_n when each marks its own
+    # byte u * n + v; that many bytes follow the cells
+    pairs = shaped and m * k == n * (n - 1) // 2
+    if pairs:
+        marks = bytearray(n * n)
+        us, vs = islice(points, 0, None, 2), islice(points, 1, None, 2)
+        any(map(marks.__setitem__, map(add, map(mul, us, repeat(n)), vs), repeat(1)))
+        pairs = marks.count(1) == m * k
+    pair_detail = None
+    if not pairs:
+        pair_detail = _pair_detail(n, list(zip(points[0::2], points[1::2])))
 
-    # fewer cells than lines leaves a line empty, which fails resolution; the
-    # per-line counts are then left out, so no work follows the claimed side
-    if len(arr.cells) < side:
-        row_blocks = col_blocks = ()
-    else:
-        row_blocks = tuple(map(len, map(by_row.get, range(side), repeat(()))))
-        col_blocks = tuple(map(len, map(by_col.get, range(side), repeat(()))))
+    details = (
+        ("block-shape", block_detail),
+        ("row-resolution", _line_detail("row", bad_rows, row_points, n)),
+        ("column-resolution", _line_detail("column", bad_cols, col_points, n)),
+        ("pair-coverage", pair_detail),
+    )
+    checks = (shape, *(Check(name, d is None, d) for name, d in details))
+    # the per-line counts are left out when a line is empty for want of cells
+    counts = [tuple(map(sub, islice(at, 1, None), at)) for at in (row_at, col_at)]
+    row_blocks, col_blocks = counts if m >= side else ((), ())
     return VerificationReport(
         passed=all(c.passed for c in checks),
-        checks=tuple(checks),
-        total_blocks=len(arr.cells),
+        checks=checks,
+        total_blocks=m,
         row_blocks=row_blocks,
         col_blocks=col_blocks,
     )
@@ -244,6 +320,18 @@ def _permutation_fault(cells, axis: int, side: int) -> str | None:
     return f"{label} {i} is outside 0..{side - 1}"
 
 
+def _held(arr: DesignArray, wanted: Counter) -> list[tuple[int, int]]:
+    """(index, times) of each cell of wanted that arr holds, where wanted
+    counts cells, from one scan of the cells in any order. ValueError when
+    one is held twice."""
+    rows, cols = arr.rows, arr.cols
+    hits = list(compress(count(), map(wanted.__contains__, zip(rows, cols))))
+    cells = [(rows[i], cols[i]) for i in hits]
+    if len(set(cells)) < len(cells):
+        arr.row_major()
+    return [(i, wanted[cell]) for i, cell in zip(hits, cells)]
+
+
 def verify_transversal(arr: DesignArray, transversal: Transversal) -> VerificationReport:
     """Check one-cell-per-row/column and exact point coverage."""
     checks = []
@@ -254,8 +342,11 @@ def verify_transversal(arr: DesignArray, transversal: Transversal) -> Verificati
     )
     checks.append(Check("one-per-row-and-column", perm_detail is None, perm_detail))
 
-    chosen = [b for b in (arr.block_at(r, c) for r, c in transversal) if b is not None]
-    miss = _first_miscount([p for b in chosen for e in b for p in e], arr.n)
+    # a cell chosen t times counts t times
+    found = _held(arr, Counter((r, c) for r, c in transversal))
+    ends, points = arr.ends(), arr.points
+    chosen = [points[ends[i]:ends[i + 1]] * times for i, times in found]
+    miss = _first_miscount(list(chain.from_iterable(chosen)), arr.n)
     cover_detail = None
     if miss is not None:
         cover_detail = f"point {miss[0]} appears {miss[1]} times in the chosen cells"
@@ -264,7 +355,7 @@ def verify_transversal(arr: DesignArray, transversal: Transversal) -> Verificati
     return VerificationReport(
         passed=all(c.passed for c in checks),
         checks=tuple(checks),
-        total_blocks=len(chosen),
+        total_blocks=sum(times for _, times in found),
     )
 
 
@@ -286,7 +377,8 @@ def verify_hole(arr: DesignArray, hole: Hole) -> VerificationReport:
 
     empty_detail = None
     if range_detail is None:
-        held = ((r, c) for r in hole.rows for c in hole.cols if (r, c) in arr.cells)
+        cells = arr.cells
+        held = ((r, c) for r in hole.rows for c in hole.cols if (r, c) in cells)
         cell = next(held, None)
         empty_detail = cell and f"cell {cell} inside the hole holds a block"
     checks.append(Check("hole-cells-empty", empty_detail is None, empty_detail))
@@ -349,9 +441,12 @@ def brute_force_exists(n: int, k: int, budget: int = 10_000_000) -> BruteForceRe
             block = tuple((2 * k * t + 2 * i, 2 * k * t + 2 * i + 1) for i in range(k))
             flip(0, t, block, ((1 << (2 * k)) - 1) << (2 * k * t))
 
-    def matchings(points, size):
+    def matchings(points, size, fits):
         """Matchings of size unused pairs on the sorted points, the first
-        pair through points[0] and the pair minima increasing."""
+        pair through points[0] and the pair minima increasing. fits holds
+        the point masks of the open columns that can still take the pairs
+        chosen before; a pair that leaves none is skipped, save the last,
+        which the column loop tests with the whole matching."""
         a = points[0]
         for b in points[1:]:
             if (a, b) in pair_used:
@@ -359,9 +454,13 @@ def brute_force_exists(n: int, k: int, budget: int = 10_000_000) -> BruteForceRe
             if size == 1:
                 yield ((a, b),)
                 continue
+            mask = (1 << a) | (1 << b)
+            left = [used for used in fits if not used & mask]
+            if not left:
+                continue
             rest = [p for p in points[1:] if p != b]
             for i in range(len(rest)):
-                for tail in matchings(rest[i:], size - 1):
+                for tail in matchings(rest[i:], size - 1, left):
                     yield ((a, b), *tail)
 
     def solve() -> bool:
@@ -377,7 +476,8 @@ def brute_force_exists(n: int, k: int, budget: int = 10_000_000) -> BruteForceRe
             return False
         # the generator is resumed only once every placement below is taken
         # back, so it sees the pairs in use as they were when it started
-        for pairs in matchings(missing, k):
+        fits = [col_pts[c] for c in range(side) if (row, c) not in grid] if k > 1 else ()
+        for pairs in matchings(missing, k, fits):
             mask = sum((1 << u) | (1 << v) for u, v in pairs)
             for col in range(side):
                 if (row, col) in grid or col_pts[col] & mask:

@@ -255,6 +255,8 @@ def test_generate_budget_exhaustion_is_prompt_and_names_the_starter_phase():
 # that refutes each; verify's work must follow the cells, not the claim
 HEADER_ONLY = {
     "n-20000": ((20000, 19999, {"type": "complete", "n": 20000}), "row-resolution"),
+    "n-1e9": ((10**9, 10**9 - 1, {"type": "complete", "n": 10**9}), "row-resolution"),
+    "n-1e9-side-1": ((10**9, 1, {"type": "complete", "n": 10**9}), "host-shape"),
     "side-2000000": ((8, 2_000_000, {"type": "complete", "n": 8}), "host-shape"),
     "side-1e9": ((8, 10**9, {"type": "complete", "n": 8}), "host-shape"),
 }

@@ -7,7 +7,8 @@ import pytest
 from omd.bases import build_2k
 from omd.compose import _expand
 from omd.core import DesignArray, Hole, canonical_block
-from omd.verify import verify
+from omd.formats import dumps_design
+from omd.verify import verify, verify_transversal
 
 
 def test_canonical_block_orders_each_pair():
@@ -57,6 +58,36 @@ def test_occupied_is_sorted():
     cells = {(1, 1): canonical_block([(2, 3)]), (0, 0): canonical_block([(0, 1)])}
     arr = DesignArray(2, 4, 1, cells)
     assert [cell for cell, _ in arr.occupied()] == [(0, 0), (1, 1)]
+
+
+def test_arrays_hold_the_dict_in_its_order():
+    cells = {(1, 1): ((3, 2),), (0, 0): ((0, 1), (2, 5)), (0, 2): ()}
+    arr = DesignArray(2, 6, 2, cells)
+    assert (arr.rows, arr.cols, arr.sizes) == ([1, 0, 0], [1, 0, 2], [1, 2, 0])
+    assert arr.points == [3, 2, 0, 1, 2, 5]
+    assert list(arr.cells.items()) == list(cells.items())
+    assert arr.block_at(0, 0) == ((0, 1), (2, 5))
+    assert arr.block_at(0, 2) == ()
+    assert arr.block_at(1, 0) is None
+    ordered = arr.row_major()
+    assert (ordered.rows, ordered.cols, ordered.sizes) == ([0, 0, 1], [0, 2, 1], [2, 0, 1])
+    assert ordered.points == [0, 1, 2, 5, 3, 2]
+    assert ordered == arr and ordered.row_major() is ordered
+
+
+def test_cells_view_is_a_copy():
+    arr = build_2k(3)[0]
+    arr.cells.pop((0, 0))
+    assert (0, 0) in arr.cells and len(arr.cells) == 5
+
+
+def test_a_cell_held_twice_is_refused():
+    arr = DesignArray.of_arrays(2, 3, 1, [0, 1, 0], [0, 1, 0], [1, 1, 1], [0, 1, 1, 2, 0, 2])
+    for use in (lambda a: a.cells, verify, dumps_design, lambda a: a.block_at(1, 1)):
+        with pytest.raises(ValueError, match=r"cell \(0, 0\) is held twice"):
+            use(arr)
+    with pytest.raises(ValueError, match="held twice"):
+        verify_transversal(arr, ((0, 0), (1, 1)))
 
 
 def _edge_set(n):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -406,6 +407,15 @@ def test_brute_force_witness_is_verified():
     res = brute_force_exists(8, 2)
     assert res.status is Existence.EXISTS
     assert verify(res.design).passed
+
+
+def test_oracle_skips_matchings_that_no_open_column_takes():
+    # the budget counts placements, so the time between them is the
+    # matchings tried: only those that some open column can take are built
+    start = time.perf_counter()
+    res = brute_force_exists(12, 3, budget=20_000)
+    assert (res.status, res.nodes) == (Existence.EXHAUSTED, 20_001)
+    assert time.perf_counter() - start < 3.0
 
 
 def test_brute_force_search_is_pinned():
