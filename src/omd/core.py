@@ -59,9 +59,10 @@ class DesignArray:
 
     DesignArray(side, n, k, cells) copies a dict of (row, col) to block
     into the lists once, in the dict's order; of_arrays wraps lists that a
-    builder wrote. Cell i is (rows[i], cols[i]) and holds sizes[i] edges,
-    whose endpoints follow those of the cells before it in points. Nothing
-    here checks the cells against side, n or k; that is the verifier's job.
+    builder or the file reader wrote. Cell i is (rows[i], cols[i]) and
+    holds sizes[i] edges, whose endpoints follow those of the cells before
+    it in points. Nothing here checks the cells against side, n or k; that
+    is the verifier's job.
     """
 
     __slots__ = ("side", "n", "k", "rows", "cols", "sizes", "points")

@@ -17,32 +17,31 @@ parses the same. An optional top-level "meta" object carries provenance
 and certificates; parsing reads only its "transversal", a list of
 [row, col] cells, and ignores a meta that is not an object. Parsing is
 strict about structure (exit path for malformed files): types, cell
-range, duplicate cells, edge shape. It reads each cell's canonical block
-into a dict of (row, col) to the block's endpoints, a flat tuple, copied
-into the design's lists once every cell has passed. It leaves semantic
+range, duplicate cells, edge shape. It appends each cell, its block in
+canonical form, to the design's lists in file order, and finds a cell
+read twice by a set of row * side + col ints. It leaves semantic
 validity to the verifier, so a structurally fine file describing a
 broken design, a cell that is not a matching included, parses and then
 fails verification.
 
 A well-formed text, its keys in any order, is read with its cells list
 parsed a slice of about a KiB at a time, so the parsed JSON of the whole
-list is never alive at once; the cells dict it fills is most of what
-reading holds. Its errors are worded as a whole-text parse words them: a
-header error, then the first bad cell, once the rest of the text has
-parsed. Any other input is parsed whole, and that parse words every error:
-bytes, a syntax error, a NaN, the "cells" key written with escapes, or a
-"cells" list nested in a value written before it.
+list is never alive at once; the design's lists it fills are most of
+what reading holds. Its errors are worded as a whole-text parse words
+them: a header error, then the first bad cell, once the rest of the text
+has parsed. Any other input is parsed whole, and that parse words every
+error: bytes, a syntax error, a NaN, the "cells" key written with
+escapes, or a "cells" list nested in a value written before it.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import chain, islice, repeat
-from operator import itemgetter, rshift
+from itertools import chain, islice
 from typing import Any
 
-from .core import Block, Cell, DesignArray, Transversal
+from .core import Block, DesignArray, Transversal
 from .errors import FormatError
 
 GRID_EMPTY = "."
@@ -99,30 +98,17 @@ def design_from_dict(data: Any) -> DesignArray:
     if not isinstance(raw_cells, list):
         raise FormatError("cells must be a list")
 
-    cells: dict[Cell, tuple[int, ...]] = {}
-    _read_cells(raw_cells, side, cells)
-    return _design(side, n, k, cells)
+    arr = DesignArray.of_arrays(side, n, k, [], [], [], [])
+    _read_cells(raw_cells, arr, set())
+    return arr
 
 
-def _design(side: int, n: int, k: int, cells: dict[Cell, tuple]) -> DesignArray:
-    """The design whose cells map (row, col) to their blocks' endpoints,
-    copied into its lists once, in the dict's order."""
-    blocks = cells.values()
-    return DesignArray.of_arrays(
-        side,
-        n,
-        k,
-        list(map(itemgetter(0), cells)),
-        list(map(itemgetter(1), cells)),
-        list(map(rshift, map(len, blocks), repeat(1))),
-        list(chain.from_iterable(blocks)),
-    )
-
-
-def _read_cells(entries: list, side: int, cells: dict[Cell, tuple[int, ...]]) -> None:
-    """Check parsed cell entries against a side-`side` array and map each
-    one's (row, col) to the endpoints of its canonical block, a flat tuple
-    that costs no tuple per edge; FormatError names the first bad one."""
+def _read_cells(entries: list, arr: DesignArray, seen: set[int]) -> None:
+    """Check parsed cell entries against arr's side and append each one,
+    its block in canonical form, to arr's lists; seen holds row * side +
+    col of every cell read so far. FormatError names the first bad one."""
+    side = arr.side
+    rows, cols, sizes, points = arr.rows, arr.cols, arr.sizes, arr.points
     # exact ints skip _require_int, which keeps its verdict on all else
     for entry in entries:
         if not isinstance(entry, dict):
@@ -139,9 +125,10 @@ def _read_cells(entries: list, side: int, cells: dict[Cell, tuple[int, ...]]) ->
             raise FormatError(f"cell is missing field {exc.args[0]!r}") from exc
         if not (0 <= r < side and 0 <= c < side):
             raise FormatError(f"cell ({r}, {c}) outside side-{side} array")
-        cell = (r, c)
-        if cell in cells:
+        key = r * side + c
+        if key in seen:
             raise FormatError(f"cell ({r}, {c}) appears twice")
+        seen.add(key)
         if not isinstance(raw_edges, list) or not raw_edges:
             raise FormatError(f"cell ({r}, {c}) must hold a non-empty edge list")
         edges = []
@@ -153,7 +140,10 @@ def _read_cells(entries: list, side: int, cells: dict[Cell, tuple[int, ...]]) ->
                 u, v = _require_int(u, "edge point"), _require_int(v, "edge point")
             edges.append((u, v) if u < v else (v, u))
         edges.sort()
-        cells[cell] = sum(edges, ())
+        rows.append(r)
+        cols.append(c)
+        sizes.append(len(edges))
+        points += sum(edges, ())
 
 
 def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
@@ -222,9 +212,8 @@ def _stored_transversal(meta: Any) -> Transversal | None:
 # characters of cells text parsed at once. A KiB parses to about 70 dicts
 # and lists, well below the 700 allocations that start a young collection
 # of the cyclic GC, so few slices are caught mid-parse and promoted to the
-# old generation. Each full collection walks the growing cells dict: at
-# 8 KiB, reading the (2000, 2) file made 58 of them, at 1 KiB 34, and took
-# about a quarter less time.
+# old generation: reading the (2000, 2) file made 5 young collections and
+# no full one, and at 64 KiB 4,420 and 36, taking 1.7 times as long.
 _SLICE_CHARS = 1024
 _CELLS = re.compile(r'"cells"[ \t\n\r]*:[ \t\n\r]*\[[ \t\n\r]*')
 _CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*")
@@ -243,11 +232,11 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
     is parsed whole. NaN, a token json accepts, has one spelling: when the
     rest holds it once and json keeps it as the top-level "cells", a
     whole-text parse keeps the sliced list. None means irregular: any
-    other NaN, a list not kept, "side" not an integer, a slice that does
-    not parse, bad JSON. The first cell that _read_cells rejects is kept
-    and the cells dict cleared; the later slices are still parsed, then
-    header errors are raised through design_from_dict, and only then the
-    cell's."""
+    other NaN, a list not kept, a slice that does not parse, bad JSON.
+    design_from_dict checks the header and makes the empty array that
+    _read_cells fills. The header's error, or else the first cell that
+    _read_cells rejects, is kept and raised once the later slices have
+    parsed."""
     found = _CELLS.search(text)
     if found is None:
         return None
@@ -262,17 +251,18 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
     rest = text[:found.start()] + '"cells": NaN' + text[end:]
     if rest.count("NaN") != 1:
         return None
-    cells: dict[Cell, tuple[int, ...]] = {}
-    fault = None
     try:
-        # parsed here for its checks and side only, and again below, so the
-        # header and meta objects are made after the cells dict
         data = json.loads(rest)
         hole = data.get("cells") if isinstance(data, dict) else None
-        side = data.get("side") if type(hole) is float and hole != hole else None
-        del data, hole
-        if type(side) is not int:
+        if type(hole) is not float or hole == hole:
             return None
+        data["cells"] = []
+        fault = None
+        try:
+            arr = design_from_dict(data)
+        except FormatError as exc:
+            fault = exc
+        seen: set[int] = set()
         while at < stop:
             cut = _CUT.search(text, at + _SLICE_CHARS, stop)
             to = stop if cut is None else cut.start() + 1
@@ -280,18 +270,14 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
             at = stop if cut is None else cut.end()
             if fault is None:
                 try:
-                    _read_cells(entries, side, cells)
+                    _read_cells(entries, arr, seen)
                 except FormatError as exc:
                     fault = exc
-                    cells.clear()
     except (ValueError, RecursionError):
         return None
-    data = json.loads(rest)
-    data["cells"] = []
-    arr = design_from_dict(data)
     if fault is not None:
         raise fault
-    return _design(arr.side, arr.n, arr.k, cells), data.get("meta")
+    return arr, data.get("meta")
 
 
 def _cell_text(block: Block | None) -> str:

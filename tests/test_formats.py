@@ -336,6 +336,8 @@ def _differential_corpus():
     text = bases[0]
     head, cells = text.split(', "cells": ', 1)
     cells_list = cells[:cells.index("]]}]") + 4]
+    first = cells_list[1:cells_list.index("]]}") + 3]
+    outside = '{"row": 5000, "col": 0, "edges": [[0, 1]]}'
     corpus += [
         text.replace('"cells": ', '"cells": [], "cells": ', 1),
         text.replace('"side": ', '"side": 9, "side": ', 1),
@@ -369,6 +371,11 @@ def _differential_corpus():
         text.replace('"row": 4', '"row": 5000', 1),
         text.replace('"row": 1', '"row": 5000', 1).replace('"col": 4', '"col" 4', 1),
         text.replace('"row": 2', '"row": 5000', 1).replace('"n": 6', '"n": 1', 1),
+        # a cell twice: right after itself, as the last cell, and before a
+        # cell outside the array, whose error must not win
+        text.replace(first, first + ", " + first, 1),
+        text.replace(cells_list, cells_list[:-1] + ", " + first + "]", 1),
+        text.replace(cells_list, "[" + first + ", " + cells_list[1:-1] + ", " + outside + "]", 1),
     ]
     return bases, corpus
 
@@ -421,6 +428,20 @@ def test_sliced_read_never_holds_the_whole_parsed_json():
     for text in texts:
         assert formats._read_sliced(text)[0] == res.design
         assert peak(loads_design, text) <= peak(_read_whole, text) / 2
+
+    # the writer's layout reads back into the builder's lists, and reading
+    # holds little beyond what the design keeps
+    tracemalloc.start()
+    try:
+        arr = loads_design(texts[0])[0]
+        kept, most = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    built = res.design
+    assert (arr.rows, arr.cols, arr.sizes, arr.points) == (
+        built.rows, built.cols, built.sizes, built.points
+    )
+    assert most <= 1.75 * kept, (most, kept)
 
 
 def test_cell_that_is_no_matching_parses_and_fails_verify():
