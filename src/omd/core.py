@@ -173,10 +173,6 @@ class DesignArray:
         caller looking up many cells takes the view once instead."""
         return self.cells.get((row, col))
 
-    def occupied(self) -> list[tuple[Cell, Block]]:
-        """Occupied cells and their blocks in (row, col) order."""
-        return sorted(self.cells.items(), key=itemgetter(0))
-
 
 @dataclass(frozen=True)
 class Hole:

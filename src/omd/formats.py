@@ -54,9 +54,10 @@ def _require_int(value: Any, where: str) -> int:
 
 
 def design_to_dict(arr: DesignArray, meta: dict | None = None) -> dict:
+    arr = arr.row_major()
     cells = [
         {"row": r, "col": c, "edges": [[u, v] for u, v in block]}
-        for (r, c), block in arr.occupied()
+        for r, c, block in zip(arr.rows, arr.cols, arr.blocks())
     ]
     return _design_dict(arr, cells, meta)
 

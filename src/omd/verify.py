@@ -8,10 +8,11 @@ follows the cells, not what the header claims. Reports carry one entry
 per condition with the first counterexample found.
 
 verify reads a DesignArray's flat lists in (row, col) order, so each row
-is one run of cells, and settles whether each condition holds with bulk
-passes run in C (map, set, slices, a bytearray of pair marks); only a
-condition that fails is walked cell, line or pair in order to say where
-it fails.
+is one run of cells. One loop over the rows, and one over the columns
+grouped once, tests each line's set of points and sorts the points of
+failing lines only until one names its fault. The blocks and pairs are
+settled by bulk passes run in C (map, set, slices, a bytearray of pair
+marks); only one that fails is walked cell or pair in order to say where.
 
 brute_force_exists settles existence for small parameters by exhaustive
 backtracking and is the independent ground truth the constructors are
@@ -23,10 +24,9 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
-from operator import add, itemgetter, lt, mul, sub
+from operator import add, itemgetter, lt, mul, ne, sub
 
 from .core import Block, Cell, DesignArray, Hole, Transversal, canonical_block
 from .errors import SearchExhausted
@@ -72,19 +72,15 @@ class VerificationReport:
         }
 
 
-def _first_miscount(points: list[int], n: int) -> tuple[int, int] | None:
-    """(point, count) for the first point of 0..n-1 not covered once, or None."""
-    counts = Counter(points)
-    if len(points) == n and counts.keys() == set(range(n)):
-        return None
-    expect = 0
-    for p in sorted(p for p in counts if 0 <= p < n):
-        if p != expect:
-            return expect, 0
-        if counts[p] != 1:
-            return p, counts[p]
-        expect += 1
-    return (expect, 0) if expect < n else None
+def _first_fault(points: list[int], n: int) -> tuple[int, int] | None:
+    """(point, count) for the first point of 0..n-1 not covered once, or None.
+    In the sorted points of 0..n-1, the first index j not holding j is a gap
+    at j, or a repeat of j - 1 when it holds j - 1."""
+    held = sorted(p for p in points if 0 <= p < n)
+    j = next(compress(count(), map(ne, held, count())), len(held))
+    if j < len(held) and held[j] < j:
+        return held[j], held.count(held[j])
+    return (j, 0) if j < n else None
 
 
 def _block_fault(r: int, c: int, block: Block, side: int, n: int, k: int) -> str | None:
@@ -135,41 +131,14 @@ def _pair_detail(n: int, edges: list) -> str | None:
     return f"pair {edge} covered {placed[edge]} times"
 
 
-def _inside(arr: DesignArray) -> DesignArray:
-    """The cells of arr inside the array, in arr's order."""
-    side, ends = arr.side, arr.ends()
-    keep = [0 <= r < side and 0 <= c < side for r, c in zip(arr.rows, arr.cols)]
-    blocks = map(arr.points.__getitem__, map(slice, ends, islice(ends, 1, None)))
-    return DesignArray.of_arrays(
-        side,
-        arr.n,
-        arr.k,
-        list(compress(arr.rows, keep)),
-        list(compress(arr.cols, keep)),
-        list(compress(arr.sizes, keep)),
-        list(chain.from_iterable(compress(blocks, keep))),
-    )
-
-
 def _bounds(keys: list, count: int) -> list[int]:
     """Where each of 0..count starts in the sorted keys."""
     return list(map(bisect_left, repeat(keys), range(count + 1)))
 
 
-def _rows(arr: DesignArray, count: int) -> tuple:
-    """Where each of rows 0..count-1 of row-major arr starts, and last
-    where the rows before count end; and a function from a row to its
-    points, which its cells hold in one run."""
-    row_at, ends, points = _bounds(arr.rows, count), arr.ends(), arr.points
-
-    def row_points(i: int) -> list[int]:
-        return points[ends[row_at[i]]:ends[row_at[i + 1]]]
-
-    return row_at, row_points
-
-
 def _columns(arr: DesignArray, count: int) -> tuple:
-    """_rows for columns, the cells grouped by column once."""
+    """Where each of columns 0..count starts among the cells grouped by
+    column once, and a function from such bounds to their points."""
     cols = arr.cols
     order = sorted(range(len(cols)), key=cols.__getitem__)
     col_at = _bounds(list(map(cols.__getitem__, order)), count)
@@ -177,8 +146,7 @@ def _columns(arr: DesignArray, count: int) -> tuple:
     strides = arr.strides(order)
     if strides is not None:
 
-        def col_points(c: int) -> list[int]:
-            a, b = col_at[c], col_at[c + 1]
+        def col_points(a: int, b: int) -> list[int]:
             return list(chain.from_iterable(stride[a:b] for stride in strides))
 
     else:
@@ -186,35 +154,30 @@ def _columns(arr: DesignArray, count: int) -> tuple:
         starts = list(map(ends.__getitem__, order))
         stops = list(map(ends.__getitem__, map(add, order, repeat(1))))
 
-        def col_points(c: int) -> list[int]:
-            a, b = col_at[c], col_at[c + 1]
+        def col_points(a: int, b: int) -> list[int]:
             blocks = map(points.__getitem__, map(slice, starts[a:b], stops[a:b]))
             return list(chain.from_iterable(blocks))
 
     return col_at, col_points
 
 
-def _unresolved(lines: Iterable[list], n: int) -> list[int]:
-    """Indices of the lines that are not n points making up 0..n-1. The set
-    of 0..n-1 is built at the first line of n points, so the work follows
-    the lines, not n."""
-    full, bad = None, []
-    for i, line in enumerate(lines):
+def _lines(at: list[int], points_of, label: str, n: int) -> tuple:
+    """The indices of the lines that are not n points making up 0..n-1, and
+    the first of them that does not cover 0..n-1 once, named. Line i holds
+    the points_of(at[i], at[i + 1]). The set of 0..n-1 is built at the
+    first line of n points, so the work follows the lines, not n."""
+    full, bad, detail = None, [], None
+    for i, a, b in zip(count(), at, islice(at, 1, None)):
+        line = points_of(a, b)
         if len(line) == n:
             full = full or set(range(n))
             if full == set(line):
                 continue
         bad.append(i)
-    return bad
-
-
-def _line_detail(label: str, suspects: list[int], points_of, n: int) -> str | None:
-    """The first suspect line that does not cover 0..n-1 once, named."""
-    for i in suspects:
-        miss = _first_miscount(points_of(i), n)
-        if miss is not None:
-            return f"{label} {i} covers point {miss[0]} {miss[1]} times"
-    return None
+        fault = detail is None and _first_fault(line, n)
+        if fault:
+            detail = f"{label} {i} covers point {fault[0]} {fault[1]} times"
+    return bad, detail
 
 
 def verify(arr: DesignArray) -> VerificationReport:
@@ -224,35 +187,39 @@ def verify(arr: DesignArray) -> VerificationReport:
     every row and column a resolution class, every host edge covered
     exactly once and nothing else. All checks run even after a failure so
     the report is complete. The cells are read in (row, col) order, as
-    the builders write them; others are sorted first. Bulk passes over
-    the lists settle whether each condition holds: each row is one run of
-    cells, the cells are grouped by column once, and the pairs mark one
-    byte each. Only a condition that fails is walked cell by cell, line by
-    line or pair by pair, to name its first counterexample. ValueError
-    when a cell is held twice.
+    the builders write them; others are sorted first. Each row is one run
+    of cells and the cells are grouped by column once; one pass over the
+    lines of each kind tests each with a set and names the first that does
+    not cover 0..n-1 once. Bulk passes settle the blocks and the pairs,
+    which mark one byte each; only one that fails is walked cell by cell
+    or pair by pair, to name its first counterexample. ValueError when a
+    cell is held twice.
     """
     n, side, k = arr.n, arr.side, arr.k
     # each row covers every point once and each block uses one edge at each
     # point it covers, so the side is the degree of K_n, n - 1
-    if side != n - 1:
-        shape = Check("host-shape", False, f"side is {side}, host requires {n - 1}")
-    else:
-        shape = Check("host-shape", True)
+    host_detail = None if side == n - 1 else f"side is {side}, host requires {n - 1}"
 
     arr = arr.row_major()
     rows, cols, points, ends = arr.rows, arr.cols, arr.points, arr.ends()
     m = len(rows)
     inside = not m or 0 <= rows[0] and rows[-1] < side
     inside = inside and (not m or 0 <= min(cols) and max(cols) < side)
-    held = arr if inside else _inside(arr)
+    held = arr
+    if not inside:
+        cells = arr.cells.items()
+        kept = {cell: b for cell, b in cells if 0 <= min(cell) and max(cell) < side}
+        held = DesignArray(side, n, k, kept)
     # with fewer cells than lines, one of lines 0..cells is empty and no
     # later line can hold the first fault, so the work follows the cells
     count = side if m >= side else len(held.rows) + 1
-    row_at, row_points = _rows(held, count)
+    row_at = _bounds(held.rows, count)
     col_at, col_points = _columns(held, count)
-    bad_rows = _unresolved(map(row_points, range(count)), n)
-    bad_cols = _unresolved(map(col_points, range(count)), n)
-
+    held_points, held_ends = held.points, held.ends()
+    bad_rows, row_detail = _lines(
+        row_at, lambda a, b: held_points[held_ends[a]:held_ends[b]], "row", n
+    )
+    _, col_detail = _lines(col_at, col_points, "column", n)
     # a row holding 0..n-1 once holds no block with a point repeated or
     # outside 0..n-1, so only the blocks of the other rows are tested for it
     unchecked = chain(
@@ -267,11 +234,8 @@ def verify(arr: DesignArray) -> VerificationReport:
             for block in (points[ends[q]:ends[q + 1]] for q in unchecked)
         )
     )
-    block_detail = None
-    if not shaped:
-        shape_of = repeat(side), repeat(n), repeat(k)
-        faults = map(_block_fault, rows, cols, arr.blocks(), *shape_of)
-        block_detail = next(filter(None, faults), None)
+    faults = map(_block_fault, rows, cols, arr.blocks(), *map(repeat, (side, n, k)))
+    block_detail = None if shaped else next(filter(None, faults), None)
 
     # n(n-1)/2 canonical edges on 0..n-1 make up K_n when each marks its own
     # byte u * n + v; that many bytes follow the cells
@@ -281,27 +245,21 @@ def verify(arr: DesignArray) -> VerificationReport:
         us, vs = islice(points, 0, None, 2), islice(points, 1, None, 2)
         any(map(marks.__setitem__, map(add, map(mul, us, repeat(n)), vs), repeat(1)))
         pairs = marks.count(1) == m * k
-    pair_detail = None
-    if not pairs:
-        pair_detail = _pair_detail(n, list(zip(points[0::2], points[1::2])))
+    pair_detail = None if pairs else _pair_detail(n, list(zip(points[::2], points[1::2])))
 
-    details = (
-        ("block-shape", block_detail),
-        ("row-resolution", _line_detail("row", bad_rows, row_points, n)),
-        ("column-resolution", _line_detail("column", bad_cols, col_points, n)),
-        ("pair-coverage", pair_detail),
-    )
-    checks = (shape, *(Check(name, d is None, d) for name, d in details))
+    details = {
+        "host-shape": host_detail,
+        "block-shape": block_detail,
+        "row-resolution": row_detail,
+        "column-resolution": col_detail,
+        "pair-coverage": pair_detail,
+    }
+    checks = tuple(Check(name, d is None, d) for name, d in details.items())
     # the per-line counts are left out when a line is empty for want of cells
     counts = [tuple(map(sub, islice(at, 1, None), at)) for at in (row_at, col_at)]
     row_blocks, col_blocks = counts if m >= side else ((), ())
-    return VerificationReport(
-        passed=all(c.passed for c in checks),
-        checks=checks,
-        total_blocks=m,
-        row_blocks=row_blocks,
-        col_blocks=col_blocks,
-    )
+    passed = all(c.passed for c in checks)
+    return VerificationReport(passed, checks, m, row_blocks, col_blocks)
 
 
 def _permutation_fault(cells, axis: int, side: int) -> str | None:
@@ -346,7 +304,7 @@ def verify_transversal(arr: DesignArray, transversal: Transversal) -> Verificati
     found = _held(arr, Counter((r, c) for r, c in transversal))
     ends, points = arr.ends(), arr.points
     chosen = [points[ends[i]:ends[i + 1]] * times for i, times in found]
-    miss = _first_miscount(list(chain.from_iterable(chosen)), arr.n)
+    miss = _first_fault(list(chain.from_iterable(chosen)), arr.n)
     cover_detail = None
     if miss is not None:
         cover_detail = f"point {miss[0]} appears {miss[1]} times in the chosen cells"
@@ -377,9 +335,10 @@ def verify_hole(arr: DesignArray, hole: Hole) -> VerificationReport:
 
     empty_detail = None
     if range_detail is None:
-        cells = arr.cells
-        held = ((r, c) for r in hole.rows for c in hole.cols if (r, c) in cells)
-        cell = next(held, None)
+        # the first held cell in (row, col) order is the smallest in the hole
+        arr, rows, cols = arr.row_major(), set(hole.rows), set(hole.cols)
+        cells = zip(arr.rows, arr.cols)
+        cell = next((c for c in cells if c[0] in rows and c[1] in cols), None)
         empty_detail = cell and f"cell {cell} inside the hole holds a block"
     checks.append(Check("hole-cells-empty", empty_detail is None, empty_detail))
 

@@ -9,6 +9,8 @@ mutants below, half of them given to DesignArray in shuffled cell order,
 compare two independent readings of each condition.
 """
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -111,6 +113,29 @@ def test_verify_agrees_with_the_reference_checker(seed):
         verdicts = tuple(c.passed for c in report.checks)
         assert verdicts == reference_checks(mutant), sorted(mutant.cells.items())
         assert report.passed == all(verdicts)
+
+
+# per seed, the sha256 of json.dumps(report.to_dict(), sort_keys=True) of
+# each of the test above's mutants in turn: every check's detail and every
+# line count, not only the verdicts, recorded before verify's line checks
+# became one routine
+REPORT_DIGESTS = {
+    0: "5622c4d385fb036c386f0eafedc83a1847cb4f31609b077a2b57db18b4d54a13",
+    1: "22d2b6af1b6133eff960dd9d94a1d049665621cc1877fb812150418a95269b1c",
+    2: "08e30a8309a9fbd3bd1bfd5cc606c2f87bc560d8b083ec248992fa153363ac09",
+    3: "16d053cc5baa57a3454903454341e47ff2f73119b1b48a22fa6d0165201f3f6e",
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutant_reports_are_pinned(seed):
+    rng = random.Random(seed)
+    designs = _designs()
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        report = verify(_mutant(rng.choice(designs), rng))
+        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == REPORT_DIGESTS[seed]
 
 
 # one design per construction path, with its transversal

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -191,7 +192,8 @@ def _product_deletion():
 
 def _product_swap():
     arr = construct(80, 2).design
-    (a, first), (b, last) = arr.occupied()[0], arr.occupied()[-1]
+    items = sorted(arr.cells.items())
+    (a, first), (b, last) = items[0], items[-1]
     return _edit(arr, put={a: last, b: first})
 
 
@@ -339,6 +341,15 @@ def test_transversal_names_the_first_repeated_row_at_scale():
     assert report.checks[0].detail == "row 0 is not chosen"
 
 
+def test_line_names_a_point_covered_three_times():
+    arr = build_room(10)[0]
+    row = sorted(cell for cell in arr.cells if cell[0] == 0)
+    first = next(cell for cell in row if 0 in arr.cells[cell][0])
+    others = [cell for cell in row if cell != first][:2]
+    report = verify(_edit(arr, put={cell: arr.cells[first] for cell in others}))
+    assert report.checks[2].detail == "row 0 covers point 0 3 times"
+
+
 def test_hole_of_diagonal_design():
     arr, _, hole = build_2k(3)
     assert verify_hole(arr, hole).passed
@@ -346,6 +357,18 @@ def test_hole_of_diagonal_design():
     report = verify_hole(arr, Hole((0,), (0,)))
     assert not report.passed
     assert "holds a block" in report.failure()
+
+
+def test_hole_names_its_smallest_held_cell_in_any_cell_order():
+    arr = build_room(12)[0]
+    items = list(arr.cells.items())
+    random.Random(0).shuffle(items)
+    shuffled = DesignArray(arr.side, arr.n, arr.k, dict(items))
+    hole = Hole((9, 2, 5), (8, 3, 7))
+    held = [cell for cell in arr.cells if cell[0] in hole.rows and cell[1] in hole.cols]
+    assert len(held) > 1
+    report = verify_hole(shuffled, hole)
+    assert report.failure() == f"hole-cells-empty: cell {min(held)} inside the hole holds a block"
 
 
 def test_hole_range_check():
