@@ -5,8 +5,10 @@ transversal, every point is split into s copies. Each outer cell grows
 into an s x s block, and s - 1 extra rows and columns are appended, for a
 side of s(m-1) + s - 1 = sm - 1. The ingredients are always the s factors
 of ofact_bipartite(s), which partition the doubled edge K_{s,s}, and
-build_2k(s), on K_{2s} with its hole of size s - 1. Cells on the outer
-transversal receive a copy of build_2k(s) with its hole rows and columns
+build_2k(s), on K_{2s} with its hole of size s - 1. build_2k(s)'s layout
+is fixed (factor f of ofact_complete(2s) at (f, f), the hole rows 0..s-2 x
+columns s..2s-2), so it is laid from those factors without being built.
+Cells on the outer transversal receive it with its hole rows and columns
 laid onto the extra rows and columns; every other filled cell grows into
 an s x s block with factor t at its diagonal cell (t, t). The copies tile
 the new edge set exactly once, which the verifier confirms on every output.
@@ -24,7 +26,7 @@ from .core import DesignArray, Transversal
 from .errors import NonExistent, VerificationFailed
 from .room import DEFAULT_BUDGET, build_room
 from .bases import build_2k, build_4k, build_6k
-from .factorizations import ofact_bipartite
+from .factorizations import ofact_bipartite, ofact_complete
 from .verify import VerificationReport, verify, verify_transversal
 
 
@@ -33,25 +35,15 @@ def _expand(
 ) -> tuple[DesignArray, Transversal]:
     """Blow up a single-edge outer design by s; no checks.
     A cell off the outer transversal takes factor t of ofact_bipartite(s)
-    at (t, t); one on it takes build_2k(s). The transversal is the union of
-    build_2k(s)'s back diagonal images in every outer transversal cell,
+    at (t, t); one on it takes build_2k(s) with its hole rows laid last, so
+    its row p holds factor (p + s - 1) mod (2s - 1) of ofact_complete(2s):
+    row 0 at column s - 1, row t in 1..s-1 at extra column t - 1, and extra
+    row e at column e. The transversal is build_2k(s)'s back diagonal, so
+    laid at ((s - 1 - c) mod (2s - 1), c), in every outer transversal cell,
     empty or not (hole images coincide). The cells are written in (row,
     col) order: each outer row's s rows, then the s - 1 extra rows."""
-    big, big_transversal, hole = build_2k(s)
-    # build_2k's rows and columns in the order they are laid out: first
-    # those outside the hole, then the hole's, which go to the extra lines
-    row_order = [r for r in range(big.side) if r not in hole.rows] + list(hole.rows)
-    col_order = [c for c in range(big.side) if c not in hole.cols] + list(hole.cols)
-    row_at = {r: p for p, r in enumerate(row_order)}
-    col_at = {c: p for p, c in enumerate(col_order)}
-    # build_2k's cells by laid-out row, each as (column, endpoints) in order
-    big_rows: list[list] = [[] for _ in range(big.side)]
-    for (r, c), block in big.cells.items():
-        big_rows[row_at[r]].append((col_at[c], [p for e in block for p in e]))
-    for line in big_rows:
-        line.sort()
-    big_chosen = [(row_at[r], col_at[c]) for r, c in big_transversal]
     factors = [[p for e in factor for p in e] for factor in ofact_bipartite(s)]
+    big = [[p for e in factor for p in e] for factor in ofact_complete(2 * s)]
     extra = s * outer.side
 
     def lines(x: int) -> list[int]:
@@ -61,7 +53,7 @@ def _expand(
     chosen = set()
     for i, j in outer_transversal:
         rows, cols = lines(i), lines(j)
-        chosen.update((rows[r], cols[c]) for r, c in big_chosen)
+        chosen.update((rows[(s - 1 - c) % (2 * s - 1)], cols[c]) for c in range(2 * s - 1))
     on_transversal = set(outer_transversal)
     outer = outer.row_major()
     orows, ocols, opoints = outer.rows, outer.cols, outer.points
@@ -76,33 +68,30 @@ def _expand(
             u, v = opoints[2 * q], opoints[2 * q + 1]
             pmap = [*range(u * s, u * s + s), *range(v * s, v * s + s)]
             row_cells.append((ocols[q] * s, pmap, (i, ocols[q]) in on_transversal))
-        placed += [(base, pmap) for base, pmap, on in row_cells if on]
+        row_chosen = [(base, pmap) for base, pmap, on in row_cells if on]
+        placed += row_chosen
         for t in range(s):
-            before, tail = len(cols), []
+            before = len(cols)
             for base, pmap, on in row_cells:
                 if not on:
                     cols.append(base + t)
                     points += map(pmap.__getitem__, factors[t])
-                    continue
-                for c, block in big_rows[t]:
-                    if c < s:
-                        cols.append(base + c)
-                        points += map(pmap.__getitem__, block)
-                    else:
-                        tail.append((extra + c - s, [*map(pmap.__getitem__, block)]))
-            for c, block in sorted(tail):
-                cols.append(c)
-                points += block
+                elif t == 0:
+                    cols.append(base + s - 1)
+                    points += map(pmap.__getitem__, big[s - 1])
+            # rows 1..s-1 of build_2k(s) lie in the extra columns, last
+            if t:
+                for _, pmap in row_chosen:
+                    cols.append(extra + t - 1)
+                    points += map(pmap.__getitem__, big[t + s - 1])
             rows += repeat(i * s + t, len(cols) - before)
     # the hole leaves build_2k's extra rows no cell in the extra columns
     placed.sort()
     for e in range(s - 1):
-        before = len(cols)
+        rows += repeat(extra + e, len(placed))
         for base, pmap in placed:
-            for c, block in big_rows[s + e]:
-                cols.append(base + c)
-                points += map(pmap.__getitem__, block)
-        rows += repeat(extra + e, len(cols) - before)
+            cols.append(base + e)
+            points += map(pmap.__getitem__, big[e])
     design = DesignArray.of_arrays(
         extra + s - 1, s * outer.n, s, rows, cols, [s] * len(cols), points
     )

@@ -106,23 +106,23 @@ def _group(keys, values) -> defaultdict:
     return groups
 
 
-def _pair_detail(n: int, edges: list) -> str | None:
-    """First placed pair that is foreign or repeated, else the first gap.
-    If each u's placed ends v are distinct and inside u+1..n-1, they cover
-    K_n when they number n(n-1)/2, else the first u with fewer than
-    n-1-u ends holds the gap; otherwise the pairs are walked."""
-    ends = _group(map(itemgetter(0), edges), map(itemgetter(1), edges))
+def _pair_detail(n: int, points: list[int]) -> str | None:
+    """First placed pair (u, v), two flat points, foreign or repeated, else
+    the first gap. If each u's placed ends v are distinct and inside
+    u+1..n-1, they cover K_n when they number n(n-1)/2, else the first u
+    with fewer than n-1-u ends holds the gap; else the pairs are counted."""
+    ends = _group(islice(points, 0, None, 2), islice(points, 1, None, 2))
     if all(
         0 <= u < min(vs) and max(vs) < n and len(set(vs)) == len(vs)
         for u, vs in ends.items()
     ):
-        if len(edges) == n * (n - 1) // 2:
+        if len(points) == n * (n - 1):
             return None
         u = next(u for u in range(n) if len(ends.get(u, ())) < n - 1 - u)
         vs = set(ends.get(u, ()))
         v = next(v for v in range(u + 1, n) if v not in vs)
         return f"host edge {(u, v)} is uncovered"
-    placed = Counter(edges)
+    placed = Counter(zip(islice(points, 0, None, 2), islice(points, 1, None, 2)))
     foreign = {(u, v) for u, v in placed if not 0 <= u < v < n}
     repeated = [e for e, times in placed.items() if times > 1]
     edge = min([*foreign, *repeated])
@@ -245,7 +245,7 @@ def verify(arr: DesignArray) -> VerificationReport:
         us, vs = islice(points, 0, None, 2), islice(points, 1, None, 2)
         any(map(marks.__setitem__, map(add, map(mul, us, repeat(n)), vs), repeat(1)))
         pairs = marks.count(1) == m * k
-    pair_detail = None if pairs else _pair_detail(n, list(zip(points[::2], points[1::2])))
+    pair_detail = None if pairs else _pair_detail(n, points)
 
     details = {
         "host-shape": host_detail,

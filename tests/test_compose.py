@@ -7,6 +7,7 @@ from omd.bases import build_2k
 from omd.compose import _expand, construct
 from omd.core import canonical_block
 from omd.errors import NonExistent
+from omd.factorizations import ofact_complete
 from omd.formats import dumps_design
 from omd.room import build_room
 from omd.verify import verify
@@ -30,13 +31,20 @@ def test_compose_matches_construct(m, s):
     assert design == construct(s * m, s).design
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_identity_expansion(k):
-    """Blowing up the one-cell design reproduces the order-2k design."""
-    outer, outer_t, _ = build_2k(1)
-    design, _transversal = _expand(outer, outer_t, k)
-    assert design.side == 2 * k - 1
-    assert design.n == 2 * k
+@pytest.mark.parametrize("s", range(1, 13))
+def test_identity_expansion(s):
+    """Blowing up the one-cell design reproduces the order-2s design with
+    row r at (r - s + 1) mod (2s - 1). _expand lays build_2k(s) from its
+    fixed layout without building it: factor f of ofact_complete(2s) at
+    (f, f), the hole rows 0..s-2 x columns s..2s-2."""
+    big, transversal, hole = build_2k(s)
+    side = 2 * s - 1
+    assert big.cells == {(f, f): factor for f, factor in enumerate(ofact_complete(2 * s))}
+    assert (hole.rows, hole.cols) == (tuple(range(s - 1)), tuple(range(s, side)))
+    design, laid = _expand(*build_2k(1)[:2], s)
+    assert (design.side, design.n, design.k) == (side, 2 * s, s)
+    assert design.cells == {((r - s + 1) % side, c): b for (r, c), b in big.cells.items()}
+    assert laid == tuple(sorted(((r - s + 1) % side, c) for r, c in transversal))
     assert verify(design).passed
 
 

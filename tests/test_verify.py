@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -283,6 +284,25 @@ def test_failure_reports_at_scale_are_pinned(case):
     assert [c.passed for c in report.checks] == [d is None for d in details]
     text = json.dumps(report.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _traced_peak(arr):
+    """verify(arr)'s tracemalloc peak in bytes, counted from its call."""
+    tracemalloc.start()
+    try:
+        verify(arr)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_deleted_cell_costs_verify_little_more_memory_than_none():
+    """Naming a pair fault reads the flat endpoints: no tuple per edge."""
+    design = construct(400, 2).design
+    valid = _edit(design)
+    mutant = _edit(design, drop=[list(design.cells)[len(design.rows) // 2]])
+    assert not verify(mutant).checks[4].passed
+    assert _traced_peak(mutant) <= 1.25 * _traced_peak(valid)
 
 
 def test_transversal_back_diagonal_passes():
