@@ -112,18 +112,6 @@ class DesignArray:
             return range(0, 2 * size * len(self.sizes) + 1, 2 * size)
         return list(accumulate(map(mul, self.sizes, repeat(2)), initial=0))
 
-    def strides(self, order: list[int] | None = None) -> list[list[int]] | None:
-        """When every cell holds as many edges, one list per endpoint
-        position j, holding each cell's j-th endpoint in array order, or
-        cell order[i]'s at i when order is given; else None."""
-        size = self._size()
-        if not size:
-            return None
-        step, points = 2 * size, self.points
-        if order is None:
-            return [points[j::step] for j in range(step)]
-        return [list(map(points[j::step].__getitem__, order)) for j in range(step)]
-
     def blocks(self) -> Iterator[Block]:
         """Each cell's block, as stored, in array order."""
         points = iter(self.points)

@@ -147,27 +147,43 @@ def _read_cells(entries: list, arr: DesignArray, seen: set[int]) -> None:
         points += sum(edges, ())
 
 
+class _Texts(dict):
+    """fmt % v for each int v: made for 0..size-1 at once, others on demand."""
+
+    def __init__(self, fmt: str, size: int) -> None:
+        super().__init__(zip(range(size), map(fmt.__mod__, range(size))))
+        self.fmt = fmt
+
+    def __missing__(self, value: int) -> str:
+        return self.fmt % value
+
+
 def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
     """json.dumps(design_to_dict(arr, meta)) + "\\n", byte for byte: one line
     with the default separators, which loads_design reads back along with
     any other JSON whitespace. The header, host and meta go through
-    json.dumps; the cells are one % format over (row, col, u, v, ...) in
-    (row, col) order, which arrays not already in it are sorted into."""
+    json.dumps. When every cell holds k edges, k >= 1, the cells are one
+    join, in (row, col) order, of a text per value that holds it and the
+    layout up to the next value: '{"row": 7, "col": ', '12, "edges": [[',
+    '3, ' and '40]]}, ' for a cell of one edge. Arrays not in that order
+    are sorted into it first; others go through json.dumps whole."""
     arr = arr.row_major()
-    text = json.dumps(_design_dict(arr, [], meta))
-    sizes = arr.sizes
-    cell = '{"row": %%d, "col": %%d, "edges": [%s]}'
-    templates = {size: cell % ", ".join(["[%d, %d]"] * size) for size in set(sizes)}
-    strides = arr.strides()
-    if strides is not None:
-        values = chain.from_iterable(zip(arr.rows, arr.cols, *strides))
-    else:
-        ends = arr.ends()
-        blocks = map(arr.points.__getitem__, map(slice, ends, islice(ends, 1, None)))
-        values = chain.from_iterable(map(chain, zip(arr.rows, arr.cols), blocks))
-    cells = ", ".join(map(templates.__getitem__, sizes)) % tuple(values)
-    # host comes first and cannot hold this text, so it is the cells key
-    return text.replace('"cells": []', '"cells": [' + cells + "]", 1) + "\n"
+    n, k, side, step = arr.n, arr.k, arr.side, 2 * arr.k
+    if k < 1 or arr.sizes.count(k) < len(arr.sizes):
+        return json.dumps(design_to_dict(arr, meta)) + "\n"
+    # host comes first and cannot hold this text, so it opens the cells
+    head, key, tail = json.dumps(_design_dict(arr, [], meta)).partition('"cells": [')
+    first, middle, last = (_Texts(f, n).__getitem__ for f in ("%d, ", "%d], [", "%d]]}, "))
+    ends = [first, middle] * (k - 1) + [first, last]
+    points = [map(end, islice(arr.points, j, None, step)) for j, end in enumerate(ends)]
+    rows = map(_Texts('{"row": %d, "col": ', side).__getitem__, arr.rows)
+    cols = map(_Texts('%d, "edges": [[', side).__getitem__, arr.cols)
+    pieces = [head, key]
+    pieces += chain.from_iterable(zip(rows, cols, *points))
+    if len(pieces) > 2:  # no ", " after the last cell
+        pieces[-1] = pieces[-1][:-2]
+    pieces += (tail, "\n")
+    return "".join(pieces)
 
 
 def loads_design(text: str | bytes) -> tuple[DesignArray, Transversal | None]:

@@ -8,11 +8,13 @@ follows the cells, not what the header claims. Reports carry one entry
 per condition with the first counterexample found.
 
 verify reads a DesignArray's flat lists in (row, col) order, so each row
-is one run of cells. One loop over the rows, and one over the columns
-grouped once, tests each line's set of points and sorts the points of
-failing lines only until one names its fault. The blocks and pairs are
-settled by bulk passes run in C (map, set, slices, a bytearray of pair
-marks); only one that fails is walked cell or pair in order to say where.
+is one run of cells, and one loop over the rows tests each row's set of
+points. Once the blocks are found to be k canonical edges on 0..n-1 inside
+the array, two byte tables settle the columns and the pairs: one byte per
+(column, point) and one per (point, point), each marked by its cells in
+one pass. Only a failing check is walked, cell, line or pair, to say
+where; the columns are grouped by sorting the cells only when no table
+fits, for blocks that are not so shaped or cells too few for its bytes.
 
 brute_force_exists settles existence for small parameters by exhaustive
 backtracking and is the independent ground truth the constructors are
@@ -26,7 +28,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
-from operator import add, itemgetter, lt, mul, ne, sub
+from operator import add, eq, itemgetter, lt, ne, sub
 
 from .core import Block, Cell, DesignArray, Hole, Transversal, canonical_block
 from .errors import SearchExhausted
@@ -139,24 +141,15 @@ def _bounds(keys: list, count: int) -> list[int]:
 def _columns(arr: DesignArray, count: int) -> tuple:
     """Where each of columns 0..count starts among the cells grouped by
     column once, and a function from such bounds to their points."""
-    cols = arr.cols
+    cols, ends, points = arr.cols, arr.ends(), arr.points
     order = sorted(range(len(cols)), key=cols.__getitem__)
     col_at = _bounds(list(map(cols.__getitem__, order)), count)
-    # as many edges to every cell: each stride is put in column order once
-    strides = arr.strides(order)
-    if strides is not None:
+    starts = list(map(ends.__getitem__, order))
+    stops = list(map(ends.__getitem__, map(add, order, repeat(1))))
 
-        def col_points(a: int, b: int) -> list[int]:
-            return list(chain.from_iterable(stride[a:b] for stride in strides))
-
-    else:
-        ends, points = arr.ends(), arr.points
-        starts = list(map(ends.__getitem__, order))
-        stops = list(map(ends.__getitem__, map(add, order, repeat(1))))
-
-        def col_points(a: int, b: int) -> list[int]:
-            blocks = map(points.__getitem__, map(slice, starts[a:b], stops[a:b]))
-            return list(chain.from_iterable(blocks))
+    def col_points(a: int, b: int) -> list[int]:
+        blocks = map(points.__getitem__, map(slice, starts[a:b], stops[a:b]))
+        return list(chain.from_iterable(blocks))
 
     return col_at, col_points
 
@@ -180,6 +173,48 @@ def _lines(at: list[int], points_of, label: str, n: int) -> tuple:
     return bad, detail
 
 
+def _column_table(cols: list[int], points: list[int], side: int, n: int, k: int) -> tuple:
+    """The first column that does not cover 0..n-1 once, named, or None, and
+    each column's count of cells, for cells inside the array that each hold
+    k edges on 0..n-1. Byte c * n + p of a table marks point p in column c;
+    when side * n points mark every byte, each column holds n / 2k cells."""
+    # each column's first byte is looked up, not multiplied: no new int
+    step, marks, at = 2 * k, bytearray(side * n), list(range(0, side * n, n))
+    for j in range(step):
+        for code in map(add, map(at.__getitem__, cols), islice(points, j, None, step)):
+            marks[code] = 1
+    if len(points) == side * n and 0 not in marks:
+        return None, (n // step,) * side
+    # the first column with a byte unmarked or other than n / 2k cells
+    counts, gap = Counter(cols), marks.find(0)
+    short = (c for c in range(side) if counts[c] * step != n)
+    c = min(gap // n if gap >= 0 else side, next(short, side))
+    cells = compress(count(), map(eq, cols, repeat(c)))
+    line = [p for i in cells for p in points[i * step:i * step + step]]
+    point, times = _first_fault(line, n)
+    detail = f"column {c} covers point {point} {times} times"
+    return detail, tuple(map(counts.__getitem__, range(side)))
+
+
+def _pair_table(points: list[int], n: int) -> str | None:
+    """The pair detail of flat canonical edges on 0..n-1. Byte u * n + v of
+    a table marks edge (u, v); as many edges as bytes marked are distinct,
+    and they make up K_n when they number n(n-1)/2, else the first byte
+    above the diagonal left unmarked is the first gap."""
+    marks, at = bytearray(n * n), list(range(0, n * n, n))
+    us, vs = islice(points, 0, None, 2), islice(points, 1, None, 2)
+    for code in map(add, map(at.__getitem__, us), vs):
+        marks[code] = 1
+    edges = len(points) // 2
+    if marks.count(1) < edges:
+        return _pair_detail(n, points)
+    if edges == n * (n - 1) // 2:
+        return None
+    gaps = (marks.find(0, u * n + u + 1, u * n + n) - u * n for u in range(n))
+    u, v = next((u, v) for u, v in enumerate(gaps) if v > u)
+    return f"host edge {(u, v)} is uncovered"
+
+
 def verify(arr: DesignArray) -> VerificationReport:
     """Check the three design conditions against the host graph.
 
@@ -188,12 +223,13 @@ def verify(arr: DesignArray) -> VerificationReport:
     exactly once and nothing else. All checks run even after a failure so
     the report is complete. The cells are read in (row, col) order, as
     the builders write them; others are sorted first. Each row is one run
-    of cells and the cells are grouped by column once; one pass over the
-    lines of each kind tests each with a set and names the first that does
-    not cover 0..n-1 once. Bulk passes settle the blocks and the pairs,
-    which mark one byte each; only one that fails is walked cell by cell
-    or pair by pair, to name its first counterexample. ValueError when a
-    cell is held twice.
+    of cells, tested with a set; bulk passes settle the blocks. When every
+    block is k canonical edges on 0..n-1 inside the array, the columns and
+    the pairs mark byte tables of at most twice as many bytes as the cells
+    hold points; otherwise, or when the cells are too few for that, the
+    cells are grouped by column and each column tested with a set. Only a
+    check that fails is walked cell by cell, line by line or pair by pair,
+    to name its first counterexample. ValueError when a cell is held twice.
     """
     n, side, k = arr.n, arr.side, arr.k
     # each row covers every point once and each block uses one edge at each
@@ -214,12 +250,10 @@ def verify(arr: DesignArray) -> VerificationReport:
     # later line can hold the first fault, so the work follows the cells
     count = side if m >= side else len(held.rows) + 1
     row_at = _bounds(held.rows, count)
-    col_at, col_points = _columns(held, count)
     held_points, held_ends = held.points, held.ends()
     bad_rows, row_detail = _lines(
         row_at, lambda a, b: held_points[held_ends[a]:held_ends[b]], "row", n
     )
-    _, col_detail = _lines(col_at, col_points, "column", n)
     # a row holding 0..n-1 once holds no block with a point repeated or
     # outside 0..n-1, so only the blocks of the other rows are tested for it
     unchecked = chain(
@@ -237,15 +271,18 @@ def verify(arr: DesignArray) -> VerificationReport:
     faults = map(_block_fault, rows, cols, arr.blocks(), *map(repeat, (side, n, k)))
     block_detail = None if shaped else next(filter(None, faults), None)
 
-    # n(n-1)/2 canonical edges on 0..n-1 make up K_n when each marks its own
-    # byte u * n + v; that many bytes follow the cells
-    pairs = shaped and m * k == n * (n - 1) // 2
-    if pairs:
-        marks = bytearray(n * n)
-        us, vs = islice(points, 0, None, 2), islice(points, 1, None, 2)
-        any(map(marks.__setitem__, map(add, map(mul, us, repeat(n)), vs), repeat(1)))
-        pairs = marks.count(1) == m * k
-    pair_detail = None if pairs else _pair_detail(n, points)
+    # a table takes at most twice as many bytes as the cells hold points, so
+    # a header claiming a large side or n costs nothing
+    if shaped and side * n <= 2 * len(points):
+        col_detail, col_blocks = _column_table(cols, points, side, n, k)
+    else:
+        col_at, col_points = _columns(held, count)
+        col_detail = _lines(col_at, col_points, "column", n)[1]
+        col_blocks = tuple(map(sub, islice(col_at, 1, None), col_at))
+    if shaped and n * n <= 2 * len(points):
+        pair_detail = _pair_table(points, n)
+    else:
+        pair_detail = _pair_detail(n, points)
 
     details = {
         "host-shape": host_detail,
@@ -256,8 +293,9 @@ def verify(arr: DesignArray) -> VerificationReport:
     }
     checks = tuple(Check(name, d is None, d) for name, d in details.items())
     # the per-line counts are left out when a line is empty for want of cells
-    counts = [tuple(map(sub, islice(at, 1, None), at)) for at in (row_at, col_at)]
-    row_blocks, col_blocks = counts if m >= side else ((), ())
+    row_blocks = tuple(map(sub, islice(row_at, 1, None), row_at))
+    if m < side:
+        row_blocks, col_blocks = (), ()
     passed = all(c.passed for c in checks)
     return VerificationReport(passed, checks, m, row_blocks, col_blocks)
 

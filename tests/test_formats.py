@@ -65,12 +65,17 @@ def _writer_samples():
         build_room(122)[0],
         DesignArray(3, 6, 1, mixed),
         DesignArray(3, 6, 1, {**mixed, (2, 1): ()}),
+        # cells out of (row, col) order; values past 0..n-1 on either side
+        DesignArray(3, 4, 1, {(2, 0): ((0, 3),), (0, 1): ((1, 2),), (1, 2): ((0, 1),)}),
+        DesignArray(3, 4, 1, {(0, 0): ((0, 10**12),)}),
+        DesignArray(3, 4, 1, {(0, 2): ((-3, 1),), (1, 0): ((2, 3),)}),
     ]
 
 
 # meta values of every JSON kind, and the same again one level deeper:
 # empty values, int lists ([True, 1] prints true), int pairs and
-# near-pairs, dicts in a list, int keys, a float, escaped strings
+# near-pairs, dicts in a list, int keys, a float, escaped strings, and the
+# text the writer splits its header at, as a string and as a key
 _EVERY_LAYOUT = {
     "list": [],
     "dict": {},
@@ -84,6 +89,8 @@ _EVERY_LAYOUT = {
     "int-keys": {1: "a"},
     "float": 0.5,
     "text": ['"', "\\", "\x07", "\u00e9\u20ac", "a\tb"],
+    "splice": '"cells": []',
+    "cells": [],
 }
 
 

@@ -186,6 +186,13 @@ def _extra_block(line, block):
     return _edit(arr, put={cell: block})
 
 
+def _first_rows(count):
+    """build_room(122) cut to its first count rows: too few cells for the
+    bytes of a table of columns or of pairs."""
+    arr = build_room(122)[0]
+    return _edit(arr, drop=[cell for cell in arr.cells if cell[0] >= count])
+
+
 def _product_deletion():
     arr = construct(80, 2).design
     return _edit(arr, drop=[max(arr.cells)])
@@ -249,6 +256,19 @@ PINNED_AT_SCALE = {
          None),
         "f43aea66f8e83cb1f4609dec1a10e1b790c3300c2974549482b0d22404a040e6",
     ),
+    # every column covers 0..n-1, and column 120 holds one cell more
+    "extra-block-in-full-column": (
+        lambda: _extra_block("column", ((0, 1),)),
+        (None, None, "row 0 covers point 0 2 times", "column 120 covers point 0 2 times",
+         "pair (0, 1) covered 2 times"),
+        "6404fce3efac5d2c5fcb6a43bc78ee707f7a7a949b5cac7eabd3971ec07123c5",
+    ),
+    "too-sparse-for-tables": (
+        lambda: _first_rows(10),
+        (None, None, "row 10 covers point 0 0 times", "column 0 covers point 1 0 times",
+         "host edge (0, 1) is uncovered"),
+        "f71736b81e6d8eb9c55f161e8a01499a5305f9ca00ec11ddcb634261f9b2b7d6",
+    ),
     "product-deletion": (
         _product_deletion,
         (None, None, "row 78 covers point 22 0 times",
@@ -303,6 +323,12 @@ def test_a_deleted_cell_costs_verify_little_more_memory_than_none():
     mutant = _edit(design, drop=[list(design.cells)[len(design.rows) // 2]])
     assert not verify(mutant).checks[4].passed
     assert _traced_peak(mutant) <= 1.25 * _traced_peak(valid)
+
+
+def test_verify_of_a_valid_product_peaks_below_2_mib():
+    """A valid design's lines and pairs are settled in byte tables and row
+    runs, with no copy of its cells."""
+    assert _traced_peak(construct(400, 2).design) <= 2 * 2**20
 
 
 def test_transversal_back_diagonal_passes():
