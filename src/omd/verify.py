@@ -13,8 +13,8 @@ points. Once the blocks are found to be k canonical edges on 0..n-1 inside
 the array, two byte tables settle the columns and the pairs: one byte per
 (column, point) and one per (point, point), each marked by its cells in
 one pass. Only a failing check is walked, cell, line or pair, to say
-where; the columns are grouped by sorting the cells only when no table
-fits, for blocks that are not so shaped or cells too few for its bytes.
+where. When no table fits, for blocks not so shaped or cells too few for
+its bytes, _group lists points under their column or edge ends under u.
 
 brute_force_exists settles existence for small parameters by exhaustive
 backtracking and is the independent ground truth the constructors are
@@ -28,7 +28,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
-from operator import add, eq, itemgetter, lt, ne, sub
+from operator import add, eq, itemgetter, lt, mul, ne, sub
 
 from .core import Block, Cell, DesignArray, Hole, Transversal, canonical_block
 from .errors import SearchExhausted
@@ -110,58 +110,35 @@ def _group(keys, values) -> defaultdict:
 
 def _pair_detail(n: int, points: list[int]) -> str | None:
     """First placed pair (u, v), two flat points, foreign or repeated, else
-    the first gap. If each u's placed ends v are distinct and inside
-    u+1..n-1, they cover K_n when they number n(n-1)/2, else the first u
-    with fewer than n-1-u ends holds the gap; else the pairs are counted."""
+    the first gap. The ends v of each u, in order of u, are sorted, so the
+    first foreign or repeated one is the smallest. If none is, each u's ends
+    are distinct and inside u+1..n-1: they cover K_n when they number
+    n(n-1)/2, else the first u with fewer than n-1-u ends holds the gap."""
     ends = _group(islice(points, 0, None, 2), islice(points, 1, None, 2))
-    if all(
-        0 <= u < min(vs) and max(vs) < n and len(set(vs)) == len(vs)
-        for u, vs in ends.items()
-    ):
-        if len(points) == n * (n - 1):
-            return None
-        u = next(u for u in range(n) if len(ends.get(u, ())) < n - 1 - u)
-        vs = set(ends.get(u, ()))
-        v = next(v for v in range(u + 1, n) if v not in vs)
-        return f"host edge {(u, v)} is uncovered"
-    placed = Counter(zip(islice(points, 0, None, 2), islice(points, 1, None, 2)))
-    foreign = {(u, v) for u, v in placed if not 0 <= u < v < n}
-    repeated = [e for e, times in placed.items() if times > 1]
-    edge = min([*foreign, *repeated])
-    if edge in foreign:
-        return f"pair {edge} is not a host edge"
-    return f"pair {edge} covered {placed[edge]} times"
+    for u in sorted(ends):
+        vs = sorted(ends[u])
+        if not 0 <= u < vs[0] < n:
+            return f"pair {(u, vs[0])} is not a host edge"
+        twice = next(compress(vs, map(eq, vs, islice(vs, 1, None))), n)
+        if twice < n:
+            return f"pair {(u, twice)} covered {vs.count(twice)} times"
+        if vs[-1] >= n:
+            return f"pair {(u, vs[bisect_left(vs, n)])} is not a host edge"
+    if len(points) == n * (n - 1):
+        return None
+    u = next(u for u in range(n) if len(ends.get(u, ())) < n - 1 - u)
+    vs = set(ends.get(u, ()))
+    v = next(v for v in range(u + 1, n) if v not in vs)
+    return f"host edge {(u, v)} is uncovered"
 
 
-def _bounds(keys: list, count: int) -> list[int]:
-    """Where each of 0..count starts in the sorted keys."""
-    return list(map(bisect_left, repeat(keys), range(count + 1)))
-
-
-def _columns(arr: DesignArray, count: int) -> tuple:
-    """Where each of columns 0..count starts among the cells grouped by
-    column once, and a function from such bounds to their points."""
-    cols, ends, points = arr.cols, arr.ends(), arr.points
-    order = sorted(range(len(cols)), key=cols.__getitem__)
-    col_at = _bounds(list(map(cols.__getitem__, order)), count)
-    starts = list(map(ends.__getitem__, order))
-    stops = list(map(ends.__getitem__, map(add, order, repeat(1))))
-
-    def col_points(a: int, b: int) -> list[int]:
-        blocks = map(points.__getitem__, map(slice, starts[a:b], stops[a:b]))
-        return list(chain.from_iterable(blocks))
-
-    return col_at, col_points
-
-
-def _lines(at: list[int], points_of, label: str, n: int) -> tuple:
-    """The indices of the lines that are not n points making up 0..n-1, and
-    the first of them that does not cover 0..n-1 once, named. Line i holds
-    the points_of(at[i], at[i + 1]). The set of 0..n-1 is built at the
-    first line of n points, so the work follows the lines, not n."""
+def _lines(lines, label: str, n: int) -> tuple:
+    """The indices of the lines, each a list of points, that are not n points
+    making up 0..n-1, and the first of them that does not cover 0..n-1
+    once, named. The set of 0..n-1 is built at the first line of n points,
+    so the work follows the lines, not n."""
     full, bad, detail = None, [], None
-    for i, a, b in zip(count(), at, islice(at, 1, None)):
-        line = points_of(a, b)
+    for i, line in enumerate(lines):
         if len(line) == n:
             full = full or set(range(n))
             if full == set(line):
@@ -226,10 +203,11 @@ def verify(arr: DesignArray) -> VerificationReport:
     of cells, tested with a set; bulk passes settle the blocks. When every
     block is k canonical edges on 0..n-1 inside the array, the columns and
     the pairs mark byte tables of at most twice as many bytes as the cells
-    hold points; otherwise, or when the cells are too few for that, the
-    cells are grouped by column and each column tested with a set. Only a
-    check that fails is walked cell by cell, line by line or pair by pair,
-    to name its first counterexample. ValueError when a cell is held twice.
+    hold points; otherwise, or when the cells are too few for that, _group
+    lists each cell's points under its column, with no sort, and each column
+    is tested with a set. Only a check that fails is walked cell by cell,
+    line by line or pair by pair, to name its first counterexample.
+    ValueError when a cell is held twice.
     """
     n, side, k = arr.n, arr.side, arr.k
     # each row covers every point once and each block uses one edge at each
@@ -249,11 +227,12 @@ def verify(arr: DesignArray) -> VerificationReport:
     # with fewer cells than lines, one of lines 0..cells is empty and no
     # later line can hold the first fault, so the work follows the cells
     count = side if m >= side else len(held.rows) + 1
-    row_at = _bounds(held.rows, count)
+    row_at = list(map(bisect_left, repeat(held.rows), range(count + 1)))
     held_points, held_ends = held.points, held.ends()
-    bad_rows, row_detail = _lines(
-        row_at, lambda a, b: held_points[held_ends[a]:held_ends[b]], "row", n
+    row_lines = (
+        held_points[held_ends[a]:held_ends[b]] for a, b in zip(row_at, row_at[1:])
     )
+    bad_rows, row_detail = _lines(row_lines, "row", n)
     # a row holding 0..n-1 once holds no block with a point repeated or
     # outside 0..n-1, so only the blocks of the other rows are tested for it
     unchecked = chain(
@@ -276,9 +255,10 @@ def verify(arr: DesignArray) -> VerificationReport:
     if shaped and side * n <= 2 * len(points):
         col_detail, col_blocks = _column_table(cols, points, side, n, k)
     else:
-        col_at, col_points = _columns(held, count)
-        col_detail = _lines(col_at, col_points, "column", n)[1]
-        col_blocks = tuple(map(sub, islice(col_at, 1, None), col_at))
+        point_cols = map(repeat, held.cols, map(mul, held.sizes, repeat(2)))
+        col_lines = _group(chain.from_iterable(point_cols), held.points)
+        col_detail = _lines(map(col_lines.__getitem__, range(count)), "column", n)[1]
+        col_blocks = tuple(map(Counter(held.cols).__getitem__, range(count)))
     if shaped and n * n <= 2 * len(points):
         pair_detail = _pair_table(points, n)
     else:
@@ -373,10 +353,9 @@ def verify_hole(arr: DesignArray, hole: Hole) -> VerificationReport:
 
     empty_detail = None
     if range_detail is None:
-        # the first held cell in (row, col) order is the smallest in the hole
-        arr, rows, cols = arr.row_major(), set(hole.rows), set(hole.cols)
-        cells = zip(arr.rows, arr.cols)
-        cell = next((c for c in cells if c[0] in rows and c[1] in cols), None)
+        rows, cols = set(hole.rows), set(hole.cols)
+        inner = (c for c in zip(arr.rows, arr.cols) if c[0] in rows and c[1] in cols)
+        cell = min(inner, default=None)
         empty_detail = cell and f"cell {cell} inside the hole holds a block"
     checks.append(Check("hole-cells-empty", empty_detail is None, empty_detail))
 

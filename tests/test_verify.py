@@ -331,6 +331,28 @@ def test_verify_of_a_valid_product_peaks_below_2_mib():
     assert _traced_peak(construct(400, 2).design) <= 2 * 2**20
 
 
+def _first_block_copied(arr):
+    (_, first), (second, _) = list(arr.cells.items())[:2]
+    return _edit(arr, put={second: first})
+
+
+def _first_edge_flipped(arr):
+    cell, ((u, v), *rest) = next(iter(arr.cells.items()))
+    return _edit(arr, put={cell: ((v, u), *rest)})
+
+
+@pytest.mark.parametrize(
+    "mutate,mib", [(_first_block_copied, 2), (_first_edge_flipped, 4)]
+)
+def test_naming_a_fault_of_a_product_peaks_below_its_bound(mutate, mib):
+    """A repeated block or a non-canonical edge sends the columns or the
+    pairs to the grouped fallback, which lists the points once: no sorted
+    copy of the cells and no tuple per pair."""
+    mutant = mutate(construct(400, 2).design)
+    assert not verify(mutant).passed
+    assert _traced_peak(mutant) <= mib * 2**20
+
+
 def test_transversal_back_diagonal_passes():
     arr, transversal, _ = build_2k(2)
     assert verify_transversal(arr, transversal).passed
