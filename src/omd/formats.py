@@ -25,7 +25,7 @@ broken design, a cell that is not a matching included, parses and then
 fails verification.
 
 A well-formed text, its keys in any order, is read with its cells list
-parsed a slice of about a KiB at a time, so the parsed JSON of the whole
+parsed a slice of about 4 KiB at a time, so the parsed JSON of the whole
 list is never alive at once; the design's lists it fills are most of
 what reading holds. Its errors are worded as a whole-text parse words
 them: a header error, then the first bad cell, once the rest of the text
@@ -226,12 +226,14 @@ def _stored_transversal(meta: Any) -> Transversal | None:
     return tuple(map(tuple, raw))
 
 
-# characters of cells text parsed at once. A KiB parses to about 70 dicts
-# and lists, well below the 700 allocations that start a young collection
-# of the cyclic GC, so few slices are caught mid-parse and promoted to the
-# old generation: reading the (2000, 2) file made 5 young collections and
-# no full one, and at 64 KiB 4,420 and 36, taking 1.7 times as long.
-_SLICE_CHARS = 1024
+# characters of cells text parsed at once. 4 KiB parses to about 300 dicts
+# and lists, below the 700 allocations that start a young collection of the
+# cyclic GC, so few slices are caught mid-parse and promoted to the old
+# generation: reading the (2000, 2) file in a fresh process made 5 young
+# collections and 1 middle one at 1, 4 and 8 KiB, and at 16 KiB 3,531, 321
+# and 29 full ones, taking about 1.5 times as long. 8 KiB is at the edge:
+# after a gc.collect(), a (320, 8) read made 1 young collection, 0 at 4 KiB.
+_SLICE_CHARS = 4096
 _CELLS = re.compile(r'"cells"[ \t\n\r]*:[ \t\n\r]*\[[ \t\n\r]*')
 _CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*")
 _LIST_END = re.compile(r"\}[ \t\n\r]*\]")

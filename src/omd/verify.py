@@ -10,11 +10,11 @@ per condition with the first counterexample found.
 verify reads a DesignArray's flat lists in (row, col) order, so each row
 is one run of cells, and one loop over the rows tests each row's set of
 points. Once the blocks are found to be k canonical edges on 0..n-1 inside
-the array, two byte tables settle the columns and the pairs: one byte per
-(column, point) and one per (point, point), each marked by its cells in
-one pass. Only a failing check is walked, cell, line or pair, to say
-where. When no table fits, for blocks not so shaped or cells too few for
-its bytes, _group lists points under their column or edge ends under u.
+the array, one loop over the edges marks both byte tables that settle the
+columns and the pairs: one byte per (column, point) and one per (point,
+point). Only a failing check is walked, cell, line or pair, to say where.
+When the tables do not fit, for blocks not so shaped or cells too few for
+their bytes, _group lists points under their column or edge ends under u.
 
 brute_force_exists settles existence for small parameters by exhaustive
 backtracking and is the independent ground truth the constructors are
@@ -28,7 +28,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
-from operator import add, eq, itemgetter, lt, mul, ne, sub
+from operator import eq, itemgetter, lt, mul, ne, sub
 
 from .core import Block, Cell, DesignArray, Hole, Transversal, canonical_block
 from .errors import SearchExhausted
@@ -150,46 +150,43 @@ def _lines(lines, label: str, n: int) -> tuple:
     return bad, detail
 
 
-def _column_table(cols: list[int], points: list[int], side: int, n: int, k: int) -> tuple:
-    """The first column that does not cover 0..n-1 once, named, or None, and
-    each column's count of cells, for cells inside the array that each hold
-    k edges on 0..n-1. Byte c * n + p of a table marks point p in column c;
-    when side * n points mark every byte, each column holds n / 2k cells."""
-    # each column's first byte is looked up, not multiplied: no new int
-    step, marks, at = 2 * k, bytearray(side * n), list(range(0, side * n, n))
-    for j in range(step):
-        for code in map(add, map(at.__getitem__, cols), islice(points, j, None, step)):
-            marks[code] = 1
-    if len(points) == side * n and 0 not in marks:
-        return None, (n // step,) * side
-    # the first column with a byte unmarked or other than n / 2k cells
-    counts, gap = Counter(cols), marks.find(0)
-    short = (c for c in range(side) if counts[c] * step != n)
-    c = min(gap // n if gap >= 0 else side, next(short, side))
-    cells = compress(count(), map(eq, cols, repeat(c)))
-    line = [p for i in cells for p in points[i * step:i * step + step]]
-    point, times = _first_fault(line, n)
-    detail = f"column {c} covers point {point} {times} times"
-    return detail, tuple(map(counts.__getitem__, range(side)))
-
-
-def _pair_table(points: list[int], n: int) -> str | None:
-    """The pair detail of flat canonical edges on 0..n-1. Byte u * n + v of
-    a table marks edge (u, v); as many edges as bytes marked are distinct,
-    and they make up K_n when they number n(n-1)/2, else the first byte
-    above the diagonal left unmarked is the first gap."""
-    marks, at = bytearray(n * n), list(range(0, n * n, n))
-    us, vs = islice(points, 0, None, 2), islice(points, 1, None, 2)
-    for code in map(add, map(at.__getitem__, us), vs):
-        marks[code] = 1
+def _tables(cols: list[int], points: list[int], side: int, n: int, k: int) -> tuple:
+    """The first column that does not cover 0..n-1 once, named, or None, each
+    column's count of cells, and the pair detail, for cells inside the array
+    that each hold k canonical edges on 0..n-1. One loop over the edges
+    marks byte c * n + p of one table for point p in column c and byte
+    u * n + v of the other for edge (u, v). When side * n points mark every
+    column byte, each column holds n / 2k cells. As many edges as pair bytes
+    marked are distinct, and they make up K_n when they number n(n-1)/2,
+    else the first pair byte above the diagonal left unmarked is the first
+    gap."""
+    # each line's first byte is looked up, not multiplied: no new int
+    step, at = 2 * k, list(range(0, max(side, n) * n, n))
+    marks, pairs = bytearray(side * n), bytearray(n * n)
+    offsets = map(at.__getitem__, cols)
+    if k > 1:
+        offsets = chain.from_iterable(map(repeat, offsets, repeat(k)))
+    for o, u, v in zip(offsets, islice(points, 0, None, 2), islice(points, 1, None, 2)):
+        marks[o + u] = marks[o + v] = pairs[at[u] + v] = 1
+    col_detail, counts = None, (n // step,) * side
+    if len(points) != side * n or 0 in marks:
+        # the first column with a byte unmarked or other than n / 2k cells
+        tally, gap = Counter(cols), marks.find(0)
+        short = (c for c in range(side) if tally[c] * step != n)
+        c = min(gap // n if gap >= 0 else side, next(short, side))
+        cells = compress(count(), map(eq, cols, repeat(c)))
+        line = [p for i in cells for p in points[i * step:i * step + step]]
+        point, times = _first_fault(line, n)
+        col_detail = f"column {c} covers point {point} {times} times"
+        counts = tuple(map(tally.__getitem__, range(side)))
     edges = len(points) // 2
-    if marks.count(1) < edges:
-        return _pair_detail(n, points)
+    if pairs.count(1) < edges:
+        return col_detail, counts, _pair_detail(n, points)
     if edges == n * (n - 1) // 2:
-        return None
-    gaps = (marks.find(0, u * n + u + 1, u * n + n) - u * n for u in range(n))
+        return col_detail, counts, None
+    gaps = (pairs.find(0, u * n + u + 1, u * n + n) - u * n for u in range(n))
     u, v = next((u, v) for u, v in enumerate(gaps) if v > u)
-    return f"host edge {(u, v)} is uncovered"
+    return col_detail, counts, f"host edge {(u, v)} is uncovered"
 
 
 def verify(arr: DesignArray) -> VerificationReport:
@@ -201,9 +198,9 @@ def verify(arr: DesignArray) -> VerificationReport:
     the report is complete. The cells are read in (row, col) order, as
     the builders write them; others are sorted first. Each row is one run
     of cells, tested with a set; bulk passes settle the blocks. When every
-    block is k canonical edges on 0..n-1 inside the array, the columns and
-    the pairs mark byte tables of at most twice as many bytes as the cells
-    hold points; otherwise, or when the cells are too few for that, _group
+    block is k canonical edges on 0..n-1 inside the array, one loop over the
+    edges marks a column and a pair byte table, each of at most twice as many
+    bytes as the cells hold points; otherwise, or when they do not fit, _group
     lists each cell's points under its column, with no sort, and each column
     is tested with a set. Only a check that fails is walked cell by cell,
     line by line or pair by pair, to name its first counterexample.
@@ -250,18 +247,15 @@ def verify(arr: DesignArray) -> VerificationReport:
     faults = map(_block_fault, rows, cols, arr.blocks(), *map(repeat, (side, n, k)))
     block_detail = None if shaped else next(filter(None, faults), None)
 
-    # a table takes at most twice as many bytes as the cells hold points, so
-    # a header claiming a large side or n costs nothing
-    if shaped and side * n <= 2 * len(points):
-        col_detail, col_blocks = _column_table(cols, points, side, n, k)
+    # the tables take at most twice as many bytes as the cells hold points,
+    # so a header claiming a large side or n costs nothing
+    if shaped and max(side, n) * n <= 2 * len(points):
+        col_detail, col_blocks, pair_detail = _tables(cols, points, side, n, k)
     else:
         point_cols = map(repeat, held.cols, map(mul, held.sizes, repeat(2)))
         col_lines = _group(chain.from_iterable(point_cols), held.points)
         col_detail = _lines(map(col_lines.__getitem__, range(count)), "column", n)[1]
         col_blocks = tuple(map(Counter(held.cols).__getitem__, range(count)))
-    if shaped and n * n <= 2 * len(points):
-        pair_detail = _pair_table(points, n)
-    else:
         pair_detail = _pair_detail(n, points)
 
     details = {

@@ -1,6 +1,7 @@
 """Serialization: JSON wire format, grid text, LaTeX arrays."""
 
 import enum
+import gc
 import hashlib
 import json
 import random
@@ -449,6 +450,19 @@ def test_sliced_read_never_holds_the_whole_parsed_json():
         built.rows, built.cols, built.sizes, built.points
     )
     assert most <= 1.75 * kept, (most, kept)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_a_slice_parses_below_a_young_collection(k):
+    """Each slice's dicts and lists are freed before the next is parsed, so
+    a read whose slices stay below the GC's young threshold leaves nothing
+    to promote: at most 2 young collections and no older one."""
+    text = dumps_design(construct(320, k).design)
+    gc.collect()
+    before = [stats["collections"] for stats in gc.get_stats()]
+    loads_design(text)
+    young, *older = (s["collections"] - b for s, b in zip(gc.get_stats(), before))
+    assert young <= 2 and not any(older), (young, older)
 
 
 def test_cell_that_is_no_matching_parses_and_fails_verify():

@@ -306,6 +306,76 @@ def test_failure_reports_at_scale_are_pinned(case):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _header_side(arr, side, drop=(), put=()):
+    """arr edited, under a header that claims side."""
+    return DesignArray(side, arr.n, arr.k, _edit(arr, drop, put).cells)
+
+
+def _middle(arr):
+    return sorted(arr.cells)[len(arr.rows) // 2]
+
+
+def _first_cells(arr, count):
+    return _edit(arr, drop=sorted(arr.cells)[count:])
+
+
+# Shaped arrays where only one of the column table (side·n bytes) and the
+# pair table (n² bytes) fits in twice the points the cells hold: a header
+# side above n, or cells holding between side·n/2 and n²/2 points. Recorded
+# when each table ran on its own bound, so the reports do not hang on which
+# path names a fault; the hash is as in PINNED_AT_SCALE.
+PINNED_BETWEEN_TABLES = {
+    "side-15-on-room-8-deletion": (
+        lambda: _header_side(build_room(8)[0], 15, drop=[_middle(build_room(8)[0])]),
+        ("side is 15, host requires 7", None, "row 3 covers point 3 0 times",
+         "column 3 covers point 3 0 times", "host edge (3, 7) is uncovered"),
+        "b9c6af737c1d4eba22685da2bafbac30d3645a989aea96b437d65b4f666efa31",
+    ),
+    "side-15-on-room-8-repeat": (
+        lambda: _header_side(build_room(8)[0], 15, put={(0, 10): ((0, 7),)}),
+        ("side is 15, host requires 7", None, "row 0 covers point 0 2 times",
+         "column 7 covers point 0 0 times", "pair (0, 7) covered 2 times"),
+        "6527312b10d4fe41ffeba5c18264274e0644bfbdcd37e3c8143499532a1fa471",
+    ),
+    "side-250-on-room-122-deletion": (
+        lambda: _header_side(build_room(122)[0], 250, drop=[_middle(build_room(122)[0])]),
+        ("side is 250, host requires 121", None, "row 60 covers point 19 0 times",
+         "column 64 covers point 19 0 times", "host edge (19, 105) is uncovered"),
+        "71950e024de58715472bd9c5cef72d17d8267d01e22df5a2d5ce35331066684f",
+    ),
+    "side-31-on-product-16-deletion": (
+        lambda: _header_side(construct(16, 2).design, 31, drop=[(7, 7)]),
+        ("side is 31, host requires 15", None, "row 7 covers point 6 0 times",
+         "column 7 covers point 6 0 times", "host edge (6, 15) is uncovered"),
+        "a58f4fe9fb1ca39355fca6513434751b02efff161d332ae7714d6199b922e812",
+    ),
+    "first-3700-cells-of-room-122": (
+        lambda: _first_cells(build_room(122)[0], 3700),
+        (None, None, "row 60 covers point 4 0 times", "column 0 covers point 4 0 times",
+         "host edge (0, 1) is uncovered"),
+        "18059ac35a4bce08676f1675ffe9e6f69d467d47791705e4b597c9759edd2776",
+    ),
+    "first-795-cells-of-product-80": (
+        lambda: _first_cells(construct(80, 2).design, 795),
+        (None, None, "row 39 covers point 6 0 times", "column 0 covers point 0 0 times",
+         "host edge (0, 2) is uncovered"),
+        "26307da4d1bb6c4a0b2cff078cf0d2cbfb980c57e78332447988a76b9e4051d8",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_BETWEEN_TABLES)
+def test_reports_between_the_table_bounds_are_pinned(case):
+    make, details, digest = PINNED_BETWEEN_TABLES[case]
+    arr = make()
+    fits = [arr.side * arr.n <= 2 * len(arr.points), arr.n**2 <= 2 * len(arr.points)]
+    assert sorted(fits) == [False, True]
+    report = verify(arr)
+    assert tuple(c.detail for c in report.checks) == details
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def _traced_peak(arr):
     """verify(arr)'s tracemalloc peak in bytes, counted from its call."""
     tracemalloc.start()
