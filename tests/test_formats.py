@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 
 from omd.bases import _SIX_PATTERN, build_2k, build_4k, build_6k
+from omd.cli import main
 from omd.compose import _expand, construct
 from omd.core import DesignArray, canonical_block
 from omd import formats
@@ -327,7 +328,12 @@ def _differential_corpus():
         meta = {"provenance": "test", "transversal": [list(c) for c in transversal]}
         text = dumps_design(arr, meta)
         data = json.loads(text)
-        bases += [text, json.dumps(data, indent=2), json.dumps(data, separators=(",", ":"))]
+        bases += [
+            text,
+            json.dumps(data, indent=2),
+            json.dumps(data, separators=(",", ":")),
+            json.dumps(data, indent="\t").replace("\n", "\r\n"),
+        ]
     rng = random.Random(22)
     alphabet = '{}[],:" \n0123456789-abcnrow'
     corpus = list(bases)
@@ -385,7 +391,67 @@ def _differential_corpus():
         text.replace(cells_list, cells_list[:-1] + ", " + first + "]", 1),
         text.replace(cells_list, "[" + first + ", " + cells_list[1:-1] + ", " + outside + "]", 1),
     ]
+    corpus += _layout_texts(bases[0], bases[4])
     return bases, corpus
+
+
+def _layout_texts(text, pairs_text):
+    """Texts that the cells scan must refuse, at the first cell or at a
+    later one, each read alike either way: from the one-line text of a
+    design with one edge a cell, and of one with two."""
+    cells = json.loads(text)["cells"]
+    second = json.dumps(cells[1])
+    texts = [
+        text.replace('{"row": ', '{"row":  ', 1),  # the first cell laid out unlike the rest
+        text.replace(second, second.replace(", ", ",  ", 1), 1),
+        text.replace(second, second.replace(", ", ",\n", 1), 1),
+        text.replace(second, second.replace("}", "\n}", 1), 1),
+        text.replace(second, second + ",\t", 1),
+        text.replace(second, "{}", 1),
+        text.replace('"cells": [', '"cells": [{}, ', 1),
+        text.replace(second, second + ", {}", 1),
+        text.replace(second, second.replace('{"row": ', '{"row": 2, "row": ', 1), 1),
+        text.replace(second, second.replace('"edges"', '"x": 0, "edges"', 1), 1),
+        text.replace('{"row": ', '{"x": 0, "row": ', 1),
+        text.replace(second, second.replace('"row"', '"col"', 1), 1),
+        text.replace(second, second.replace('"row": ', '"row": "row", "x": ', 1), 1),
+        # ints json reads alike in another spelling, and texts it refuses
+        text.replace('"row": 0', '"row": -0', 1),
+        text.replace(second, second.replace('"col": ', '"col": -0', 1), 1),
+        text.replace(second, second.replace('"col": ', '"col": 00', 1), 1),
+        text.replace(second, second.replace('"col": ', '"col": 007', 1), 1),
+        text.replace(second, second.replace("]]", ".0]]", 1), 1),
+        text.replace(second, second.replace("]]", "e0]]", 1), 1),
+        text.replace(second, second.replace("]]", "1e2]]", 1), 1),
+        text.replace(second, second.replace("[[", "[[-", 1), 1),
+        text.replace(second, second.replace("[[", "[[1-", 1), 1),
+        text.replace(second, second.replace("[[", '[["row", ', 1), 1),
+        text.replace(second, second.replace("[[", "[[" + "9" * 40, 1), 1),
+        text.replace(second, second.replace("[[", "[[\u0031", 1), 1),
+    ]
+    # cells out of order, twice, or past the array; edges as [v, u] or out of
+    # order; mixed edge counts
+    changes = [
+        lambda cells, side: cells.insert(2, cells.pop(1)),
+        lambda cells, side: cells.insert(2, cells[1]),
+        lambda cells, side: cells.append(cells[-1]),
+        lambda cells, side: cells.append({**cells[-1], "col": side - 1}),
+        lambda cells, side: cells[1].update(row=side),
+        lambda cells, side: cells[-1].update(col=side),
+        lambda cells, side: next(c for c in cells if c["row"] == 1).update(col=-1),
+        lambda cells, side: cells[1]["edges"][0].reverse(),
+        lambda cells, side: cells[0]["edges"][-1].reverse(),
+        lambda cells, side: cells[1]["edges"].reverse(),
+        lambda cells, side: cells[1]["edges"].append(cells[1]["edges"][-1]),
+        lambda cells, side: cells[1]["edges"].append([0, 1]),
+        lambda cells, side: cells[1]["edges"].pop(),
+    ]
+    for data_text in (text, pairs_text):
+        for change in changes:
+            data = json.loads(data_text)
+            change(data["cells"], data["side"])
+            texts += [json.dumps(data), json.dumps(data, indent=2)]
+    return texts
 
 
 def test_sliced_read_matches_the_whole_text_read(monkeypatch):
@@ -398,6 +464,105 @@ def test_sliced_read_matches_the_whole_text_read(monkeypatch):
         assert _outcome(loads_design, text) == _outcome(_read_whole, text), text
         sliced += isinstance(text, str) and _outcome(formats._read_sliced, text) is not None
     assert sliced > len(bases)
+
+
+def test_the_scan_hands_over_to_the_slices_at_any_cell(monkeypatch):
+    # one-cell chunks: the scan reads every cell before the first it refuses
+    monkeypatch.setattr(formats, "_SLICE_CHARS", 1)
+    monkeypatch.setattr(formats, "_SCAN_CHARS", 1)
+    read_cells, scanned = formats._read_cells, []
+
+    def counting(entries, arr, seen):
+        if entries:  # not the header's empty list
+            scanned.append(len(seen))
+        return read_cells(entries, arr, seen)
+
+    _, corpus = _differential_corpus()
+    handed_over = 0
+    for text in corpus:
+        whole = _outcome(_read_whole, text)
+        monkeypatch.setattr(formats, "_read_cells", counting)
+        scanned.clear()
+        assert _outcome(loads_design, text) == whole, text
+        monkeypatch.setattr(formats, "_read_cells", read_cells)
+        handed_over += bool(scanned and scanned[0])
+    assert handed_over > 100, handed_over
+
+
+@pytest.mark.parametrize("n, k", [(122, 1), (320, 4)])
+def test_the_scan_reads_every_cell_of_writer_and_indent_2_texts(monkeypatch, n, k):
+    arr = construct(n, k).design
+    text = dumps_design(arr)
+    fed = []
+    monkeypatch.setattr(formats, "_read_cells", lambda entries, arr, seen: fed.extend(entries))
+    for text in (text, json.dumps(json.loads(text), indent=2)):
+        assert loads_design(text)[0] == arr
+    assert fed == []
+
+
+@pytest.mark.parametrize("scan_chars", [1, formats._SCAN_CHARS])
+def test_a_bad_last_cell_reaches_the_slices_alone(monkeypatch, scan_chars):
+    # the scan refuses the last chunk alone, so the slices parse only its cells
+    text = dumps_design(build_room(122)[0])
+    head, _, tail = text.rpartition('"row": ')
+    text = head + '"row": 5000' + tail[tail.index(","):]
+    with pytest.raises(FormatError) as whole:
+        _read_whole(text)
+    read_cells, fed = formats._read_cells, []
+
+    def counting(entries, arr, seen):
+        fed.extend(entries)
+        return read_cells(entries, arr, seen)
+
+    monkeypatch.setattr(formats, "_SCAN_CHARS", scan_chars)
+    monkeypatch.setattr(formats, "_read_cells", counting)
+    with pytest.raises(FormatError) as sliced:
+        loads_design(text)
+    assert str(sliced.value) == str(whole.value)
+    assert fed[-1]["row"] == 5000
+    # a one-line cell of this design takes at least 38 characters
+    assert len(fed) <= scan_chars // 38 + 1, len(fed)
+
+
+@pytest.mark.parametrize(
+    "value, place, failed, digest",
+    [
+        (
+            10**30, 1,
+            [
+                "[FAIL] block-shape (cell (60, 64) uses a point outside 0..121)",
+                "[FAIL] row-resolution (row 60 covers point 105 0 times)",
+                "[FAIL] column-resolution (column 64 covers point 105 0 times)",
+                "[FAIL] pair-coverage (pair (19, 1000000000000000000000000000000)"
+                " is not a host edge)",
+            ],
+            "1c0448db39847bfa1e87c1a81181cdce576dcd64c5bd9f1feb0f6f0a83281cc0",
+        ),
+        (
+            -1, 0,
+            [
+                "[FAIL] block-shape (cell (60, 64) uses a point outside 0..121)",
+                "[FAIL] row-resolution (row 60 covers point 19 0 times)",
+                "[FAIL] column-resolution (column 64 covers point 19 0 times)",
+                "[FAIL] pair-coverage (pair (-1, 105) is not a host edge)",
+            ],
+            "5c330f0c51face4d7565e9c6a92b475f5c1a788179d381af36114c061e76b191",
+        ),
+    ],
+    ids=["10^30", "-1"],
+)
+def test_a_point_no_int_table_holds_keeps_its_report(tmp_path, capsys, value, place, failed, digest):
+    # the middle cell of a writer-laid side-121 file; the report was recorded
+    # when every cell went through json slices
+    data = json.loads(dumps_design(build_room(122)[0]))
+    data["cells"][len(data["cells"]) // 2]["edges"][0][place] = value
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(data) + "\n")
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == failed
+    assert _sha256(out) == digest
 
 
 def test_sliced_read_names_a_bad_last_cell():
