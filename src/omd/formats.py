@@ -19,7 +19,8 @@ and certificates; parsing reads only its "transversal", a list of
 strict about structure (exit path for malformed files): types, cell
 range, duplicate cells, edge shape. It appends each cell, its block in
 canonical form, to the design's lists in file order, and finds a cell
-read twice by a set of row * side + col ints. It leaves semantic
+read twice by a set of row * side + col ints, or, among the cells a scan
+read in increasing (row, col), by bisection. It leaves semantic
 validity to the verifier, so a structurally fine file describing a
 broken design, a cell that is not a matching included, parses and then
 fails verification.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, bisect_right
 from itertools import chain, compress, cycle, islice, repeat
 from operator import add, lt, mul
 from typing import Any
@@ -110,12 +112,15 @@ def design_from_dict(data: Any) -> DesignArray:
     return arr
 
 
-def _read_cells(entries: list, arr: DesignArray, seen: set[int]) -> None:
+def _read_cells(entries: list, arr: DesignArray, seen: set[int], scanned: int = 0) -> None:
     """Check parsed cell entries against arr's side and append each one,
-    its block in canonical form, to arr's lists; seen holds row * side +
-    col of every cell read so far. FormatError names the first bad one."""
+    its block in canonical form, to arr's lists. The first scanned cells of
+    arr, strictly increasing in (row, col), and seen, row * side + col of
+    each cell read after them, hold every cell read so far. FormatError
+    names the first bad one."""
     side = arr.side
     rows, cols, sizes, points = arr.rows, arr.cols, arr.sizes, arr.points
+    last = rows[scanned - 1] * side + cols[scanned - 1] if scanned else -1
     # exact ints skip _require_int, which keeps its verdict on all else
     for entry in entries:
         if not isinstance(entry, dict):
@@ -133,7 +138,10 @@ def _read_cells(entries: list, arr: DesignArray, seen: set[int]) -> None:
         if not (0 <= r < side and 0 <= c < side):
             raise FormatError(f"cell ({r}, {c}) outside side-{side} array")
         key = r * side + c
-        if key in seen:
+        if key <= last:  # not after the last scanned cell: bisect for it
+            at = bisect_left(rows, r, 0, scanned)
+            at = bisect_left(cols, c, at, bisect_right(rows, r, at, scanned))
+        if key in seen or key <= last and rows[at] == r and cols[at] == c:
             raise FormatError(f"cell ({r}, {c}) appears twice")
         seen.add(key)
         if not isinstance(raw_edges, list) or not raw_edges:
@@ -322,8 +330,7 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
         seen: set[int] = set()
         if fault is None:
             at = _scan(text, at, stop, arr)
-            if at < stop:  # the slices read on from the first refused chunk
-                seen.update(map(add, map(mul, arr.rows, repeat(arr.side)), arr.cols))
+            scanned = len(arr.rows)  # the slices read on from the first refused chunk
         while at < stop:
             cut = _CUT.search(text, at + _SLICE_CHARS, stop)
             to = stop if cut is None else cut.start() + 1
@@ -331,7 +338,7 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
             at = stop if cut is None else cut.end()
             if fault is None:
                 try:
-                    _read_cells(entries, arr, seen)
+                    _read_cells(entries, arr, seen, scanned)
                 except FormatError as exc:
                     fault = exc
     except (ValueError, RecursionError):

@@ -145,6 +145,9 @@ def _strong_starter(r: int, budget: int, seed: int, tally: dict) -> StarterAdder
             a = by_diff[d] or c or z
             if c and c != a or z and z != a:
                 continue
+            # edits that cancel are skipped: an end of the dropped pair or its
+            # difference freed and taken again at once
+            e = 0
             if a:
                 b = partner[a]
                 partner[a] = partner[b] = 0
@@ -152,11 +155,17 @@ def _strong_starter(r: int, budget: int, seed: int, tally: dict) -> StarterAdder
                 if e > half:
                     e = r - e
                 by_diff[e] = by_sum[(a + b) % r] = 0
-                free += (a, b)
-                unused.append(e)
+                if z:
+                    free.append(a + b - y)
+                else:
+                    free += (a, b)
+                if e != d:
+                    unused.append(e)
             free.remove(x)
-            free.remove(y)
-            unused.remove(d)
+            if not z:
+                free.remove(y)
+            if e != d:
+                unused.remove(d)
             partner[x], partner[y] = y, x
             by_diff[d] = by_sum[s] = x if x < y else y
             if not free:
@@ -189,26 +198,26 @@ def _starter_array(sa: StarterAdder) -> DesignArray:
     """The starter square, its cells written in (row, col) order.
 
     Row j holds the diagonal at column j and each pair at column j + a
-    mod r. With the offsets sorted, those at least r - j wrap around and
-    come first.
+    mod r. Each is laid down the rows from runs: its column a, a+1, ...
+    wraps to 0 at row r - a, and a pair x < y has its low point x + j
+    until y + j wraps, then y + j - r until x + j wraps, then x + j - r.
+    With the offsets sorted, those at least r - j wrap around and come
+    first in row j, so each row is rotated there, the diagonal last.
     """
     r = sa.r
-    starts = sorted(zip(sa.adder, sa.pairs))
-    offsets = [a for a, _ in starts]
-    cols: list[int] = []
-    points: list[int] = []
-    for j in range(r):
-        split = bisect.bisect_left(offsets, r - j)
-        for a, (x, y) in starts[split:]:
-            u, v = (x + j) % r, (y + j) % r
-            cols.append(j + a - r)
-            points += (u, v) if u < v else (v, u)
-        cols.append(j)
-        points += (j, r)
-        for a, (x, y) in starts[:split]:
-            u, v = (x + j) % r, (y + j) % r
-            cols.append(j + a)
-            points += (u, v) if u < v else (v, u)
+    starts = sorted((a, min(pair), max(pair)) for a, pair in zip(sa.adder, sa.pairs))
+    offsets = [a for a, _, _ in starts]
+    splits = [bisect.bisect_left(offsets, r - j) for j in range(r)]
+
+    def laid(runs: list) -> list[int]:
+        rotated = (row[s:] + row[:s] for row, s in zip(zip(*runs), splits))
+        return list(chain.from_iterable(rotated))
+
+    cols = laid([*([*range(a, r), *range(a)] for a, _, _ in starts), range(r)])
+    low = [[*range(x, x + r - y), *range(y - x), *range(x)] for _, x, y in starts]
+    high = [[*range(y, r), *range(x + r - y, r), *range(y - x, y)] for _, x, y in starts]
+    points = [0] * (2 * len(cols))
+    points[::2], points[1::2] = laid([*low, range(r)]), laid([*high, [r] * r])
     rows = list(chain.from_iterable(map(repeat, range(r), repeat(len(starts) + 1))))
     return DesignArray.of_arrays(r, r + 1, 1, rows, cols, [1] * len(cols), points)
 

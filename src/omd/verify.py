@@ -11,8 +11,9 @@ verify reads a DesignArray's flat lists in (row, col) order, so each row
 is one run of cells, and one loop over the rows tests each row's set of
 points. Once the blocks are found to be k canonical edges on 0..n-1 inside
 the array, one loop over the edges marks both byte tables that settle the
-columns and the pairs: one byte per (column, point) and one per (point,
-point). Only a failing check is walked, cell, line or pair, to say where.
+columns and the pairs: a line of n bytes per column, a byte per point,
+and one per point u, a byte per v above u. Only a failing check is
+walked, cell, line or pair, to say where.
 When the tables do not fit, for blocks not so shaped or cells too few for
 their bytes, _group lists points under their column or edge ends under u.
 
@@ -154,37 +155,39 @@ def _tables(cols: list[int], points: list[int], side: int, n: int, k: int) -> tu
     """The first column that does not cover 0..n-1 once, named, or None, each
     column's count of cells, and the pair detail, for cells inside the array
     that each hold k canonical edges on 0..n-1. One loop over the edges
-    marks byte c * n + p of one table for point p in column c and byte
-    u * n + v of the other for edge (u, v). When side * n points mark every
+    marks byte p of column c's line for point p in column c and byte v of
+    u's line of highs for edge (u, v). When side * n points mark every
     column byte, each column holds n / 2k cells. As many edges as pair bytes
     marked are distinct, and they make up K_n when they number n(n-1)/2,
-    else the first pair byte above the diagonal left unmarked is the first
+    else the first byte above u left unmarked in u's highs is the first
     gap."""
-    # each line's first byte is looked up, not multiplied: no new int
-    step, at = 2 * k, list(range(0, max(side, n) * n, n))
-    marks, pairs = bytearray(side * n), bytearray(n * n)
-    offsets = map(at.__getitem__, cols)
+    # a mark indexes a line by a point: it creates no int
+    step = 2 * k
+    lines = [bytearray(n) for _ in range(side)]
+    highs = [bytearray(n) for _ in range(n)]
+    by_edge = map(lines.__getitem__, cols)
     if k > 1:
-        offsets = chain.from_iterable(map(repeat, offsets, repeat(k)))
-    for o, u, v in zip(offsets, islice(points, 0, None, 2), islice(points, 1, None, 2)):
-        marks[o + u] = marks[o + v] = pairs[at[u] + v] = 1
+        by_edge = chain.from_iterable(map(repeat, by_edge, repeat(k)))
+    for column, u, v in zip(by_edge, islice(points, 0, None, 2), islice(points, 1, None, 2)):
+        column[u] = column[v] = highs[u][v] = 1
     col_detail, counts = None, (n // step,) * side
-    if len(points) != side * n or 0 in marks:
+    gap = next(compress(count(), map(bytearray.__contains__, lines, repeat(0))), side)
+    if len(points) != side * n or gap < side:
         # the first column with a byte unmarked or other than n / 2k cells
-        tally, gap = Counter(cols), marks.find(0)
+        tally = Counter(cols)
         short = (c for c in range(side) if tally[c] * step != n)
-        c = min(gap // n if gap >= 0 else side, next(short, side))
+        c = min(gap, next(short, side))
         cells = compress(count(), map(eq, cols, repeat(c)))
         line = [p for i in cells for p in points[i * step:i * step + step]]
         point, times = _first_fault(line, n)
         col_detail = f"column {c} covers point {point} {times} times"
         counts = tuple(map(tally.__getitem__, range(side)))
     edges = len(points) // 2
-    if pairs.count(1) < edges:
+    if sum(map(bytearray.count, highs, repeat(1))) < edges:
         return col_detail, counts, _pair_detail(n, points)
     if edges == n * (n - 1) // 2:
         return col_detail, counts, None
-    gaps = (pairs.find(0, u * n + u + 1, u * n + n) - u * n for u in range(n))
+    gaps = map(bytearray.find, highs, repeat(0), range(1, n + 1))
     u, v = next((u, v) for u, v in enumerate(gaps) if v > u)
     return col_detail, counts, f"host edge {(u, v)} is uncovered"
 

@@ -472,10 +472,10 @@ def test_the_scan_hands_over_to_the_slices_at_any_cell(monkeypatch):
     monkeypatch.setattr(formats, "_SCAN_CHARS", 1)
     read_cells, scanned = formats._read_cells, []
 
-    def counting(entries, arr, seen):
+    def counting(entries, arr, *rest):
         if entries:  # not the header's empty list
-            scanned.append(len(seen))
-        return read_cells(entries, arr, seen)
+            scanned.append(len(arr.rows))
+        return read_cells(entries, arr, *rest)
 
     _, corpus = _differential_corpus()
     handed_over = 0
@@ -494,7 +494,7 @@ def test_the_scan_reads_every_cell_of_writer_and_indent_2_texts(monkeypatch, n, 
     arr = construct(n, k).design
     text = dumps_design(arr)
     fed = []
-    monkeypatch.setattr(formats, "_read_cells", lambda entries, arr, seen: fed.extend(entries))
+    monkeypatch.setattr(formats, "_read_cells", lambda entries, *rest: fed.extend(entries))
     for text in (text, json.dumps(json.loads(text), indent=2)):
         assert loads_design(text)[0] == arr
     assert fed == []
@@ -510,9 +510,9 @@ def test_a_bad_last_cell_reaches_the_slices_alone(monkeypatch, scan_chars):
         _read_whole(text)
     read_cells, fed = formats._read_cells, []
 
-    def counting(entries, arr, seen):
+    def counting(entries, *rest):
         fed.extend(entries)
-        return read_cells(entries, arr, seen)
+        return read_cells(entries, *rest)
 
     monkeypatch.setattr(formats, "_SCAN_CHARS", scan_chars)
     monkeypatch.setattr(formats, "_read_cells", counting)
@@ -522,6 +522,37 @@ def test_a_bad_last_cell_reaches_the_slices_alone(monkeypatch, scan_chars):
     assert fed[-1]["row"] == 5000
     # a one-line cell of this design takes at least 38 characters
     assert len(fed) <= scan_chars // 38 + 1, len(fed)
+
+
+def _appended(cell_of):
+    """build_room(122)'s text with cell_of(cells, side) appended to its
+    cells: out of order, so the scan hands over to the slices there."""
+    data = json.loads(dumps_design(build_room(122)[0]))
+    data["cells"].append(cell_of(data["cells"], data["side"]))
+    return json.dumps(data)
+
+
+def _free_cell(cells, side):
+    held = {(c["row"], c["col"]) for c in cells}
+    col = next(c for c in range(side) if (60, c) not in held)
+    return {"row": 60, "col": col, "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "cell_of, twice",
+    [
+        (lambda cells, side: cells[0], True),
+        (lambda cells, side: cells[len(cells) // 2], True),
+        (lambda cells, side: cells[-1], True),
+        (_free_cell, False),
+    ],
+)
+def test_a_cell_read_after_the_handover_is_matched_against_the_scanned(cell_of, twice):
+    # the scanned cells, which strictly increase, are searched by bisection
+    text = _appended(cell_of)
+    outcome = _outcome(loads_design, text)
+    assert outcome == _outcome(_read_whole, text)
+    assert ("appears twice" in str(outcome)) == twice
 
 
 @pytest.mark.parametrize(

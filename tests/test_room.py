@@ -203,17 +203,24 @@ def test_starter_square_column_structure(r):
         assert got == expected
 
 
-@pytest.mark.parametrize("r", [9, 61, 121])
+@pytest.mark.parametrize("r", range(7, 152, 2))
 def test_starter_array_inserts_cells_in_row_order(r):
-    """The cells are the starter formula's, inserted in (row, col) order."""
-    sa = _NINE if r == 9 else strong_starter_search(r)
-    expected = {(j, j): ((j, r),) for j in range(r)}
-    for (x, y), a in zip(sa.pairs, sa.adder):
-        for j in range(r):
-            expected[(j, (j + a) % r)] = canonical_block([((x + j) % r, (y + j) % r)])
-    arr = _starter_array(sa)
-    assert arr.cells == expected
-    assert list(arr.cells) == sorted(expected)
+    """The flat lists are the starter formula's cells in (row, col) order,
+    at two seeds for every odd r up to 151, so every run of the laid
+    columns and points, which break at x + r - y and y - x, is met."""
+    starters = [_NINE] if r == 9 else [strong_starter_search(r, seed=s) for s in (0, 1)]
+    for sa in starters:
+        cells = [(j, j, j, r) for j in range(r)]
+        for (x, y), a in zip(sa.pairs, sa.adder):
+            for j in range(r):
+                u, v = sorted(((x + j) % r, (y + j) % r))
+                cells.append((j, (j + a) % r, u, v))
+        cells.sort()
+        arr = _starter_array(sa)
+        assert arr.rows == [row for row, _, _, _ in cells]
+        assert arr.cols == [col for _, col, _, _ in cells]
+        assert arr.sizes == [1] * len(cells)
+        assert arr.points == [p for _, _, u, v in cells for p in (u, v)]
 
 
 def test_room_from_starter_revalidates():

@@ -193,6 +193,21 @@ def _first_rows(count):
     return _edit(arr, drop=[cell for cell in arr.cells if cell[0] >= count])
 
 
+def _room_deletion(cell_of):
+    """construct(122, 1).design with the cell cell_of(arr) picks deleted."""
+    arr = construct(122, 1).design
+    return _edit(arr, drop=[cell_of(arr)])
+
+
+def _first_of_last_column(arr):
+    return min(c for c in arr.cells if c[1] == arr.side - 1)
+
+
+def _holding_the_last_edge(arr):
+    n = arr.n
+    return next(c for c, block in arr.cells.items() if (n - 2, n - 1) in block)
+
+
 def _product_deletion():
     arr = construct(80, 2).design
     return _edit(arr, drop=[max(arr.cells)])
@@ -280,6 +295,20 @@ PINNED_AT_SCALE = {
         (None, None, "row 0 covers point 0 0 times",
          "column 1 covers point 0 0 times", None),
         "83d757693a09f6d25f2f67401f17c3af1278ddbfe852ac454bb3ae2363a915b2",
+    ),
+    # the last line of each byte table: the last column's, and the pairs
+    # above n - 2; recorded before the tables were split into lines
+    "room-deletion-in-last-column": (
+        lambda: _room_deletion(_first_of_last_column),
+        (None, None, "row 2 covers point 17 0 times",
+         "column 120 covers point 17 0 times", "host edge (17, 105) is uncovered"),
+        "45aba3af9f9e0857b8c9bd18c45ffe0470ce1bb5361315de26d37c7bc5593f25",
+    ),
+    "room-deletion-of-the-last-edge": (
+        lambda: _room_deletion(_holding_the_last_edge),
+        (None, None, "row 120 covers point 120 0 times",
+         "column 120 covers point 120 0 times", "host edge (120, 121) is uncovered"),
+        "722d21a951ec84c945f5e4946e0d8585af09b72637172cf13cfa17ede8e3ee5a",
     ),
 }
 
