@@ -81,7 +81,7 @@ def build_4k(k: int) -> tuple[DesignArray, Transversal]:
     ring = 2 * k - 1
     chosen = [(i, 2 * k - 1 - i) for i in range(2 * k)]
     chosen += [(2 * k + r, 2 * k + -r % ring) for r in range(ring)]
-    return DesignArray(n - 1, n, k, dict(sorted(cells.items()))), tuple(chosen)
+    return DesignArray(n - 1, n, k, cells), tuple(chosen)
 
 
 # One-edge cells (row, col, u, v), u < v, of the 4 x 4 order-6 pattern
@@ -131,4 +131,4 @@ def build_6k(k: int) -> tuple[DesignArray, Transversal]:
     empty = enumerate((2, 3, 1, 0))
     chosen = [(r * k + t, c * k + t) for r, c in empty for t in range(k)]
     chosen += [(4 * k + r, 4 * k + -r % ring) for r in range(ring)]
-    return DesignArray(n - 1, n, k, dict(sorted(cells.items()))), tuple(chosen)
+    return DesignArray(n - 1, n, k, cells), tuple(chosen)

@@ -55,7 +55,6 @@ def _expand(
         rows, cols = lines(i), lines(j)
         chosen.update((rows[(s - 1 - c) % (2 * s - 1)], cols[c]) for c in range(2 * s - 1))
     on_transversal = set(outer_transversal)
-    outer = outer.row_major()
     orows, ocols, opoints = outer.rows, outer.cols, outer.points
     bounds = list(map(bisect_left, repeat(orows), range(outer.side + 1)))
     rows, cols, points = [], [], []

@@ -11,12 +11,14 @@ pairs of its n points, so n alone names it.
 
 A DesignArray holds its occupied cells as flat int lists: rows, cols, the
 number of edges of each cell's block, and the blocks' endpoints, two per
-edge, one block after another. A builder writes them in (row, col) order
-with each edge as (min, max) and a block's edges sorted, the canonical
-form canonical_block makes. Nothing here checks that a block is a
-matching, or that the cells are in order or distinct; the verifier is the
-one place that does. The cells property is a dict of (row, col) to block,
-built on demand for renderers, tests and small designs.
+edge, one block after another. The cells are in (row, col) order from
+the moment an array is made, so each row is one run of cells and a cell
+is found by bisection; of_arrays is the one place that checks or makes
+that order. A builder writes each edge as (min, max) and a block's edges
+sorted, the canonical form canonical_block makes. Nothing here checks
+that a block is a matching; the verifier is the one place that does. The
+cells property is a dict of (row, col) to block, built on demand for
+renderers, tests and small designs.
 
 Constructors that think in structured coordinates (group elements, side
 labels, part indices) flatten them to 0..n-1 through bijections documented
@@ -27,10 +29,11 @@ Every builder call writes its own lists, which the caller owns.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, eq, itemgetter, lt, mul
+from operator import add, and_, attrgetter, eq, itemgetter, lt, mul
 
 Edge = tuple[int, int]
 Cell = tuple[int, int]
@@ -58,7 +61,7 @@ class DesignArray:
     """Square array of optional blocks plus design metadata.
 
     DesignArray(side, n, k, cells) copies a dict of (row, col) to block
-    into the lists once, in the dict's order; of_arrays wraps lists that a
+    into the lists once, in (row, col) order; of_arrays wraps lists that a
     builder or the file reader wrote. Cell i is (rows[i], cols[i]) and
     holds sizes[i] edges, whose endpoints follow those of the cells before
     it in points. Nothing here checks the cells against side, n or k; that
@@ -68,6 +71,7 @@ class DesignArray:
     __slots__ = ("side", "n", "k", "rows", "cols", "sizes", "points")
 
     def __init__(self, side: int, n: int, k: int, cells: dict[Cell, Block]) -> None:
+        cells = dict(sorted(cells.items()))
         blocks = cells.values()
         self.side, self.n, self.k = side, n, k
         self.rows = list(map(itemgetter(0), cells))
@@ -81,24 +85,41 @@ class DesignArray:
     def of_arrays(
         cls, side: int, n: int, k: int, rows: list, cols: list, sizes: list, points: list
     ) -> DesignArray:
-        """The array of these lists, which it keeps, not copies."""
+        """The array of these lists, kept, not copied, when their cells
+        strictly increase in (row, col), else of copies sorted into that
+        order. ValueError names a cell held twice."""
         arr = cls.__new__(cls)
         arr.side, arr.n, arr.k = side, n, k
         arr.rows, arr.cols, arr.sizes, arr.points = rows, cols, sizes, points
+        after = zip(islice(rows, 1, None), islice(cols, 1, None))
+        if all(map(lt, zip(rows, cols), after)):
+            return arr
+        # by column, then stably by row: no (row, col) tuple per cell
+        order = sorted(range(len(rows)), key=cols.__getitem__)
+        order.sort(key=rows.__getitem__)
+        arr.rows = list(map(rows.__getitem__, order))
+        arr.cols = list(map(cols.__getitem__, order))
+        same_row = map(eq, arr.rows, islice(arr.rows, 1, None))
+        same = map(and_, same_row, map(eq, arr.cols, islice(arr.cols, 1, None)))
+        twice = next(compress(zip(arr.rows, arr.cols), same), None)
+        if twice is not None:
+            raise ValueError(f"cell {twice} is held twice")
+        ends = arr.ends()
+        after = map(ends.__getitem__, map(add, order, repeat(1)))
+        spans = map(slice, map(ends.__getitem__, order), after)
+        arr.sizes = list(map(sizes.__getitem__, order))
+        arr.points = list(chain.from_iterable(map(points.__getitem__, spans)))
         return arr
 
     def __repr__(self) -> str:
-        return (
-            f"DesignArray(side={self.side}, n={self.n}, k={self.k}, "
-            f"{len(self.rows)} cells)"
-        )
+        return f"DesignArray(side={self.side}, n={self.n}, k={self.k}, {len(self.rows)} cells)"
 
     def __eq__(self, other: object) -> bool:
-        """Equal side, n, k and cells, in whatever order they are held."""
+        """Equal side, n, k and cells."""
         if not isinstance(other, DesignArray):
             return NotImplemented
-        mine, theirs = (self.side, self.n, self.k), (other.side, other.n, other.k)
-        return mine == theirs and self.cells == other.cells
+        fields = attrgetter(*self.__slots__)
+        return fields(self) == fields(other)
 
     def _size(self) -> int:
         """The edges of each cell when every cell holds as many, else 0."""
@@ -124,42 +145,26 @@ class DesignArray:
     @property
     def cells(self) -> dict[Cell, Block]:
         """A new dict of (row, col) to block, in array order; changing it
-        leaves the array as it is. ValueError when a cell is held twice."""
-        cells = dict(zip(zip(self.rows, self.cols), self.blocks()))
-        if len(cells) < len(self.rows):
-            self.row_major()
-        return cells
+        leaves the array as it is."""
+        return dict(zip(zip(self.rows, self.cols), self.blocks()))
 
-    def row_major(self) -> DesignArray:
-        """This array when its cells run in (row, col) order, each once, else
-        a copy sorted into that order. ValueError names a cell held twice."""
+    def find(self, row: int, col: int) -> int | None:
+        """The index of cell (row, col), or None: bisection for the row's
+        run of cells, then for the column in it."""
         rows, cols = self.rows, self.cols
-        after = zip(islice(rows, 1, None), islice(cols, 1, None))
-        if all(map(lt, zip(rows, cols), after)):
-            return self
-        keys = list(zip(rows, cols))
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        ordered = list(map(keys.__getitem__, order))
-        twice = next(compress(ordered, map(eq, ordered, islice(ordered, 1, None))), None)
-        if twice is not None:
-            raise ValueError(f"cell {twice} is held twice")
-        ends = self.ends()
-        after = map(ends.__getitem__, map(add, order, repeat(1)))
-        spans = map(slice, map(ends.__getitem__, order), after)
-        return DesignArray.of_arrays(
-            self.side,
-            self.n,
-            self.k,
-            list(map(rows.__getitem__, order)),
-            list(map(cols.__getitem__, order)),
-            list(map(self.sizes.__getitem__, order)),
-            list(chain.from_iterable(map(self.points.__getitem__, spans))),
-        )
+        start = bisect_left(rows, row)
+        stop = bisect_right(rows, row, start)
+        i = bisect_left(cols, col, start, stop)
+        return i if i < stop and cols[i] == col else None
 
     def block_at(self, row: int, col: int) -> Block | None:
-        """The block at (row, col), or None; builds the cells view, so a
-        caller looking up many cells takes the view once instead."""
-        return self.cells.get((row, col))
+        """The block at (row, col), or None."""
+        i = self.find(row, col)
+        if i is None:
+            return None
+        ends = self.ends()
+        points = iter(self.points[ends[i]:ends[i + 1]])
+        return tuple(zip(points, points))
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,12 @@ and certificates; parsing reads only its "transversal", a list of
 [row, col] cells, and ignores a meta that is not an object. Parsing is
 strict about structure (exit path for malformed files): types, cell
 range, duplicate cells, edge shape. It appends each cell, its block in
-canonical form, to the design's lists in file order, and finds a cell
-read twice by a set of row * side + col ints, or, among the cells a scan
-read in increasing (row, col), by bisection. It leaves semantic
-validity to the verifier, so a structurally fine file describing a
-broken design, a cell that is not a matching included, parses and then
-fails verification.
+canonical form, to a draft's lists in file order, and finds a cell read
+twice by a set of row * side + col ints, or, among the cells a scan read
+in increasing (row, col), by bisection; with the parse freed, of_arrays
+puts the lists in (row, col) order. It leaves semantic validity to the
+verifier, so a structurally fine file describing a broken design, a cell
+that is not a matching included, parses and then fails verification.
 
 A well-formed text, its keys in any order, has its cells list read by a
 scan while it can, then by JSON slices. The scan accepts each chunk of
@@ -47,6 +47,7 @@ import re
 from bisect import bisect_left, bisect_right
 from itertools import chain, compress, cycle, islice, repeat
 from operator import add, lt, mul
+from types import SimpleNamespace
 from typing import Any
 
 from .core import Block, DesignArray, Transversal
@@ -62,7 +63,6 @@ def _require_int(value: Any, where: str) -> int:
 
 
 def design_to_dict(arr: DesignArray, meta: dict | None = None) -> dict:
-    arr = arr.row_major()
     cells = [
         {"row": r, "col": c, "edges": [[u, v] for u, v in block]}
         for r, c, block in zip(arr.rows, arr.cols, arr.blocks())
@@ -84,6 +84,13 @@ def _design_dict(arr: DesignArray, cells: list, meta: dict | None) -> dict:
 
 
 def design_from_dict(data: Any) -> DesignArray:
+    return DesignArray.of_arrays(**vars(_read_design(data)))
+
+
+def _read_design(data: Any) -> SimpleNamespace:
+    """A draft of of_arrays' arguments: the side, n and k of a parsed
+    design, checked, and its cells read by _read_cells into rows, cols,
+    sizes and points, in file order."""
     if not isinstance(data, dict):
         raise FormatError("design must be an object")
     for field in ("n", "k", "side", "host", "cells"):
@@ -107,19 +114,21 @@ def design_from_dict(data: Any) -> DesignArray:
     if not isinstance(raw_cells, list):
         raise FormatError("cells must be a list")
 
-    arr = DesignArray.of_arrays(side, n, k, [], [], [], [])
-    _read_cells(raw_cells, arr, set())
-    return arr
+    draft = SimpleNamespace(side=side, n=n, k=k, rows=[], cols=[], sizes=[], points=[])
+    _read_cells(raw_cells, draft, set())
+    return draft
 
 
-def _read_cells(entries: list, arr: DesignArray, seen: set[int], scanned: int = 0) -> None:
-    """Check parsed cell entries against arr's side and append each one,
-    its block in canonical form, to arr's lists. The first scanned cells of
-    arr, strictly increasing in (row, col), and seen, row * side + col of
-    each cell read after them, hold every cell read so far. FormatError
-    names the first bad one."""
-    side = arr.side
-    rows, cols, sizes, points = arr.rows, arr.cols, arr.sizes, arr.points
+def _read_cells(
+    entries: list, draft: SimpleNamespace, seen: set[int], scanned: int = 0
+) -> None:
+    """Check parsed cell entries against the draft's side and append each
+    one, its block in canonical form, to the draft's lists. The first
+    scanned cells of the draft, strictly increasing in (row, col), and
+    seen, row * side + col of each cell read after them, hold every cell
+    read so far. FormatError names the first bad one."""
+    side = draft.side
+    rows, cols, sizes, points = draft.rows, draft.cols, draft.sizes, draft.points
     last = rows[scanned - 1] * side + cols[scanned - 1] if scanned else -1
     # exact ints skip _require_int, which keeps its verdict on all else
     for entry in entries:
@@ -196,9 +205,8 @@ def dumps_design(arr: DesignArray, meta: dict | None = None) -> str:
     json.dumps. When every cell holds k edges, k >= 1, the cells are one
     join, in (row, col) order, of a text per value that holds it and the
     layout up to the next value: '{"row": 7, "col": ', '12, "edges": [[',
-    '3, ' and '40]]}, ' for a cell of one edge. Arrays not in that order
-    are sorted into it first; others go through json.dumps whole."""
-    arr = arr.row_major()
+    '3, ' and '40]]}, ' for a cell of one edge. Others go through
+    json.dumps whole."""
     n, k, side, step = arr.n, arr.k, arr.side, 2 * arr.k
     if k < 1 or arr.sizes.count(k) < len(arr.sizes):
         return json.dumps(design_to_dict(arr, meta)) + "\n"
@@ -226,7 +234,8 @@ def loads_design(text: str | bytes) -> tuple[DesignArray, Transversal | None]:
     header's or a cell's FormatError only once all of it has parsed. Bytes,
     and any str that _read_sliced finds irregular, are parsed whole, and
     that parse words every error; so a text gives the same result or the
-    same FormatError either way."""
+    same FormatError either way. Either way of_arrays orders the cells
+    once the parse is freed."""
     read = _read_sliced(text) if isinstance(text, str) else None
     if read is not None:
         arr, meta = read
@@ -237,10 +246,10 @@ def loads_design(text: str | bytes) -> tuple[DesignArray, Transversal | None]:
         # ValueError: bad JSON, an int past the digit limit; RecursionError: deep nesting
         raise FormatError(f"not valid JSON: {exc}") from exc
     del text  # the text and, below, the parsed JSON go early to keep the peak low
-    arr = design_from_dict(data)
+    draft = _read_design(data)
     meta = data.get("meta")
     del data
-    return arr, _stored_transversal(meta)
+    return DesignArray.of_arrays(**vars(draft)), _stored_transversal(meta)
 
 
 def _stored_transversal(meta: Any) -> Transversal | None:
@@ -298,8 +307,8 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
     rest holds it once and json keeps it as the top-level "cells", a
     whole-text parse keeps the sliced list. None means irregular: any
     other NaN, a list not kept, a slice that does not parse, bad JSON.
-    design_from_dict checks the header and makes the empty array that
-    _read_cells fills. The header's error, or else the first cell that
+    _read_design checks the header and makes the empty draft that _scan
+    and _read_cells fill. The header's error, or else the first cell that
     _read_cells rejects, is kept and raised once the later slices have
     parsed."""
     found = _CELLS.search(text)
@@ -324,13 +333,13 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
         data["cells"] = []
         fault = None
         try:
-            arr = design_from_dict(data)
+            draft = _read_design(data)
         except FormatError as exc:
             fault = exc
         seen: set[int] = set()
         if fault is None:
-            at = _scan(text, at, stop, arr)
-            scanned = len(arr.rows)  # the slices read on from the first refused chunk
+            at = _scan(text, at, stop, draft)
+            scanned = len(draft.rows)  # the slices read on from the first refused chunk
         while at < stop:
             cut = _CUT.search(text, at + _SLICE_CHARS, stop)
             to = stop if cut is None else cut.start() + 1
@@ -338,18 +347,19 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
             at = stop if cut is None else cut.end()
             if fault is None:
                 try:
-                    _read_cells(entries, arr, seen, scanned)
+                    _read_cells(entries, draft, seen, scanned)
                 except FormatError as exc:
                     fault = exc
     except (ValueError, RecursionError):
         return None
     if fault is not None:
         raise fault
-    return arr, data.get("meta")
+    del seen  # freed before of_arrays sorts cells read out of order
+    return DesignArray.of_arrays(**vars(draft)), data.get("meta")
 
 
-def _scan(text: str, at: int, stop: int, arr: DesignArray) -> int:
-    """Append to arr's lists the cells of text[at:stop], a chunk of about
+def _scan(text: str, at: int, stop: int, draft: SimpleNamespace) -> int:
+    """Append to the draft's lists the cells of text[at:stop], a chunk of about
     _SCAN_CHARS at a time; return where the first refused chunk starts.
 
     The first cell, up to its "}", must be laid out as _FIRST matches.
@@ -368,16 +378,16 @@ def _scan(text: str, at: int, stop: int, arr: DesignArray) -> int:
     pieces = _NUMBER.split(text[at:to] + sep)
     formats = [pieces[0] + "%d" + pieces[1]] + ["%d" + piece for piece in pieces[2:]]
 
-    m, side = len(formats), arr.side
+    m, side = len(formats), draft.side
     k = m // 2 - 1
-    bound = max(arr.n, side)
+    bound = max(draft.n, side)
     # made at once only while far smaller than the text, whatever the header says
     size = min(bound, len(text) // (64 * m))
     ints = _Ints(size, bound)
     texts = {fmt: _Texts(fmt, size).__getitem__ for fmt in formats}
     lay = [texts[fmt] for fmt in formats]
     ends = (0, 0) + (1,) * (m - 2)
-    rows, cols, sizes, points = arr.rows, arr.cols, arr.sizes, arr.points
+    rows, cols, sizes, points = draft.rows, draft.cols, draft.sizes, draft.points
     last = -1
     while at < stop:
         cut = _CUT.search(text, at + _SCAN_CHARS, stop)

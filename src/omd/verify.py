@@ -198,31 +198,27 @@ def verify(arr: DesignArray) -> VerificationReport:
     Conditions: every cell inside the array and empty or a k-matching,
     every row and column a resolution class, every host edge covered
     exactly once and nothing else. All checks run even after a failure so
-    the report is complete. The cells are read in (row, col) order, as
-    the builders write them; others are sorted first. Each row is one run
-    of cells, tested with a set; bulk passes settle the blocks. When every
-    block is k canonical edges on 0..n-1 inside the array, one loop over the
-    edges marks a column and a pair byte table, each of at most twice as many
-    bytes as the cells hold points; otherwise, or when they do not fit, _group
-    lists each cell's points under its column, with no sort, and each column
-    is tested with a set. Only a check that fails is walked cell by cell,
-    line by line or pair by pair, to name its first counterexample.
-    ValueError when a cell is held twice.
+    the report is complete. The array holds its cells in (row, col) order,
+    so each row is one run of cells, tested with a set; bulk passes settle
+    the blocks. When every block is k canonical edges on 0..n-1 inside the
+    array, one loop over the edges marks a column and a pair byte table,
+    each of at most twice as many bytes as the cells hold points; otherwise,
+    or when they do not fit, _group lists each cell's points under its
+    column, with no sort, and each column is tested with a set. Only a check
+    that fails is walked cell by cell, line by line or pair by pair, to name
+    its first counterexample.
     """
     n, side, k = arr.n, arr.side, arr.k
     # each row covers every point once and each block uses one edge at each
     # point it covers, so the side is the degree of K_n, n - 1
     host_detail = None if side == n - 1 else f"side is {side}, host requires {n - 1}"
 
-    arr = arr.row_major()
     rows, cols, points, ends = arr.rows, arr.cols, arr.points, arr.ends()
     m = len(rows)
-    inside = not m or 0 <= rows[0] and rows[-1] < side
-    inside = inside and (not m or 0 <= min(cols) and max(cols) < side)
+    inside = not m or 0 <= rows[0] and rows[-1] < side and 0 <= min(cols) and max(cols) < side
     held = arr
     if not inside:
-        cells = arr.cells.items()
-        kept = {cell: b for cell, b in cells if 0 <= min(cell) and max(cell) < side}
+        kept = {c: b for c, b in arr.cells.items() if 0 <= min(c) and max(c) < side}
         held = DesignArray(side, n, k, kept)
     # with fewer cells than lines, one of lines 0..cells is empty and no
     # later line can hold the first fault, so the work follows the cells
@@ -293,18 +289,6 @@ def _permutation_fault(cells, axis: int, side: int) -> str | None:
     return f"{label} {i} is outside 0..{side - 1}"
 
 
-def _held(arr: DesignArray, wanted: Counter) -> list[tuple[int, int]]:
-    """(index, times) of each cell of wanted that arr holds, where wanted
-    counts cells, from one scan of the cells in any order. ValueError when
-    one is held twice."""
-    rows, cols = arr.rows, arr.cols
-    hits = list(compress(count(), map(wanted.__contains__, zip(rows, cols))))
-    cells = [(rows[i], cols[i]) for i in hits]
-    if len(set(cells)) < len(cells):
-        arr.row_major()
-    return [(i, wanted[cell]) for i, cell in zip(hits, cells)]
-
-
 def verify_transversal(arr: DesignArray, transversal: Transversal) -> VerificationReport:
     """Check one-cell-per-row/column and exact point coverage."""
     checks = []
@@ -316,7 +300,8 @@ def verify_transversal(arr: DesignArray, transversal: Transversal) -> Verificati
     checks.append(Check("one-per-row-and-column", perm_detail is None, perm_detail))
 
     # a cell chosen t times counts t times
-    found = _held(arr, Counter((r, c) for r, c in transversal))
+    wanted = Counter((r, c) for r, c in transversal)
+    found = [(i, t) for (r, c), t in wanted.items() if (i := arr.find(r, c)) is not None]
     ends, points = arr.ends(), arr.points
     chosen = [points[ends[i]:ends[i + 1]] * times for i, times in found]
     miss = _first_fault(list(chain.from_iterable(chosen)), arr.n)
@@ -350,9 +335,9 @@ def verify_hole(arr: DesignArray, hole: Hole) -> VerificationReport:
 
     empty_detail = None
     if range_detail is None:
-        rows, cols = set(hole.rows), set(hole.cols)
-        inner = (c for c in zip(arr.rows, arr.cols) if c[0] in rows and c[1] in cols)
-        cell = min(inner, default=None)
+        # the hole's indices are sorted, so the first held cell is the smallest
+        inner = ((r, c) for r in hole.rows for c in hole.cols if arr.find(r, c) is not None)
+        cell = next(inner, None)
         empty_detail = cell and f"cell {cell} inside the hole holds a block"
     checks.append(Check("hole-cells-empty", empty_detail is None, empty_detail))
 

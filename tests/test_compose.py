@@ -5,7 +5,7 @@ import pytest
 import omd.compose as product
 from omd.bases import build_2k
 from omd.compose import _expand, construct
-from omd.core import canonical_block
+from omd.core import DesignArray, canonical_block
 from omd.errors import NonExistent
 from omd.factorizations import ofact_complete
 from omd.formats import dumps_design
@@ -130,15 +130,17 @@ def test_construct_is_reproducible():
 
 def test_construct_cells_are_canonical():
     # no type enforces the canonical form; every builder must produce it,
-    # since the JSON bytes follow each cell's edge order. verify and the
-    # writer read the cells in (row, col) order, so a builder that writes
-    # them otherwise costs each of them a sorted copy
+    # since the JSON bytes follow each cell's edge order. An array holds
+    # its cells in (row, col) order, so a builder that writes them
+    # otherwise costs of_arrays a sorted copy
     for k in range(1, 7):
         for n in range(2 * k, 61, 2 * k):
             if (n, k) in ((4, 1), (6, 1)):
                 continue
             design = construct(n, k, seed=0).design
-            assert design.row_major() is design, (n, k)
+            lists = design.rows, design.cols, design.sizes, design.points
+            again = DesignArray.of_arrays(design.side, n, k, *lists)
+            assert again.rows is design.rows, (n, k)
             cells = design.cells
             assert all(block == canonical_block(block) for block in cells.values()), (n, k)
 

@@ -7,8 +7,7 @@ import pytest
 from omd.bases import build_2k
 from omd.compose import _expand
 from omd.core import DesignArray, Hole, canonical_block
-from omd.formats import dumps_design
-from omd.verify import verify, verify_transversal
+from omd.verify import verify
 
 
 def test_canonical_block_orders_each_pair():
@@ -60,19 +59,23 @@ def test_occupied_is_sorted():
     assert [cell for cell, _ in sorted(arr.cells.items())] == [(0, 0), (1, 1)]
 
 
-def test_arrays_hold_the_dict_in_its_order():
+def test_arrays_hold_the_dict_in_row_col_order():
     cells = {(1, 1): ((3, 2),), (0, 0): ((0, 1), (2, 5)), (0, 2): ()}
     arr = DesignArray(2, 6, 2, cells)
-    assert (arr.rows, arr.cols, arr.sizes) == ([1, 0, 0], [1, 0, 2], [1, 2, 0])
-    assert arr.points == [3, 2, 0, 1, 2, 5]
-    assert list(arr.cells.items()) == list(cells.items())
+    assert (arr.rows, arr.cols, arr.sizes) == ([0, 0, 1], [0, 2, 1], [2, 0, 1])
+    assert arr.points == [0, 1, 2, 5, 3, 2]
+    assert list(arr.cells.items()) == sorted(cells.items())
     assert arr.block_at(0, 0) == ((0, 1), (2, 5))
     assert arr.block_at(0, 2) == ()
-    assert arr.block_at(1, 0) is None
-    ordered = arr.row_major()
-    assert (ordered.rows, ordered.cols, ordered.sizes) == ([0, 0, 1], [0, 2, 1], [2, 0, 1])
-    assert ordered.points == [0, 1, 2, 5, 3, 2]
-    assert ordered == arr and ordered.row_major() is ordered
+    assert arr.block_at(1, 1) == ((3, 2),)
+    assert arr.block_at(1, 0) is None and arr.block_at(2, 1) is None
+    assert [arr.find(*cell) for cell in ((0, 0), (0, 2), (1, 1), (0, 1))] == [0, 1, 2, None]
+    # of_arrays keeps lists already in (row, col) order and sorts others
+    again = DesignArray.of_arrays(2, 6, 2, arr.rows, arr.cols, arr.sizes, arr.points)
+    assert again.rows is arr.rows and again.points is arr.points
+    shuffled = DesignArray.of_arrays(2, 6, 2, [1, 0, 0], [1, 0, 2], [1, 2, 0], [3, 2, 0, 1, 2, 5])
+    assert (shuffled.rows, shuffled.cols, shuffled.sizes) == ([0, 0, 1], [0, 2, 1], [2, 0, 1])
+    assert shuffled.points == [0, 1, 2, 5, 3, 2] and shuffled == arr
 
 
 def test_cells_view_is_a_copy():
@@ -82,12 +85,11 @@ def test_cells_view_is_a_copy():
 
 
 def test_a_cell_held_twice_is_refused():
-    arr = DesignArray.of_arrays(2, 3, 1, [0, 1, 0], [0, 1, 0], [1, 1, 1], [0, 1, 1, 2, 0, 2])
-    for use in (lambda a: a.cells, verify, dumps_design, lambda a: a.block_at(1, 1)):
-        with pytest.raises(ValueError, match=r"cell \(0, 0\) is held twice"):
-            use(arr)
-    with pytest.raises(ValueError, match="held twice"):
-        verify_transversal(arr, ((0, 0), (1, 1)))
+    # at construction, before any reader of the array can see it
+    with pytest.raises(ValueError, match=r"cell \(0, 0\) is held twice"):
+        DesignArray.of_arrays(2, 3, 1, [0, 1, 0], [0, 1, 0], [1, 1, 1], [0, 1, 1, 2, 0, 2])
+    with pytest.raises(ValueError, match=r"cell \(1, 1\) is held twice"):
+        DesignArray.of_arrays(2, 3, 1, [1, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1, 2, 0, 2])
 
 
 def _edge_set(n):

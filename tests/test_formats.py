@@ -283,6 +283,23 @@ def test_round_trip_identity_at_scale():
     assert loads_design(dumps_design(arr))[0] == arr
 
 
+@pytest.mark.parametrize("n, k", [(22, 1), (24, 3)])
+def test_a_shuffled_text_reads_to_the_lists_of_the_ordered_one(n, k):
+    # the reader hands its lists to of_arrays, which sorts them, on the
+    # sliced path (a str) and on the whole-text path (bytes) alike
+    text = dumps_design(construct(n, k).design)
+    data = json.loads(text)
+    random.Random(0).shuffle(data["cells"])
+    shuffled = json.dumps(data)
+    assert shuffled != text and formats._read_sliced(shuffled) is not None
+    want = loads_design(text)[0]
+    for read in (shuffled, shuffled.encode()):
+        arr = loads_design(read)[0]
+        assert (arr.rows, arr.cols, arr.sizes, arr.points) == (
+            want.rows, want.cols, want.sizes, want.points
+        )
+
+
 def _read_whole(text):
     """The reference reader: the whole text through json.loads and
     design_from_dict, then the stored transversal, if any, as a cell tuple."""
