@@ -14,11 +14,12 @@ number of edges of each cell's block, and the blocks' endpoints, two per
 edge, one block after another. The cells are in (row, col) order from
 the moment an array is made, so each row is one run of cells and a cell
 is found by bisection; of_arrays is the one place that checks or makes
-that order. A builder writes each edge as (min, max) and a block's edges
-sorted, the canonical form canonical_block makes. Nothing here checks
-that a block is a matching; the verifier is the one place that does. The
-cells property is a dict of (row, col) to block, built on demand for
-renderers, tests and small designs.
+that order, and so the one place that finds a cell held twice. A builder
+writes each edge as (min, max) and a block's edges sorted, the canonical
+form canonical_block makes. Nothing here checks that a block is a
+matching; the verifier is the one place that does. The cells property is
+a dict of (row, col) to block, built on demand for renderers, tests and
+small designs.
 
 Constructors that think in structured coordinates (group elements, side
 labels, part indices) flatten them to 0..n-1 through bijections documented
@@ -87,7 +88,8 @@ class DesignArray:
     ) -> DesignArray:
         """The array of these lists, kept, not copied, when their cells
         strictly increase in (row, col), else of copies sorted into that
-        order. ValueError names a cell held twice."""
+        order. ValueError(message, (row, col)) names the smallest cell
+        held twice."""
         arr = cls.__new__(cls)
         arr.side, arr.n, arr.k = side, n, k
         arr.rows, arr.cols, arr.sizes, arr.points = rows, cols, sizes, points
@@ -103,7 +105,7 @@ class DesignArray:
         same = map(and_, same_row, map(eq, arr.cols, islice(arr.cols, 1, None)))
         twice = next(compress(zip(arr.rows, arr.cols), same), None)
         if twice is not None:
-            raise ValueError(f"cell {twice} is held twice")
+            raise ValueError(f"cell {twice} is held twice", twice)
         ends = arr.ends()
         after = map(ends.__getitem__, map(add, order, repeat(1)))
         spans = map(slice, map(ends.__getitem__, order), after)

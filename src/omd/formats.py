@@ -18,22 +18,22 @@ and certificates; parsing reads only its "transversal", a list of
 [row, col] cells, and ignores a meta that is not an object. Parsing is
 strict about structure (exit path for malformed files): types, cell
 range, duplicate cells, edge shape. It appends each cell, its block in
-canonical form, to a draft's lists in file order, and finds a cell read
-twice by a set of row * side + col ints, or, among the cells a scan read
-in increasing (row, col), by bisection; with the parse freed, of_arrays
-puts the lists in (row, col) order. It leaves semantic validity to the
-verifier, so a structurally fine file describing a broken design, a cell
-that is not a matching included, parses and then fails verification.
+canonical form, to a draft's lists in file order; with the parse freed,
+of_arrays puts the lists in (row, col) order and finds a cell given
+twice, so a repeat is reported only when no cell has another fault, and
+of several repeats the smallest (row, col). It leaves semantic validity
+to the verifier, so a structurally fine file describing a broken design,
+a cell that is not a matching included, parses and then fails
+verification.
 
 A well-formed text, its keys in any order, has its cells list read by a
 scan while it can, then by JSON slices. The scan accepts each chunk of
 about 16 KiB whose runs of digits, read as ints from one shared table,
 re-lay in the first cell's layout to the chunk's exact text and give
-cells inside the array, in strictly increasing (row, col), with
-canonical blocks; it appends those ints itself. From the first refused
-chunk on, the list is parsed about 4 KiB at a time, the scanned cells
-counted as read, so the parsed JSON of the whole list is never alive at
-once. Errors are worded as a whole-text parse words them: a header
+cells inside the array, in any order, with canonical blocks; it appends
+those ints itself. From the first refused chunk on, the list is parsed
+about 4 KiB at a time, so the parsed JSON of the whole list is never
+alive at once. Errors are worded as a whole-text parse words them: a header
 error, then the first bad cell, once the rest of the text has parsed.
 Any other input is parsed whole, and that parse words every error:
 bytes, a syntax error, a NaN, the "cells" key written with escapes, or a
@@ -44,9 +44,8 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left, bisect_right
 from itertools import chain, compress, cycle, islice, repeat
-from operator import add, lt, mul
+from operator import lt
 from types import SimpleNamespace
 from typing import Any
 
@@ -84,7 +83,16 @@ def _design_dict(arr: DesignArray, cells: list, meta: dict | None) -> dict:
 
 
 def design_from_dict(data: Any) -> DesignArray:
-    return DesignArray.of_arrays(**vars(_read_design(data)))
+    return _design_of(_read_design(data))
+
+
+def _design_of(draft: SimpleNamespace) -> DesignArray:
+    """The array of a read draft; of_arrays finds a cell given twice."""
+    try:
+        return DesignArray.of_arrays(**vars(draft))
+    except ValueError as exc:
+        r, c = exc.args[1]
+        raise FormatError(f"cell ({r}, {c}) appears twice") from exc
 
 
 def _read_design(data: Any) -> SimpleNamespace:
@@ -115,21 +123,16 @@ def _read_design(data: Any) -> SimpleNamespace:
         raise FormatError("cells must be a list")
 
     draft = SimpleNamespace(side=side, n=n, k=k, rows=[], cols=[], sizes=[], points=[])
-    _read_cells(raw_cells, draft, set())
+    _read_cells(raw_cells, draft)
     return draft
 
 
-def _read_cells(
-    entries: list, draft: SimpleNamespace, seen: set[int], scanned: int = 0
-) -> None:
+def _read_cells(entries: list, draft: SimpleNamespace) -> None:
     """Check parsed cell entries against the draft's side and append each
-    one, its block in canonical form, to the draft's lists. The first
-    scanned cells of the draft, strictly increasing in (row, col), and
-    seen, row * side + col of each cell read after them, hold every cell
-    read so far. FormatError names the first bad one."""
+    one, its block in canonical form, to the draft's lists, in any order
+    and repeats included. FormatError names the first bad one."""
     side = draft.side
     rows, cols, sizes, points = draft.rows, draft.cols, draft.sizes, draft.points
-    last = rows[scanned - 1] * side + cols[scanned - 1] if scanned else -1
     # exact ints skip _require_int, which keeps its verdict on all else
     for entry in entries:
         if not isinstance(entry, dict):
@@ -146,13 +149,6 @@ def _read_cells(
             raise FormatError(f"cell is missing field {exc.args[0]!r}") from exc
         if not (0 <= r < side and 0 <= c < side):
             raise FormatError(f"cell ({r}, {c}) outside side-{side} array")
-        key = r * side + c
-        if key <= last:  # not after the last scanned cell: bisect for it
-            at = bisect_left(rows, r, 0, scanned)
-            at = bisect_left(cols, c, at, bisect_right(rows, r, at, scanned))
-        if key in seen or key <= last and rows[at] == r and cols[at] == c:
-            raise FormatError(f"cell ({r}, {c}) appears twice")
-        seen.add(key)
         if not isinstance(raw_edges, list) or not raw_edges:
             raise FormatError(f"cell ({r}, {c}) must hold a non-empty edge list")
         edges = []
@@ -234,8 +230,8 @@ def loads_design(text: str | bytes) -> tuple[DesignArray, Transversal | None]:
     header's or a cell's FormatError only once all of it has parsed. Bytes,
     and any str that _read_sliced finds irregular, are parsed whole, and
     that parse words every error; so a text gives the same result or the
-    same FormatError either way. Either way of_arrays orders the cells
-    once the parse is freed."""
+    same FormatError either way. Either way of_arrays orders the cells,
+    and finds one given twice, once the parse is freed."""
     read = _read_sliced(text) if isinstance(text, str) else None
     if read is not None:
         arr, meta = read
@@ -249,7 +245,7 @@ def loads_design(text: str | bytes) -> tuple[DesignArray, Transversal | None]:
     draft = _read_design(data)
     meta = data.get("meta")
     del data
-    return DesignArray.of_arrays(**vars(draft)), _stored_transversal(meta)
+    return _design_of(draft), _stored_transversal(meta)
 
 
 def _stored_transversal(meta: Any) -> Transversal | None:
@@ -336,10 +332,8 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
             draft = _read_design(data)
         except FormatError as exc:
             fault = exc
-        seen: set[int] = set()
         if fault is None:
             at = _scan(text, at, stop, draft)
-            scanned = len(draft.rows)  # the slices read on from the first refused chunk
         while at < stop:
             cut = _CUT.search(text, at + _SLICE_CHARS, stop)
             to = stop if cut is None else cut.start() + 1
@@ -347,15 +341,14 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
             at = stop if cut is None else cut.end()
             if fault is None:
                 try:
-                    _read_cells(entries, draft, seen, scanned)
+                    _read_cells(entries, draft)
                 except FormatError as exc:
                     fault = exc
     except (ValueError, RecursionError):
         return None
     if fault is not None:
         raise fault
-    del seen  # freed before of_arrays sorts cells read out of order
-    return DesignArray.of_arrays(**vars(draft)), data.get("meta")
+    return _design_of(draft), data.get("meta")
 
 
 def _scan(text: str, at: int, stop: int, draft: SimpleNamespace) -> int:
@@ -366,11 +359,11 @@ def _scan(text: str, at: int, stop: int, draft: SimpleNamespace) -> int:
     The text around its ints, and the separator after it, make a format
     for each value. A chunk is accepted when these formats re-lay its runs
     of digits and "-", as ints in 0..max(n, side)-1, to its own text, so
-    JSON would read the same ints; when its cells lie in the array and
-    strictly increase in (row, col), from the last one accepted on, so
-    none is read twice; and when each block's edges are (min, max) with
-    strictly increasing first ends, as _read_cells would append them. It
-    parses no JSON and raises nothing: the slices word every error."""
+    JSON would read the same ints; when its cells lie in the array, in
+    any order; and when each block's edges are (min, max) with strictly
+    increasing first ends, as _read_cells would append them. It parses
+    no JSON and raises nothing: the slices word every error, and
+    of_arrays finds a cell given twice."""
     cut = _CUT.search(text, at, stop)
     to, sep = (stop, "") if cut is None else (cut.start() + 1, text[cut.start() + 1:cut.end()])
     if _FIRST.fullmatch(text, at, to) is None:
@@ -388,7 +381,6 @@ def _scan(text: str, at: int, stop: int, draft: SimpleNamespace) -> int:
     lay = [texts[fmt] for fmt in formats]
     ends = (0, 0) + (1,) * (m - 2)
     rows, cols, sizes, points = draft.rows, draft.cols, draft.sizes, draft.points
-    last = -1
     while at < stop:
         cut = _CUT.search(text, at + _SCAN_CHARS, stop)
         chunk = text[at:stop] + sep if cut is None else text[at:cut.end()]
@@ -402,10 +394,8 @@ def _scan(text: str, at: int, stop: int, draft: SimpleNamespace) -> int:
         if relaid != chunk:
             break
         r, c, us, vs = by_place[0], by_place[1], by_place[2::2], by_place[3::2]
-        keys = list(map(add, map(mul, r, repeat(side)), c))
         if (
-            max(r) >= side or max(c) >= side or keys[0] <= last
-            or not all(map(lt, keys, keys[1:]))
+            max(r) >= side or max(c) >= side
             or not all(all(map(lt, u, v)) for u, v in zip(us, vs))
             # a block with two equal first ends is left to the slices, which sort it
             or not all(all(map(lt, u, w)) for u, w in zip(us, us[1:]))
@@ -415,7 +405,6 @@ def _scan(text: str, at: int, stop: int, draft: SimpleNamespace) -> int:
         cols += c
         sizes += repeat(k, len(r))
         points += compress(got, cycle(ends))
-        last = keys[-1]
         at = stop if cut is None else cut.end()
     return at
 

@@ -403,7 +403,7 @@ def _differential_corpus():
         text.replace('"row": 1', '"row": 5000', 1).replace('"col": 4', '"col" 4', 1),
         text.replace('"row": 2', '"row": 5000', 1).replace('"n": 6', '"n": 1', 1),
         # a cell twice: right after itself, as the last cell, and before a
-        # cell outside the array, whose error must not win
+        # cell outside the array, whose error wins
         text.replace(first, first + ", " + first, 1),
         text.replace(cells_list, cells_list[:-1] + ", " + first + "]", 1),
         text.replace(cells_list, "[" + first + ", " + cells_list[1:-1] + ", " + outside + "]", 1),
@@ -512,7 +512,10 @@ def test_the_scan_reads_every_cell_of_writer_and_indent_2_texts(monkeypatch, n, 
     text = dumps_design(arr)
     fed = []
     monkeypatch.setattr(formats, "_read_cells", lambda entries, *rest: fed.extend(entries))
-    for text in (text, json.dumps(json.loads(text), indent=2)):
+    data = json.loads(text)
+    shuffled = dict(data, cells=list(data["cells"]))
+    random.Random(0).shuffle(shuffled["cells"])
+    for text in (text, json.dumps(data, indent=2), json.dumps(shuffled)):
         assert loads_design(text)[0] == arr
     assert fed == []
 
@@ -543,7 +546,7 @@ def test_a_bad_last_cell_reaches_the_slices_alone(monkeypatch, scan_chars):
 
 def _appended(cell_of):
     """build_room(122)'s text with cell_of(cells, side) appended to its
-    cells: out of order, so the scan hands over to the slices there."""
+    cells, out of (row, col) order; the scan reads it with the rest."""
     data = json.loads(dumps_design(build_room(122)[0]))
     data["cells"].append(cell_of(data["cells"], data["side"]))
     return json.dumps(data)
@@ -564,12 +567,33 @@ def _free_cell(cells, side):
         (_free_cell, False),
     ],
 )
-def test_a_cell_read_after_the_handover_is_matched_against_the_scanned(cell_of, twice):
-    # the scanned cells, which strictly increase, are searched by bisection
+def test_an_appended_cell_is_matched_against_every_cell(cell_of, twice):
+    # of_arrays sorts the cells and finds the appended one if it is held twice
     text = _appended(cell_of)
     outcome = _outcome(loads_design, text)
     assert outcome == _outcome(_read_whole, text)
     assert ("appears twice" in str(outcome)) == twice
+
+
+@pytest.mark.parametrize("n, k", [(22, 1), (24, 3)])
+def test_a_repeated_cell_is_named_only_when_no_cell_has_another_fault(n, k):
+    # of_arrays finds a repeat once every cell has been read: a later cell
+    # outside the array wins, and of two repeats the smaller (row, col)
+    data = json.loads(dumps_design(construct(n, k).design))
+    cells, side = data["cells"], data["side"]
+    outside = {"row": side, "col": 0, "edges": [[0, 1]]}
+    mid = len(cells) // 2
+    cases = [
+        (cells[:1] + cells + [outside], f"cell ({side}, 0) outside side-{side} array"),
+        (cells + [cells[-1], cells[mid]], "cell ({row}, {col}) appears twice".format(**cells[mid])),
+    ] + [
+        (cells[:i] + [cells[i]] + cells[i:], "cell ({row}, {col}) appears twice".format(**cells[i]))
+        for i in (0, mid, len(cells) - 1)
+    ]
+    for listed, error in cases:
+        text = json.dumps(dict(data, cells=listed))
+        for read in (loads_design, _read_whole):
+            assert _outcome(read, text) == f"FormatError: {error}"
 
 
 @pytest.mark.parametrize(
