@@ -39,6 +39,15 @@ EXIT_VERIFY = 1
 EXIT_NONEXISTENT = 2
 EXIT_BUDGET = 3
 EXIT_PARSE = 4
+# the exit code and stderr prefix of each failure, found by the error's
+# nearest type here; any other DesignError reaching main is a bug surfacing
+FAILURES = {
+    FormatError: (EXIT_PARSE, "parse error"),
+    NonExistent: (EXIT_NONEXISTENT, "nonexistent"),
+    SearchExhausted: (EXIT_BUDGET, "budget exhausted"),
+    VerificationFailed: (EXIT_VERIFY, "verification failed"),
+    DesignError: (EXIT_VERIFY, "internal error"),
+}
 
 
 def _emit(text: str, out_path: str | None) -> bool:
@@ -74,18 +83,7 @@ def _result_meta(res: ConstructionResult, seed: int, budget: int) -> dict:
 
 
 def cmd_generate(args) -> int:
-    try:
-        res = construct(args.n, args.k, seed=args.seed, budget=args.budget)
-    except NonExistent as exc:
-        print(f"nonexistent: {exc}", file=sys.stderr)
-        return EXIT_NONEXISTENT
-    except SearchExhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except VerificationFailed as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-
+    res = construct(args.n, args.k, seed=args.seed, budget=args.budget)
     if args.format == "json":
         text = dumps_design(res.design, meta=_result_meta(res, args.seed, args.budget))
     elif args.format == "grid":
@@ -125,11 +123,7 @@ def cmd_verify(args) -> int:
         with open(args.path, encoding="utf-8") as fh:
             arr, transversal = loads_design(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"parse error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise FormatError(f"cannot read {args.path}: {exc}") from exc
 
     report = verify(arr)
     _print_checks(report, "")
@@ -147,35 +141,24 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def cmd_sweep(args) -> int:
-    rows = []
-    hard_fail = False
-    exhausted = False
-    for k in range(1, args.k_max + 1):
-        for n in range(2 * k, args.n_max + 1, 2 * k):
-            try:
-                res = construct(n, k, seed=args.seed, budget=args.budget)
-            except NonExistent:
-                expected = k == 1 and n in (4, 6)
-                status = "nonexistent" if expected else "UNEXPECTED-nonexistent"
-                hard_fail = hard_fail or not expected
-                rows.append((n, k, "-", "-", "-", status))
-                continue
-            except SearchExhausted:
-                exhausted = True
-                rows.append((n, k, "-", "-", "-", "budget-exhausted"))
-                continue
-            rows.append(
-                (
-                    n,
-                    k,
-                    res.path,
-                    res.design.side,
-                    len(res.design.rows),
-                    "verified",
-                )
-            )
+def _sweep_row(n: int, k: int, seed: int, budget: int) -> tuple:
+    """How construct(n, k) ends, as a row of the sweep table."""
+    try:
+        res = construct(n, k, seed=seed, budget=budget)
+    except NonExistent:
+        expected = k == 1 and n in (4, 6)
+        return n, k, "-", "-", "-", "nonexistent" if expected else "UNEXPECTED-nonexistent"
+    except SearchExhausted:
+        return n, k, "-", "-", "-", "budget-exhausted"
+    return n, k, res.path, res.design.side, len(res.design.rows), "verified"
 
+
+def cmd_sweep(args) -> int:
+    rows = [
+        _sweep_row(n, k, args.seed, args.budget)
+        for k in range(1, args.k_max + 1)
+        for n in range(2 * k, args.n_max + 1, 2 * k)
+    ]
     header = ("n", "k", "path", "side", "blocks", "status")
     table = [header] + [tuple(str(x) for x in row) for row in rows]
     widths = [max(len(line[i]) for line in table) for i in range(len(header))]
@@ -186,9 +169,10 @@ def cmd_sweep(args) -> int:
     if not _emit("\n".join(lines) + "\n", args.out):
         return EXIT_PARSE
 
-    if hard_fail:
+    statuses = {row[-1] for row in rows}
+    if "UNEXPECTED-nonexistent" in statuses:
         return EXIT_VERIFY
-    if exhausted:
+    if "budget-exhausted" in statuses:
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -264,9 +248,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DesignError as exc:
-        # anything reaching here is a bug surfacing, not a user mistake
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        code, prefix = next(FAILURES[t] for t in type(exc).__mro__ if t in FAILURES)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -13,10 +13,11 @@ A DesignArray holds its occupied cells as flat int lists: rows, cols, the
 number of edges of each cell's block, and the blocks' endpoints, two per
 edge, one block after another. The cells are in (row, col) order from
 the moment an array is made, so each row is one run of cells and a cell
-is found by bisection; of_arrays is the one place that checks or makes
-that order, and so the one place that finds a cell held twice. A builder
-writes each edge as (min, max) and a block's edges sorted, the canonical
-form canonical_block makes. Nothing here checks that a block is a
+is found by bisection. Both constructors put them in that order:
+DesignArray(side, n, k, cells) sorts its dict, and of_arrays keeps lists
+in order or sorts copies. of_arrays alone finds a cell held twice, which
+a dict cannot hold. A builder writes each edge as (min, max) and a
+block's edges sorted, the canonical form canonical_block makes. Nothing here checks that a block is a
 matching; the verifier is the one place that does. The cells property is
 a dict of (row, col) to block, built on demand for renderers, tests and
 small designs.

@@ -262,13 +262,15 @@ def _stored_transversal(meta: Any) -> Transversal | None:
     return tuple(map(tuple, raw))
 
 
-# characters of cells text parsed at once. 4 KiB parses to about 300 dicts
-# and lists, below the 700 allocations that start a young collection of the
-# cyclic GC, so few slices are caught mid-parse and promoted to the old
-# generation: reading the (2000, 2) file in a fresh process made 5 young
-# collections and 1 middle one at 1, 4 and 8 KiB, and at 16 KiB 3,531, 321
-# and 29 full ones, taking about 1.5 times as long. 8 KiB is at the edge:
-# after a gc.collect(), a (320, 8) read made 1 young collection, 0 at 4 KiB.
+# characters of cells text parsed at once, from the first chunk the scan
+# refuses: the writer's layout never gets here, but keys in another order
+# or an edge written [max, min] do from the first cell. 4 KiB parses to
+# about 300 dicts and lists, below the 700 allocations that start a young
+# collection of the cyclic GC, so few slices are caught mid-parse and
+# promoted to the old generation: after a gc.collect(), reading the
+# (320, 4) design dumped with sorted keys made 1 young collection at 4 KiB,
+# and 60 young and 5 middle ones at 16 KiB; it peaked at 0.20 of a
+# whole-text parse's tracemalloc peak, and 1.00 as one slice (Python 3.11.7).
 _SLICE_CHARS = 4096
 _CELLS = re.compile(r'"cells"[ \t\n\r]*:[ \t\n\r]*\[[ \t\n\r]*')
 _CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*")

@@ -67,8 +67,9 @@ def validate_starter_adder(sa: StarterAdder) -> None:
     if len(diffs) != r - 1:
         raise InvalidStarter("pair differences do not cover all nonzero residues")
 
-    if len(set(sa.adder)) != half or any(a % r == 0 for a in sa.adder):
-        raise InvalidStarter("adder entries must be distinct and nonzero")
+    # _starter_array adds each entry to a column as given, not mod r
+    if len(set(sa.adder)) != half or not all(0 < a < r for a in sa.adder):
+        raise InvalidStarter(f"adder entries must be distinct and in 1..{r - 1}")
 
     translated = [((x - a) % r, (y - a) % r) for (x, y), a in zip(sa.pairs, sa.adder)]
     shifted = [p for pair in translated for p in pair]

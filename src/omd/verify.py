@@ -37,30 +37,34 @@ from .errors import SearchExhausted
 
 @dataclass(frozen=True)
 class Check:
-    """Outcome of a single verification condition."""
+    """Outcome of a single verification condition: its first counterexample,
+    or None when it holds."""
 
     name: str
-    passed: bool
     detail: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.detail is None
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Per-condition outcomes plus derived cell counts."""
 
-    passed: bool
     checks: tuple[Check, ...]
     total_blocks: int = 0
     row_blocks: tuple[int, ...] = ()
     col_blocks: tuple[int, ...] = ()
 
+    @property
+    def passed(self) -> bool:
+        return all(check.passed for check in self.checks)
+
     def failure(self) -> str | None:
         """First failing check as 'name: detail', or None if all passed."""
-        for check in self.checks:
-            if not check.passed:
-                detail = check.detail or "failed"
-                return f"{check.name}: {detail}"
-        return None
+        failed = (f"{c.name}: {c.detail}" for c in self.checks if not c.passed)
+        return next(failed, None)
 
     def to_dict(self) -> dict:
         return {
@@ -236,6 +240,7 @@ def verify(arr: DesignArray) -> VerificationReport:
     )
     shaped = (
         inside
+        and k >= 1
         and arr.sizes.count(k) == m
         and all(map(lt, islice(points, 0, None, 2), islice(points, 1, None, 2)))
         and all(
@@ -257,20 +262,18 @@ def verify(arr: DesignArray) -> VerificationReport:
         col_blocks = tuple(map(Counter(held.cols).__getitem__, range(count)))
         pair_detail = _pair_detail(n, points)
 
-    details = {
-        "host-shape": host_detail,
-        "block-shape": block_detail,
-        "row-resolution": row_detail,
-        "column-resolution": col_detail,
-        "pair-coverage": pair_detail,
-    }
-    checks = tuple(Check(name, d is None, d) for name, d in details.items())
+    checks = (
+        Check("host-shape", host_detail),
+        Check("block-shape", block_detail),
+        Check("row-resolution", row_detail),
+        Check("column-resolution", col_detail),
+        Check("pair-coverage", pair_detail),
+    )
     # the per-line counts are left out when a line is empty for want of cells
     row_blocks = tuple(map(sub, islice(row_at, 1, None), row_at))
     if m < side:
         row_blocks, col_blocks = (), ()
-    passed = all(c.passed for c in checks)
-    return VerificationReport(passed, checks, m, row_blocks, col_blocks)
+    return VerificationReport(checks, m, row_blocks, col_blocks)
 
 
 def _permutation_fault(cells, axis: int, side: int) -> str | None:
@@ -291,28 +294,22 @@ def _permutation_fault(cells, axis: int, side: int) -> str | None:
 
 def verify_transversal(arr: DesignArray, transversal: Transversal) -> VerificationReport:
     """Check one-cell-per-row/column and exact point coverage."""
-    checks = []
-
     perm_detail = (
         _permutation_fault(transversal, 0, arr.side)
         or _permutation_fault(transversal, 1, arr.side)
     )
-    checks.append(Check("one-per-row-and-column", perm_detail is None, perm_detail))
-
     # a cell chosen t times counts t times
     wanted = Counter((r, c) for r, c in transversal)
     found = [(i, t) for (r, c), t in wanted.items() if (i := arr.find(r, c)) is not None]
     ends, points = arr.ends(), arr.points
     chosen = [points[ends[i]:ends[i + 1]] * times for i, times in found]
     miss = _first_fault(list(chain.from_iterable(chosen)), arr.n)
-    cover_detail = None
-    if miss is not None:
-        cover_detail = f"point {miss[0]} appears {miss[1]} times in the chosen cells"
-    checks.append(Check("exact-point-coverage", cover_detail is None, cover_detail))
-
+    cover_detail = miss and f"point {miss[0]} appears {miss[1]} times in the chosen cells"
     return VerificationReport(
-        passed=all(c.passed for c in checks),
-        checks=tuple(checks),
+        (
+            Check("one-per-row-and-column", perm_detail),
+            Check("exact-point-coverage", cover_detail),
+        ),
         total_blocks=sum(times for _, times in found),
     )
 
@@ -320,8 +317,6 @@ def verify_transversal(arr: DesignArray, transversal: Transversal) -> Verificati
 def verify_hole(arr: DesignArray, hole: Hole) -> VerificationReport:
     """Check that every index of rows x cols is an int inside the array (a
     bool is not one, as the file reader has it) and every cell empty."""
-    checks = []
-
     faults = (
         f"hole {label} {i} is not an integer"
         if type(i) is not int
@@ -331,19 +326,14 @@ def verify_hole(arr: DesignArray, hole: Hole) -> VerificationReport:
         if type(i) is not int or not 0 <= i < arr.side
     )
     range_detail = next(faults, None)
-    checks.append(Check("indices-in-range", range_detail is None, range_detail))
-
     empty_detail = None
     if range_detail is None:
         # the hole's indices are sorted, so the first held cell is the smallest
         inner = ((r, c) for r in hole.rows for c in hole.cols if arr.find(r, c) is not None)
         cell = next(inner, None)
         empty_detail = cell and f"cell {cell} inside the hole holds a block"
-    checks.append(Check("hole-cells-empty", empty_detail is None, empty_detail))
-
     return VerificationReport(
-        passed=all(c.passed for c in checks),
-        checks=tuple(checks),
+        (Check("indices-in-range", range_detail), Check("hole-cells-empty", empty_detail))
     )
 
 

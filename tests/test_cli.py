@@ -11,7 +11,16 @@ from pathlib import Path
 
 import pytest
 
+from omd import cli
 from omd.cli import _parser, main
+from omd.errors import (
+    DesignError,
+    FormatError,
+    InvalidStarter,
+    NonExistent,
+    SearchExhausted,
+    VerificationFailed,
+)
 from omd.formats import loads_design
 from omd.room import _cached_room
 from omd.verify import verify
@@ -503,3 +512,54 @@ def test_unwritable_out_exits_four(command, target, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (FormatError, 4, "parse error"),
+        (NonExistent, 2, "nonexistent"),
+        (SearchExhausted, 3, "budget exhausted"),
+        (VerificationFailed, 1, "verification failed"),
+        (InvalidStarter, 1, "internal error"),
+        (DesignError, 1, "internal error"),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else None,
+)
+def test_main_gives_each_failure_its_exit_code_and_one_line(error, code, prefix, monkeypatch, capsys):
+    def construct(*args, **kwargs):
+        raise error("the reason")
+
+    monkeypatch.setattr(cli, "construct", construct)
+    assert main(["generate", "--n", "8", "--k", "1"]) == code
+    assert capsys.readouterr() == ("", f"{prefix}: the reason\n")
+
+
+def test_a_verification_failure_escaping_sweep_is_named(monkeypatch, capsys):
+    def construct(*args, **kwargs):
+        raise VerificationFailed("the reason")
+
+    monkeypatch.setattr(cli, "construct", construct)
+    assert main(["sweep", "--n-max", "8", "--k-max", "1"]) == 1
+    assert capsys.readouterr() == ("", "verification failed: the reason\n")
+
+
+@pytest.mark.parametrize("unexpected, code", [(False, 3), (True, 1)])
+def test_sweep_exit_follows_its_rows(unexpected, code, monkeypatch, capsys):
+    # an unexpected nonexistent row outranks an exhausted one
+    real = cli.construct
+
+    def construct(n, k, **kwargs):
+        if (n, k) == (8, 1):
+            raise SearchExhausted("spent")
+        if (n, k) == (12, 1) and unexpected:
+            raise NonExistent("none")
+        return real(n, k, **kwargs)
+
+    monkeypatch.setattr(cli, "construct", construct)
+    assert main(["sweep", "--n-max", "12", "--k-max", "1"]) == code
+    out, err = capsys.readouterr()
+    statuses = [line.split()[-1] for line in out.splitlines()[1:]]
+    twelve = "UNEXPECTED-nonexistent" if unexpected else "verified"
+    assert statuses == ["verified", "nonexistent", "nonexistent", "budget-exhausted", "verified", twelve]
+    assert err == ""

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -650,6 +651,34 @@ def test_sliced_read_names_a_bad_last_cell():
     assert str(sliced.value).startswith("cell (5000, ")
 
 
+def _refused_by_the_scan(text: str) -> list[str]:
+    """A writer-laid design text dumped with sorted keys, and with every edge
+    of its cells written [max, min]: the scan refuses each at its first
+    cell, so the JSON slices read every cell."""
+    head, cells = text.split(', "cells": ', 1)
+    end = cells.index("]]}]") + 4
+    swapped = re.sub(r"\[(\d+), (\d+)\]", r"[\2, \1]", cells[:end])
+    return [
+        json.dumps(json.loads(text), sort_keys=True),
+        head + ', "cells": ' + swapped + cells[end:],
+    ]
+
+
+def test_the_scan_leaves_every_cell_of_these_layouts_to_the_slices(monkeypatch):
+    arr = build_room(12)[0]
+    sliced, read_cells = [], formats._read_cells
+
+    def spy(entries, draft):
+        sliced.extend(entries)
+        read_cells(entries, draft)
+
+    monkeypatch.setattr(formats, "_read_cells", spy)
+    for text in _refused_by_the_scan(dumps_design(arr)):
+        sliced.clear()
+        assert loads_design(text)[0] == arr
+        assert len(sliced) == len(arr.rows)
+
+
 def test_sliced_read_never_holds_the_whole_parsed_json():
     res = construct(320, 4)
     text = dumps_design(res.design, {"transversal": [list(c) for c in res.transversal]})
@@ -661,6 +690,8 @@ def test_sliced_read_never_holds_the_whole_parsed_json():
         '{"cells": ' + cells_list + ", " + head[1:] + cells[len(cells_list):],
         text.replace('"side": ', '"side": 0, "side": ', 1),
     ]
+    # layouts the scan refuses, so the slices read them whole
+    texts += _refused_by_the_scan(text)
 
     def peak(read, text):
         tracemalloc.start()
@@ -693,13 +724,15 @@ def test_sliced_read_never_holds_the_whole_parsed_json():
 def test_a_slice_parses_below_a_young_collection(k):
     """Each slice's dicts and lists are freed before the next is parsed, so
     a read whose slices stay below the GC's young threshold leaves nothing
-    to promote: at most 2 young collections and no older one."""
+    to promote: at most 2 young collections and no older one. The scan
+    reads the writer's layout, so the layouts it refuses reach the slices."""
     text = dumps_design(construct(320, k).design)
-    gc.collect()
-    before = [stats["collections"] for stats in gc.get_stats()]
-    loads_design(text)
-    young, *older = (s["collections"] - b for s, b in zip(gc.get_stats(), before))
-    assert young <= 2 and not any(older), (young, older)
+    for text in [text, *_refused_by_the_scan(text)]:
+        gc.collect()
+        before = [stats["collections"] for stats in gc.get_stats()]
+        loads_design(text)
+        young, *older = (s["collections"] - b for s, b in zip(gc.get_stats(), before))
+        assert young <= 2 and not any(older), (young, older)
 
 
 def test_cell_that_is_no_matching_parses_and_fails_verify():

@@ -60,6 +60,17 @@ def test_starter_rejects_bad_adder():
         validate_starter_adder(StarterAdder(7, ((1, 3), (2, 6), (4, 5)), (4, 0, 2)))
 
 
+@pytest.mark.parametrize("adder", [(4, 8, 2), (-3, 1, 2)], ids=["8", "-3"])
+def test_starter_rejects_an_adder_entry_outside_1_to_r_minus_1(adder):
+    # the square lays an entry as given: 8 would put two blocks in cell
+    # (0, 0), -3 a cell in column -3, though both are right mod 7
+    sa = StarterAdder(7, SEVEN.pairs, adder)
+    with pytest.raises(InvalidStarter, match=r"in 1\.\.6"):
+        validate_starter_adder(sa)
+    with pytest.raises(InvalidStarter):
+        room_from_starter(sa)
+
+
 def _pairings(elems):
     if not elems:
         yield ()

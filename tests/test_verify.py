@@ -79,6 +79,14 @@ def test_host_shape_failures():
     assert "side is 4" in checks["host-shape"].detail
 
 
+def test_k_zero_arrays_get_a_report():
+    # no table fits a block of no edges, so the fallback words each report
+    report = verify(DesignArray(0, 0, 0, {}))
+    assert report.failure() == "host-shape: side is 0, host requires -1"
+    report = verify(DesignArray(1, 2, 0, {(0, 0): ()}))
+    assert report.failure() == "row-resolution: row 0 covers point 0 0 times"
+
+
 def test_block_shape_failures():
     arr, _, _ = build_2k(2)
     cells = dict(arr.cells)
