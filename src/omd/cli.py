@@ -27,7 +27,7 @@ from .errors import (
 from .formats import (
     LATEX_MAX_SIDE,
     dumps_design,
-    loads_design,
+    load_design,
     render_grid,
     render_latex,
 )
@@ -121,7 +121,7 @@ def _counts(values) -> str:
 def cmd_verify(args) -> int:
     try:
         with open(args.path, encoding="utf-8") as fh:
-            arr, transversal = loads_design(fh.read())
+            arr, transversal = load_design(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {args.path}: {exc}") from exc
 

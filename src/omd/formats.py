@@ -27,8 +27,9 @@ a cell that is not a matching included, parses and then fails
 verification.
 
 A well-formed text, its keys in any order, has its cells list read by a
-scan while it can, then by JSON slices. The scan accepts each chunk of
-about 16 KiB whose runs of digits, read as ints from one shared table,
+scan while it can, then by JSON slices, in 64 KiB pieces sliced from a
+str or read from a file, which is never held whole. The scan accepts
+each chunk whose runs of digits, read as ints from one shared table,
 re-lay in the first cell's layout to the chunk's exact text and give
 cells inside the array, in any order, with canonical blocks; it appends
 those ints itself. From the first refused chunk on, the list is parsed
@@ -47,7 +48,7 @@ import re
 from itertools import chain, compress, cycle, islice, repeat
 from operator import lt
 from types import SimpleNamespace
-from typing import Any
+from typing import Any, Iterator, TextIO
 
 from .core import Block, DesignArray, Transversal
 from .errors import FormatError
@@ -234,8 +235,7 @@ def loads_design(text: str | bytes) -> tuple[DesignArray, Transversal | None]:
     and finds one given twice, once the parse is freed."""
     read = _read_sliced(text) if isinstance(text, str) else None
     if read is not None:
-        arr, meta = read
-        return arr, _stored_transversal(meta)
+        return read
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -246,6 +246,17 @@ def loads_design(text: str | bytes) -> tuple[DesignArray, Transversal | None]:
     meta = data.get("meta")
     del data
     return _design_of(draft), _stored_transversal(meta)
+
+
+def load_design(fh: TextIO) -> tuple[DesignArray, Transversal | None]:
+    """loads_design(fh.read()): a seekable file is read in pieces by
+    _read_sliced; a pipe, or a file it finds irregular, is parsed whole."""
+    if fh.seekable():
+        read = _read_sliced(fh)
+        if read is not None:
+            return read
+        fh.seek(0)
+    return loads_design(fh.read())
 
 
 def _stored_transversal(meta: Any) -> Transversal | None:
@@ -275,11 +286,12 @@ _SLICE_CHARS = 4096
 _CELLS = re.compile(r'"cells"[ \t\n\r]*:[ \t\n\r]*\[[ \t\n\r]*')
 _CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*")
 _LIST_END = re.compile(r"\}[ \t\n\r]*\]")
-# characters of cells text _scan re-lays at once. It makes a few lists a
-# chunk, not a dict a cell, so the GC does not bound it as it bounds a
-# slice: reading the 36 bench design files took 0.40 s at 4 KiB, 0.33 s at
-# 16 KiB and 0.30 s at 128 KiB (2-vCPU host, Python 3.11.7)
-_SCAN_CHARS = 16384
+# characters of text read, and of cells _scan re-lays, at once. _scan makes
+# a few lists a chunk, not a dict a cell, so the GC does not bound it as it
+# bounds a slice: reading the 36 bench design files from their files took
+# 460 ms at 4 KiB, 356 ms at 16 KiB, 325 ms at 64 KiB and 325 ms at 128 KiB
+# (best of 7, 2-vCPU host, Python 3.11.7)
+_SCAN_CHARS = 65536
 # each byte that may be part of a JSON int to itself, every other to a space
 _DIGITS = bytes(c if chr(c) in "0123456789-" else 32 for c in range(256))
 _NUMBER = re.compile(r"[0-9-]+")
@@ -292,38 +304,46 @@ _FIRST = re.compile(
 )
 
 
-def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
-    """The design and the meta value of a regular text, or None.
+def _read_sliced(source: str | TextIO) -> tuple[DesignArray, Transversal | None] | None:
+    """The design and stored transversal of a regular text, a str or a
+    seekable text file read as _pieces, or None.
 
-    The first "cells" key whose value is a list has that list parsed in
-    slices that each end just after a "}" followed by "," (or by "]", at
-    the list's end). A slice that starts on an element boundary and parses
-    as array content also ends on one, since the lexer sees the same
-    characters as in the whole-text parse; so the slices' elements are
-    exactly the list's. The rest of the text, with NaN in the list's place,
-    is parsed whole. NaN, a token json accepts, has one spelling: when the
-    rest holds it once and json keeps it as the top-level "cells", a
-    whole-text parse keeps the sliced list. None means irregular: any
-    other NaN, a list not kept, a slice that does not parse, bad JSON.
-    _read_design checks the header and makes the empty draft that _scan
-    and _read_cells fill. The header's error, or else the first cell that
-    _read_cells rejects, is kept and raised once the later slices have
-    parsed."""
-    found = _CELLS.search(text)
-    if found is None:
-        return None
-    at = found.end()
-    if text[at:at + 1] == "]":
-        stop, end = at, at + 1
-    else:
-        last = _LIST_END.search(text, at)
-        if last is None:
-            return None
-        stop, end = last.start() + 1, last.end()
-    rest = text[:found.start()] + '"cells": NaN' + text[end:]
-    if rest.count("NaN") != 1:
-        return None
+    A first pass keeps the text around the first "cells" key whose value
+    is a list (a key or end split by a piece is found within 64 characters).
+    A second goes back to the list and parses it in slices that each end
+    just after a "}" followed by "," (or by "]", at the list's end). A
+    slice that starts on an element boundary and parses as array content
+    also ends on one, since the lexer sees the same characters as in the
+    whole-text parse; so the slices' elements are exactly the list's. The
+    rest of the text, with NaN in the list's place, is parsed whole. NaN,
+    a token json accepts, has one spelling: when the rest holds it once
+    and json keeps it as the top-level "cells", a whole-text parse keeps
+    the sliced list. None means irregular: any other NaN, a list not kept,
+    a slice that does not parse, bad JSON or UTF-8. _read_design checks
+    the header and makes the empty draft that _scan and _read_cells fill.
+    The header's error, or else the first cell that _read_cells rejects,
+    is kept and raised once the later slices have parsed."""
     try:
+        pieces, head, marks, found = _pieces(source, 0), "", [], None
+        for mark, piece in pieces:
+            marks.append((len(head), mark))
+            head += piece
+            found = _CELLS.search(head, max(len(head) - len(piece) - 64, 0))
+            if found is not None and found.end() < len(head):
+                break
+        if found is None:
+            return None
+        at = found.end()
+        window, base, head = head[at:], at, head[:found.start()]
+        stop, end = at, at + 1
+        if window[:1] != "]":
+            while (last := _LIST_END.search(window)) is None:
+                base += max(len(window) - 64, 0)
+                window = window[-64:] + next(pieces)[1]
+            stop, end = base + last.start() + 1, base + last.end()
+        rest = head + '"cells": NaN' + window[end - base:] + "".join(p for _, p in pieces)
+        if rest.count("NaN") != 1:
+            return None
         data = json.loads(rest)
         hole = data.get("cells") if isinstance(data, dict) else None
         if type(hole) is not float or hole == hole:
@@ -334,28 +354,65 @@ def _read_sliced(text: str) -> tuple[DesignArray, Any] | None:
             draft = _read_design(data)
         except FormatError as exc:
             fault = exc
-        if fault is None:
-            at = _scan(text, at, stop, draft)
-        while at < stop:
-            cut = _CUT.search(text, at + _SLICE_CHARS, stop)
-            to = stop if cut is None else cut.start() + 1
-            entries = json.loads("[" + text[at:to] + "]")
-            at = stop if cut is None else cut.end()
+        first, mark = next(m for m in reversed(marks) if m[0] <= at)
+        cells = _Cells(_pieces(source, mark), at - first, stop - at)
+        if fault is None:  # the slices take over at the chunk the scan refuses
+            cells.buf = _scan(cells, draft) + cells.sep + cells.buf
+        while text := cells.take(_SLICE_CHARS):
+            entries = json.loads("[" + text + "]")
             if fault is None:
                 try:
                     _read_cells(entries, draft)
                 except FormatError as exc:
                     fault = exc
-    except (ValueError, RecursionError):
+    except (ValueError, RecursionError, StopIteration):  # StopIteration: the list has no end
         return None
     if fault is not None:
         raise fault
-    return _design_of(draft), data.get("meta")
+    return _design_of(draft), _stored_transversal(data.get("meta"))
 
 
-def _scan(text: str, at: int, stop: int, draft: SimpleNamespace) -> int:
-    """Append to the draft's lists the cells of text[at:stop], a chunk of about
-    _SCAN_CHARS at a time; return where the first refused chunk starts.
+def _pieces(source: str | TextIO, start: int) -> Iterator[tuple[int, str]]:
+    """(mark, piece) for each _SCAN_CHARS characters of a str or a seekable text
+    file from start on; mark, a str index or a tell() value, is its start."""
+    if isinstance(source, str):
+        for at in range(start, len(source), _SCAN_CHARS):
+            yield at, source[at:at + _SCAN_CHARS]
+        return
+    source.seek(start)
+    while piece := source.read(_SCAN_CHARS):
+        yield start, piece
+        start = source.tell()
+
+
+class _Cells:
+    """A cells list's text, size characters from skip on in its pieces."""
+
+    def __init__(self, pieces: Iterator[tuple[int, str]], skip: int, size: int) -> None:
+        self.pieces, self.size, self.sep = (piece for _, piece in pieces), size, ""
+        self.buf = next(self.pieces, "")[skip:skip + size]
+        self.left = size - len(self.buf)
+
+    def take(self, size: int) -> str:
+        """The text up to the "}" of the first "}" "," cut at or after size
+        characters, the cut kept as sep; else the rest of the list, sep ""."""
+        buf, self.buf = self.buf, ""  # so buf grows in place
+        cut = _CUT.search(buf, size)
+        while self.left and (cut is None or cut.end() == len(buf)):
+            piece = next(self.pieces, "")[:self.left]
+            self.left = self.left - len(piece) if piece else 0
+            buf += piece
+            cut = _CUT.search(buf, max(size, len(buf) - len(piece) - 64))
+        if cut is None:
+            self.buf, self.sep = "", ""
+            return buf
+        self.buf, self.sep = buf[cut.end():], cut.group()[1:]
+        return buf[:cut.start() + 1]
+
+
+def _scan(cells: _Cells, draft: SimpleNamespace) -> str:
+    """Append to the draft's lists the cells it takes, a chunk of about
+    _SCAN_CHARS at a time; return the first refused chunk, or "".
 
     The first cell, up to its "}", must be laid out as _FIRST matches.
     The text around its ints, and the separator after it, make a format
@@ -366,34 +423,33 @@ def _scan(text: str, at: int, stop: int, draft: SimpleNamespace) -> int:
     increasing first ends, as _read_cells would append them. It parses
     no JSON and raises nothing: the slices word every error, and
     of_arrays finds a cell given twice."""
-    cut = _CUT.search(text, at, stop)
-    to, sep = (stop, "") if cut is None else (cut.start() + 1, text[cut.start() + 1:cut.end()])
-    if _FIRST.fullmatch(text, at, to) is None:
-        return at
-    pieces = _NUMBER.split(text[at:to] + sep)
+    chunk = cells.take(_SCAN_CHARS)
+    cut = _CUT.search(chunk)
+    to, sep = (len(chunk), cells.sep) if cut is None else (cut.start() + 1, cut.group()[1:])
+    if _FIRST.fullmatch(chunk, 0, to) is None:
+        return chunk
+    pieces = _NUMBER.split(chunk[:to] + sep)
     formats = [pieces[0] + "%d" + pieces[1]] + ["%d" + piece for piece in pieces[2:]]
 
     m, side = len(formats), draft.side
     k = m // 2 - 1
     bound = max(draft.n, side)
-    # made at once only while far smaller than the text, whatever the header says
-    size = min(bound, len(text) // (64 * m))
-    ints = _Ints(size, bound)
+    # made at once only while far smaller than the list, whatever the header says
+    size = min(bound, cells.size // (64 * m))
+    int_of = _Ints(size, bound).__getitem__
     texts = {fmt: _Texts(fmt, size).__getitem__ for fmt in formats}
     lay = [texts[fmt] for fmt in formats]
     ends = (0, 0) + (1,) * (m - 2)
     rows, cols, sizes, points = draft.rows, draft.cols, draft.sizes, draft.points
-    while at < stop:
-        cut = _CUT.search(text, at + _SCAN_CHARS, stop)
-        chunk = text[at:stop] + sep if cut is None else text[at:cut.end()]
-        runs = chunk.encode("ascii", "replace").translate(_DIGITS).split()
+    while chunk:
+        # the separator holds no digits, so the chunk's runs are its cells' ints
         try:
-            got = list(map(ints.__getitem__, runs))
+            got = list(map(int_of, chunk.encode("ascii", "replace").translate(_DIGITS).split()))
         except (KeyError, ValueError):
             break
         by_place = [got[j::m] for j in range(m)]
         relaid = "".join(chain.from_iterable(zip(*map(map, lay, by_place))))
-        if relaid != chunk:
+        if relaid != chunk + sep:
             break
         r, c, us, vs = by_place[0], by_place[1], by_place[2::2], by_place[3::2]
         if (
@@ -407,8 +463,9 @@ def _scan(text: str, at: int, stop: int, draft: SimpleNamespace) -> int:
         cols += c
         sizes += repeat(k, len(r))
         points += compress(got, cycle(ends))
-        at = stop if cut is None else cut.end()
-    return at
+        del got, by_place, relaid, r, c, us, vs  # before the next chunk is read
+        chunk = cells.take(_SCAN_CHARS)
+    return chunk
 
 
 def _cell_text(block: Block | None) -> str:

@@ -186,9 +186,12 @@ def _tables(cols: list[int], points: list[int], side: int, n: int, k: int) -> tu
         point, times = _first_fault(line, n)
         col_detail = f"column {c} covers point {point} {times} times"
         counts = tuple(map(tally.__getitem__, range(side)))
-    edges = len(points) // 2
-    if sum(map(bytearray.count, highs, repeat(1))) < edges:
-        return col_detail, counts, _pair_detail(n, points)
+    edges, marked = len(points) // 2, list(map(bytearray.count, highs, repeat(1)))
+    if sum(marked) < edges:  # a repeat: the first u with more edges than marks holds it
+        tally = Counter(islice(points, 0, None, 2))
+        u = next(u for u in range(n) if tally[u] > marked[u])
+        held = [p for i in range(0, len(points), 2) if points[i] == u for p in points[i:i + 2]]
+        return col_detail, counts, _pair_detail(n, held)
     if edges == n * (n - 1) // 2:
         return col_detail, counts, None
     gaps = map(bytearray.find, highs, repeat(0), range(1, n + 1))

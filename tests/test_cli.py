@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -21,8 +22,8 @@ from omd.errors import (
     SearchExhausted,
     VerificationFailed,
 )
-from omd.formats import loads_design
-from omd.room import _cached_room
+from omd.formats import dumps_design, loads_design
+from omd.room import _cached_room, build_room
 from omd.verify import verify
 
 
@@ -184,6 +185,51 @@ def test_verify_undecodable_file_exits_four(tmp_path, capsys, content):
 
 def test_verify_missing_file_exits_four(tmp_path):
     assert main(["verify", str(tmp_path / "absent.json")]) == 4
+
+
+def _unreadable(tmp_path, case):
+    """A path omd verify cannot read, and the line it writes to stderr."""
+    path = tmp_path / "d.json"
+    if case == "missing":
+        return path, f"cannot read {path}: [Errno 2] No such file or directory: '{path}'"
+    if case == "directory":
+        path.mkdir()
+        return path, f"cannot read {path}: [Errno 21] Is a directory: '{path}'"
+    data = json.loads(dumps_design(build_room(122)[0]))
+    text = json.dumps(data)
+    if case == "bad-utf-8-in-cells":
+        # a byte no UTF-8 sequence starts with, past the first pieces of the list
+        at = text.index("]]}", len(text) // 2)
+        path.write_bytes(text[:at].encode() + b"\xff" + text[at:].encode())
+        return path, f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+    data["cells"][-1]["row"] = 5000
+    path.write_text(json.dumps(data))
+    return path, f"cell (5000, {data['cells'][-1]['col']}) outside side-121 array"
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "bad-utf-8-in-cells", "cell-outside"])
+def test_verify_read_errors_keep_their_exit_code_and_line(tmp_path, capsys, case):
+    # the lines omd verify wrote when it read every file whole
+    path, line = _unreadable(tmp_path, case)
+    assert main(["verify", str(path)]) == 4
+    assert capsys.readouterr() == ("", f"parse error: {line}\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_verify_reads_a_pipe_whole(tmp_path, capsys):
+    # a pipe cannot seek, so its text is read whole, as every file once was
+    path, pipe = tmp_path / "d.json", tmp_path / "pipe"
+    assert main(["generate", "--n", "16", "--k", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    expected = capsys.readouterr()
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_text(path.read_text()), daemon=True)
+    writer.start()
+    assert main(["verify", str(pipe)]) == 0
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert capsys.readouterr() == expected
 
 
 def test_verify_malformed_meta_cells_exits_four(tmp_path, capsys):

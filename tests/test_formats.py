@@ -720,6 +720,80 @@ def test_sliced_read_never_holds_the_whole_parsed_json():
     assert most <= 1.75 * kept, (most, kept)
 
 
+def _write(path, text):
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
+@pytest.mark.parametrize("scan_chars", [formats._SCAN_CHARS, 97])
+def test_the_file_reader_matches_the_text_reader(tmp_path, monkeypatch, scan_chars):
+    # every corpus text, from a file read in pieces, reads as the text does
+    _, corpus = _differential_corpus()
+    wants = [_outcome(loads_design, text) for text in corpus]
+    paths = [_write(tmp_path / f"{i}.json", text) for i, text in enumerate(corpus)]
+    monkeypatch.setattr(formats, "_SCAN_CHARS", scan_chars)
+    for path, text, want in zip(paths, corpus, wants):
+        # newline="" gives back the text with its line ends as written
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert _outcome(formats.load_design, fh) == want, text
+
+
+def _boundary_texts():
+    """A design text as the writer lays it, with indent 2 and CRLF line
+    ends, and with indent 2 and a non-ASCII meta string written first."""
+    res = construct(24, 3)
+    meta = {"provenance": "Ωμέγα ✓ ε", "transversal": [list(c) for c in res.transversal]}
+    data = json.loads(dumps_design(res.design, meta))
+    return [
+        dumps_design(res.design, meta),
+        json.dumps(data, indent=2).replace("\n", "\r\n"),
+        json.dumps({"meta": data.pop("meta"), **data}, indent=2, ensure_ascii=False),
+    ]
+
+
+def test_the_file_reader_reads_across_every_split(tmp_path, monkeypatch):
+    # pieces of p characters split the text at p: inside the "cells" key,
+    # inside a cut in the middle of the list with its whitespace run, and
+    # inside the list's closing "}" "]"; each file is read in pieces, with
+    # its line ends as written and translated, as omd verify opens it
+    for i, text in enumerate(_boundary_texts()):
+        want = _outcome(loads_design, text)
+        assert isinstance(want, tuple)
+        path = _write(tmp_path / f"{i}.json", text)
+        for newline in ("", None):
+            seen = text if newline == "" else text.replace("\r\n", "\n")
+            key = formats._CELLS.search(seen)
+            end = formats._LIST_END.search(seen, key.end())
+            cut = formats._CUT.search(seen, (key.end() + end.start()) // 2)
+            for span in (key, cut, end):
+                for at in range(span.start() + 1, span.end()):
+                    monkeypatch.setattr(formats, "_SCAN_CHARS", at)
+                    with open(path, encoding="utf-8", newline=newline) as fh:
+                        assert formats._read_sliced(fh) == want, (i, newline, at)
+
+
+def test_the_file_reader_never_holds_the_whole_text(tmp_path):
+    res = construct(320, 4)
+    meta = {"transversal": [list(c) for c in res.transversal]}
+    text = json.dumps(json.loads(dumps_design(res.design, meta)), indent=2)
+    path = _write(tmp_path / "indent-2.json", text)
+    size = path.stat().st_size
+    assert size > 3_000_000
+    with open(path, encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            arr, transversal = formats.load_design(fh)
+            most = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (arr, transversal) == (res.design, res.transversal)
+    # a whole-text read holds the text, about twice its size in memory
+    assert most < 0.8 * size, (most, size)
+
+
 @pytest.mark.parametrize("k", [4, 8])
 def test_a_slice_parses_below_a_young_collection(k):
     """Each slice's dicts and lists are freed before the next is parsed, so
